@@ -172,13 +172,20 @@ def _parse_weights(text: str, expected_len: int) -> OneParamSubgroup:
     return OneParamSubgroup(weights)
 
 
+def _parse_degrees(text: str) -> list[int]:
+    try:
+        return [int(m) for m in text.split(",")]
+    except ValueError as exc:
+        raise CliError(f"bad --m {text!r}") from exc
+
+
 def cmd_index(args) -> int:
     cfg = _resolve_config(args)
     if args.weights:
         rho = _parse_weights(args.weights, cfg.num_coordinates)
     else:
         rho = canonical_1ps(cfg)
-    degrees = [int(m) for m in args.m.split(",")] if args.m else [2, 3]
+    degrees = _parse_degrees(args.m) if args.m else [2, 3]
     suite = index_suite(cfg, rho, degrees)
     payload = {
         "family": cfg.family,

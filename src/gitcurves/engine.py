@@ -14,12 +14,14 @@ No floating point is used anywhere in this module.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .families import Configuration, OneParamSubgroup
+from .families import Configuration, OneParamSubgroup, Parametrization
 from .monomials import Monomial, MonomialOrder, degree_monomials
 
 DEFAULT_DEGREE_CAP = 5
@@ -42,14 +44,24 @@ def resolve_degree_cap(cap: Optional[int] = None) -> int:
     return DEFAULT_DEGREE_CAP
 
 
+Certificate = tuple[int, tuple[tuple[int, Fraction], ...]]
+
+
 @dataclass(frozen=True)
 class IdealSlice:
     """Degree slice of a homogeneous ideal in echelonized form.
 
-    `monomials` lists all degree-m monomials in ascending order; `standard`
-    marks the ones outside the initial ideal.  When built with certificates,
-    `basis` holds the reduced echelon basis of the slice: for each initial
-    monomial, its coefficients over smaller standard monomials, so the row
+    `supported` lists, in ascending order, the degree-m monomials supported on
+    some component's coordinates, and `supported_standard` marks the ones
+    outside the initial ideal.  Every other degree-m monomial restricts to
+    zero on every component, so it is initial with the certificate
+    `x^{a(j)}` itself.
+
+    `monomials` lists all degree-m monomials in ascending order and
+    `standard` marks the standard ones; both are built on first use.  When
+    built with certificates, `basis` holds the reduced echelon basis of the
+    slice: for each initial monomial, its coefficients over smaller standard
+    monomials (indices into `monomials`), so the row
 
         x^{a(j)} - sum_k coeff[k] * x^{a(k)}
 
@@ -58,24 +70,48 @@ class IdealSlice:
 
     degree: int
     order: MonomialOrder
-    monomials: tuple[Monomial, ...]
-    standard: tuple[bool, ...]
-    basis: Optional[tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]] = None
+    supported: tuple[Monomial, ...]
+    supported_standard: tuple[bool, ...]
+    # certificates of the supported initial monomials, indexed into `supported`
+    supported_basis: Optional[tuple[Certificate, ...]] = None
 
     @property
     def standard_count(self) -> int:
-        return sum(self.standard)
+        return sum(self.supported_standard)
+
+    @cached_property
+    def monomials(self) -> tuple[Monomial, ...]:
+        return tuple(
+            self.order.sorted_ascending(list(degree_monomials(self.order.nvars, self.degree)))
+        )
+
+    @cached_property
+    def standard(self) -> tuple[bool, ...]:
+        std = set(self.standard_monomials())
+        return tuple(m in std for m in self.monomials)
+
+    @cached_property
+    def basis(self) -> Optional[tuple[Certificate, ...]]:
+        if self.supported_basis is None:
+            return None
+        index = {mono: j for j, mono in enumerate(self.monomials)}
+        full = [index[mono] for mono in self.supported]
+        tails = {
+            full[k]: tuple((full[i], v) for i, v in tail)
+            for k, tail in self.supported_basis
+        }
+        return tuple(
+            (j, tails.get(j, ())) for j, s in enumerate(self.standard) if not s
+        )
 
     def standard_monomials(self) -> list[Monomial]:
-        return [m for m, s in zip(self.monomials, self.standard) if s]
+        return [m for m, s in zip(self.supported, self.supported_standard) if s]
 
     def initial_monomials(self) -> list[Monomial]:
         return [m for m, s in zip(self.monomials, self.standard) if not s]
 
     def standard_weight_sum(self) -> int:
-        return sum(
-            self.order.weight(m) for m, s in zip(self.monomials, self.standard) if s
-        )
+        return sum(self.order.weight(m) for m in self.standard_monomials())
 
 
 def initial_monomials(slice_: IdealSlice) -> set[Monomial]:
@@ -84,6 +120,18 @@ def initial_monomials(slice_: IdealSlice) -> set[Monomial]:
 
 def standard_monomials(slice_: IdealSlice) -> set[Monomial]:
     return set(slice_.standard_monomials())
+
+
+def _supported_monomials(par: Parametrization, m: int) -> list[Monomial]:
+    """The degree-m monomials in the coordinates of at least one component."""
+    found: set[Monomial] = set()
+    for cm in par.maps:
+        for combo in itertools.combinations_with_replacement(sorted(cm.coords()), m):
+            mono = [0] * par.num_coordinates
+            for i in combo:
+                mono[i] += 1
+            found.add(tuple(mono))
+    return list(found)
 
 
 def evaluate_slice(
@@ -98,6 +146,8 @@ def evaluate_slice(
 
     In split mode this is the slice of the rosary block: the kernel of
     evaluation on the parametrized components in the block coordinates.
+    Only monomials supported on some component enter the elimination; the
+    others have zero columns and are initial by construction.
     """
     cap = resolve_degree_cap(cap)
     if m < 1:
@@ -121,7 +171,7 @@ def evaluate_slice(
         comp_data.append((table, cm.degree, offset))
         offset += m * cm.degree + 1
 
-    monos = order.sorted_ascending(list(degree_monomials(nvars, m)))
+    monos = order.sorted_ascending(_supported_monomials(par, m))
 
     def column(mono: Monomial) -> dict[int, Fraction]:
         col: dict[int, Fraction] = {}
@@ -146,7 +196,7 @@ def evaluate_slice(
     pivots: dict[int, dict[int, Fraction]] = {}
     pivot_expr: dict[int, dict[int, Fraction]] = {}
     standard: list[bool] = []
-    certificates: list[tuple[int, tuple[tuple[int, Fraction], ...]]] = []
+    certificates: list[Certificate] = []
 
     for j, mono in enumerate(monos):
         col = column(mono)
@@ -189,9 +239,9 @@ def evaluate_slice(
     return IdealSlice(
         degree=m,
         order=order,
-        monomials=tuple(monos),
-        standard=tuple(standard),
-        basis=tuple(certificates) if with_certificates else None,
+        supported=tuple(monos),
+        supported_standard=tuple(standard),
+        supported_basis=tuple(certificates) if with_certificates else None,
     )
 
 

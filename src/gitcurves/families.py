@@ -17,6 +17,7 @@ with hand computations.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -203,21 +204,47 @@ class Configuration:
         return doc
 
 
+def _json_form(value):
+    try:
+        return json.loads(json.dumps(value))
+    except (TypeError, ValueError) as exc:
+        raise FamilyError(f"configuration document is not JSON data: {exc}") from exc
+
+
 def configuration_from_dict(doc: dict) -> Configuration:
     """Rebuild a configuration emitted by `Configuration.to_dict`.
 
-    Only the family builders below are reconstructible; the family name and
-    parameters are authoritative and the rebuilt object is returned verbatim.
+    Only the family builders below are reconstructible.  The family is
+    rebuilt from its integer parameters, and every other key the document
+    carries must equal the rebuilt configuration's `to_dict()` entry, so a
+    document is either read in full or rejected.
     """
+    if not isinstance(doc, dict):
+        raise FamilyError("configuration document must be a JSON object")
+    builders = {
+        "open-rosary": (build_open_rosary_config, ("g", "r")),
+        "closed-rosary": (build_closed_rosary_config, ("r",)),
+        "broken-bead": (build_broken_bead_config, ("r",)),
+    }
     family = doc.get("family")
+    if not isinstance(family, str) or family not in builders:
+        raise FamilyError(f"unknown family {family!r}")
+    build, names = builders[family]
     params = doc.get("params", {})
-    if family == "open-rosary":
-        return build_open_rosary_config(params["g"], params["r"])
-    if family == "closed-rosary":
-        return build_closed_rosary_config(params["r"])
-    if family == "broken-bead":
-        return build_broken_bead_config(params["r"])
-    raise FamilyError(f"unknown family {family!r}")
+    if not isinstance(params, dict) or set(params) != set(names):
+        raise FamilyError(f"{family} params must be exactly {', '.join(names)}")
+    for name in names:
+        value = params[name]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise FamilyError(f"param {name!r} must be an integer, got {value!r}")
+    cfg = build(*(params[name] for name in names))
+    expected = _json_form(cfg.to_dict())
+    for key, value in _json_form(doc).items():
+        if key not in expected:
+            raise FamilyError(f"unexpected key {key!r} for {family}")
+        if value != expected[key]:
+            raise FamilyError(f"{key!r} does not match the {family} family")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +258,6 @@ def _conic(component: str, coords: tuple[int, int, int], shape: str) -> Componen
         exps = [(2, 0), (1, 1), (0, 2)]
     elif shape == "st-s2-t2":
         exps = [(1, 1), (2, 0), (0, 2)]
-    elif shape == "s2-st2?":  # pragma: no cover - guard against typos
-        raise FamilyError("bad conic shape")
     else:
         raise FamilyError(f"bad conic shape {shape!r}")
     return ComponentMap(

@@ -374,26 +374,6 @@ def _subset_connected(g: CurveGraph, sub: frozenset[str]) -> bool:
     return data.connected(data.mask_of(sub))
 
 
-def subcurve_genus(
-    g: CurveGraph, sub: Iterable[str], *, exclude: frozenset[int] = frozenset()
-) -> int:
-    """Arithmetic genus of the connected subcurve on the components `sub`.
-
-    `exclude` removes intersections (by index) from the count; the chain
-    searches use it to cut a closing singularity.
-    """
-    if len(exclude) > 1:
-        raise CurveGraphError("at most one excluded intersection supported")
-    data = _graph_data(g)
-    mask = data.mask_of(sub)
-    drop = next(iter(exclude)) if exclude else None
-    if drop is not None and data.pair_masks[drop] & mask != data.pair_masks[drop]:
-        drop = None  # the cut intersection does not touch this subcurve
-    if not data.connected(mask, drop=drop):
-        raise CurveGraphError("subcurve is not connected")
-    return data.genus(mask, exclude)
-
-
 def crossing_intersections(g: CurveGraph, sub: frozenset[str]) -> list[tuple[int, int]]:
     """Intersections joining `sub` to its complement.
 
@@ -413,32 +393,12 @@ def contact_multiplicity(g: CurveGraph, sub: Iterable[str]) -> int:
     return sum(g.intersections[i].delta for i, _ in crossing_intersections(g, sub))
 
 
-def contact_points(g: CurveGraph, sub: frozenset[str]) -> int:
-    """Number of distinct points where a subcurve meets its complement."""
-    return len(crossing_intersections(g, sub))
-
-
 def _check_cap(g: CurveGraph, cap: int) -> None:
     n = len(g.components)
     if n > cap:
         raise CurveGraphError(
             f"graph has {n} components; exhaustive search capped at {cap}"
         )
-
-
-def connected_subsets(
-    g: CurveGraph, *, proper: bool = True, cap: int = DEFAULT_COMPONENT_CAP
-) -> Iterator[frozenset[str]]:
-    """All connected component subsets, nonempty (and proper unless disabled).
-
-    Exhaustive; errors out beyond `cap` components.
-    """
-    _check_cap(g, cap)
-    data = _graph_data(g)
-    for mask in _connected_masks(g):
-        if proper and mask == data.all_mask:
-            continue
-        yield data.subset_of(mask)
 
 
 # ---------------------------------------------------------------------------

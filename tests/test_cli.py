@@ -82,6 +82,34 @@ class TestFamilyAndIndex:
         assert code == 0
         assert "x0^2" in out
 
+    def test_bad_degree_list(self, capsys):
+        code, out, err = run(capsys, "index", "--family", "closed-rosary", "--r", "4", "--m", "x")
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad --m 'x'\n"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["params"].update(g="5"),
+            lambda doc: doc.update(num_coordinates=99),
+            lambda doc: doc["graph"]["components"].pop(),
+            lambda doc: doc["parametrization"]["components"][0]["terms"][0].__setitem__(3, "2"),
+        ],
+        ids=["string-param", "num-coordinates", "graph", "parametrization"],
+    )
+    def test_index_rejects_inconsistent_config(self, capsys, tmp_path, edit):
+        code, out, _ = run(capsys, "family", "open-rosary", "--g", "5", "--r", "2", "--json")
+        doc = json.loads(out)
+        edit(doc)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "index", "--in", str(cfg_file))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot load configuration:")
+        assert "Traceback" not in err
+
     def test_invalid_family_params(self, capsys):
         code, _, err = run(capsys, "family", "broken-bead", "--r", "4")
         assert code == 2

@@ -21,6 +21,7 @@ from gitcurves.engine import (
     point_index,
 )
 from gitcurves.families import (
+    FamilyError,
     OneParamSubgroup,
     build_broken_bead_config,
     build_closed_rosary_config,
@@ -28,6 +29,7 @@ from gitcurves.families import (
     canonical_1ps,
 )
 from gitcurves.monomials import MonomialOrder, monomial_count, pair_monomial
+from slice_oracle import full_slice, substitution_matrix
 
 
 def closed_rosary_initial_degree2(r):
@@ -318,3 +320,94 @@ class TestDegreeThreeStructure:
                 m3[v] += 1
                 predicted.add(tuple(m3))
         assert set(s3.initial_monomials()) == predicted
+
+
+ORACLE_BUILDERS = {
+    "closed": build_closed_rosary_config,
+    "broken": build_broken_bead_config,
+    "open": build_open_rosary_config,
+}
+ORACLE_CONFIGS = (
+    [("closed", r) for r in range(3, 7)]
+    + [("broken", r) for r in (3, 5, 7)]  # broken beads exist for odd r only
+    + [("open", g, r) for g, r in ((5, 2), (6, 3), (9, 5))]
+)
+
+
+def _block_orders(cfg):
+    """A scrambled weight order, and the canonical one where the family has it."""
+    n = cfg.parametrization.num_coordinates
+    orders = [MonomialOrder(OneParamSubgroup(tuple((5 * i) % 7 - 3 for i in range(n))))]
+    try:
+        orders.append(MonomialOrder(canonical_1ps(cfg).restrict(n)))
+    except FamilyError:
+        pass  # closed rosaries of odd length have no canonical subgroup
+    return orders
+
+
+class TestFullEnumerationOracle:
+    """The supported-only elimination against the full-enumeration one."""
+
+    def _check(self, cfg, m):
+        for order in _block_orders(cfg):
+            self._check_order(cfg, m, order)
+
+    def _check_order(self, cfg, m, order):
+        monos, standard, basis = full_slice(cfg, m, order)
+        sl = evaluate_slice(cfg, m, order, with_certificates=True)
+        assert sl.monomials == monos
+        assert sl.standard == standard
+        assert sl.basis == basis
+        assert sl.standard_count == sum(standard)
+        assert sl.standard_weight_sum() == sum(
+            order.weight(mo) for mo, s in zip(monos, standard) if s
+        )
+        assert sl.initial_monomials() == [mo for mo, s in zip(monos, standard) if not s]
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "spec", ORACLE_CONFIGS, ids=lambda spec: "-".join(map(str, spec))
+    )
+    def test_matches_full_enumeration(self, spec, m):
+        self._check(ORACLE_BUILDERS[spec[0]](*spec[1:]), m)
+
+    def test_matches_full_enumeration_degree_5(self):
+        self._check(build_broken_bead_config(3), 5)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize(
+        "cfg",
+        [build_closed_rosary_config(3), build_broken_bead_config(3), build_open_rosary_config(5, 2)],
+        ids=["closed-3", "broken-3", "open-5-2"],
+    )
+    def test_standard_monomials_are_substitution_pivots(self, cfg, m):
+        """Over QQ, with columns in ascending order, the pivot columns of the
+        full substitution matrix are the standard monomials."""
+        sympy = pytest.importorskip("sympy")
+        sl = evaluate_slice(cfg, m)
+        matrix = sympy.Matrix(substitution_matrix(cfg, m, sl.monomials))
+        _, pivots = matrix.rref()
+        assert list(pivots) == [j for j, s in enumerate(sl.standard) if s]
+        assert matrix.rank() == sl.standard_count
+
+
+class TestExtrapolationBeyondDegreeFour:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            build_closed_rosary_config(6),
+            build_broken_bead_config(5),
+            build_open_rosary_config(9, 5),
+            build_open_rosary_config(12, 6),
+        ],
+        ids=["closed-6", "broken-5", "open-9-5", "open-12-6"],
+    )
+    def test_direct_index_matches_extrapolation(self, cfg):
+        rho = canonical_1ps(cfg)
+        r2 = hilbert_index(cfg, rho, 2)
+        r3 = hilbert_index(cfg, rho, 3)
+        assert r2.count_matches_hilbert and r3.count_matches_hilbert
+        for m in range(4, 9):
+            rep = hilbert_index(cfg, rho, m, cap=8)
+            assert rep.count_matches_hilbert
+            assert rep.mu == extrapolate_index(r2.mu, r3.mu, m)

@@ -153,6 +153,40 @@ class TestSerialization:
             again = configuration_from_dict(doc)
             assert again == cfg
 
+    def test_rejects_non_integer_params(self):
+        doc = build_open_rosary_config(5, 2).to_dict()
+        for bad in ("5", 5.0, True, None):
+            doc["params"]["g"] = bad
+            with pytest.raises(FamilyError):
+                configuration_from_dict(doc)
+
+    def test_rejects_missing_or_extra_params(self):
+        with pytest.raises(FamilyError):
+            configuration_from_dict({"family": "open-rosary", "params": {"g": 5}})
+        with pytest.raises(FamilyError):
+            configuration_from_dict({"family": "closed-rosary", "params": {"r": 4, "g": 5}})
+
+    def test_rejects_document_that_differs_from_family(self):
+        for key, value in (
+            ("num_coordinates", 99),
+            ("genus", 6),
+            ("mode", "full"),
+            ("split", None),
+            ("extra", 1),
+        ):
+            doc = build_open_rosary_config(5, 2).to_dict()
+            doc[key] = value
+            with pytest.raises(FamilyError):
+                configuration_from_dict(doc)
+
+    def test_family_and_params_alone_suffice(self):
+        doc = {"family": "closed-rosary", "params": {"r": 4}}
+        assert configuration_from_dict(doc) == build_closed_rosary_config(4)
+
     def test_unknown_family(self):
         with pytest.raises(FamilyError):
             configuration_from_dict({"family": "pentagon", "params": {}})
+        with pytest.raises(FamilyError):
+            configuration_from_dict({"family": ["closed-rosary"], "params": {"r": 4}})
+        with pytest.raises(FamilyError):
+            configuration_from_dict(["closed-rosary"])
