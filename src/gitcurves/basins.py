@@ -38,10 +38,13 @@ from .graphs import (
     TACNODE,
     Component,
     CurveGraph,
+    End,
+    Intersection,
     arithmetic_genus,
     bridge_links,
     classify,
     closed_rosary_graph,
+    crossing_intersections,
     find_elliptic_bridges,
     find_weak_elliptic_chains,
     open_rosaries,
@@ -193,15 +196,9 @@ class _Editor:
                 counter[cid] = counter.get(cid, 0)
                 ends.append((cid, counter[cid]))
                 counter[cid] += 1
-            xs.append(Intersection_(x[0], (ends[0], ends[1])))
+            xs.append(Intersection(x[0], (ends[0], ends[1])))
         comps = tuple(sorted(self.components.values(), key=lambda c: c.id))
         return CurveGraph(comps, tuple(xs), tuple(self.marks))
-
-
-End = tuple[str, int]
-
-# local alias avoids shadowing by the dataclass import above
-from .graphs import Intersection as Intersection_  # noqa: E402
 
 
 def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
@@ -257,7 +254,7 @@ def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
             slot_counter[nid] = slot_counter.get(nid, 0)
             ends.append((nid, slot_counter[nid]))
             slot_counter[nid] += 1
-        xs.append(Intersection_(x.kind, (ends[0], ends[1])))
+        xs.append(Intersection(x.kind, (ends[0], ends[1])))
     marks = tuple((find(cid), label) for cid, label in g.marks)
     return CurveGraph(tuple(comps), tuple(xs), marks)
 
@@ -383,14 +380,14 @@ def _rosary_chains(g: CurveGraph, length: int) -> list[frozenset[str]]:
     return [frozenset(v) for v in chains.values()]
 
 
-def is_c_closed_orbit(g: CurveGraph, *, cap: int = 24) -> bool:
+def is_c_closed_orbit(g: CurveGraph) -> bool:
     """Closed-orbit test on the Chow side.
 
     True for c-semistable curves in which every tacnode sits in an open
     rosary, every open rosary has length two, and there are no elliptic
     bridges besides those rosaries.  c-stable curves qualify vacuously.
     """
-    flags = classify(g, cap=cap)
+    flags = classify(g)
     if not flags.c_semistable:
         return False
     rosaries = [r for r in open_rosaries(g) if r.length >= 2]
@@ -403,20 +400,20 @@ def is_c_closed_orbit(g: CurveGraph, *, cap: int = 24) -> bool:
             a, b = x.components()
             if not any(a in rc and b in rc for rc in rosary_comps):
                 return False
-    for bridge in find_elliptic_bridges(g, cap=cap):
+    for bridge in find_elliptic_bridges(g):
         if bridge not in rosary_comps:
             return False
     return True
 
 
-def is_h_closed_orbit(g: CurveGraph, *, cap: int = 24) -> bool:
+def is_h_closed_orbit(g: CurveGraph) -> bool:
     """Closed-orbit test on the Hilbert side.
 
     True for h-semistable curves that are an unbroken closed rosary of odd
     genus, or in which every weak elliptic chain is contained in a chain of
     length-three open rosaries.  h-stable curves qualify vacuously.
     """
-    flags = classify(g, cap=cap)
+    flags = classify(g)
     if not flags.h_semistable:
         return False
     cycle = _bead_cycle(g)
@@ -430,7 +427,7 @@ def is_h_closed_orbit(g: CurveGraph, *, cap: int = 24) -> bool:
     if arithmetic_genus(g) < 3:
         return True
     chains = _rosary_chains(g, 3)
-    for w in find_weak_elliptic_chains(g, cap=cap):
+    for w in find_weak_elliptic_chains(g):
         comps = frozenset(itertools.chain.from_iterable(w.blocks))
         if not any(comps <= chain for chain in chains):
             return False
@@ -491,8 +488,6 @@ def pseudostable_reduction(g: CurveGraph) -> CurveGraph:
 
 def _replace_link_with_rosary(g: CurveGraph, link: frozenset[str]) -> CurveGraph:
     """Swap one elliptic-bridge link for a length-two open rosary."""
-    from .graphs import crossing_intersections
-
     cross = sorted(crossing_intersections(g, link))
     if len(cross) != 2:
         raise BasinError("bridge link must meet the rest in exactly two nodes")
@@ -513,32 +508,32 @@ def _replace_link_with_rosary(g: CurveGraph, link: frozenset[str]) -> CurveGraph
     return ed.build()
 
 
-def c_closed_orbit_rep(g: CurveGraph, *, cap: int = 24) -> CurveGraph:
+def c_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
     """The closed-orbit curve equivalent to a strictly c-semistable curve.
 
     Tacnodal input is first reduced to its pseudostable model; every bridge
     link is then replaced by a length-two open rosary.  Idempotent.
     """
-    flags = classify(g, cap=cap)
+    flags = classify(g)
     if not flags.c_semistable or flags.c_stable:
         raise BasinError("c-stable or unstable input")
-    if is_c_closed_orbit(g, cap=cap):
+    if is_c_closed_orbit(g):
         return g
     base = g
     if any(x.kind == TACNODE for x in g.intersections):
         base = pseudostable_reduction(g)
-    links = bridge_links(base, cap=cap)
+    links = bridge_links(base)
     if not links:
         raise BasinError("no elliptic bridges after pseudostable reduction")
     out = base
     for link in sorted(links, key=lambda s: sorted(s)):
         out = _replace_link_with_rosary(out, link)
-    if not is_c_closed_orbit(out, cap=cap):
+    if not is_c_closed_orbit(out):
         raise BasinError("replacement did not reach a closed-orbit curve")
     return out
 
 
-def _maximal_weak_chains(g: CurveGraph, cap: int):
+def _maximal_weak_chains(g: CurveGraph):
     """Disjoint maximal weak elliptic chains, greedily by lowest component id.
 
     Maximal chains may overlap (a rosary of odd length >= 5 carries one from
@@ -547,7 +542,7 @@ def _maximal_weak_chains(g: CurveGraph, cap: int):
     components are handled by the later contraction pass.  Any maximal
     choice yields an isomorphic representative.
     """
-    weak = [w for w in find_weak_elliptic_chains(g, cap=cap) if not w.closed]
+    weak = [w for w in find_weak_elliptic_chains(g) if not w.closed]
     by_comps: dict[frozenset[str], list] = {}
     for w in weak:
         comps = frozenset(itertools.chain.from_iterable(w.blocks))
@@ -599,7 +594,7 @@ def _apply_weak_chain_replacement(ed: _Editor, record) -> None:
     ed.marks = [m for m in ed.marks if m[0] not in comps]
 
 
-def h_closed_orbit_rep(g: CurveGraph, *, cap: int = 24) -> CurveGraph:
+def h_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
     """The closed-orbit curve equivalent to a strictly h-semistable curve.
 
     A closed weak elliptic chain of length r becomes the closed rosary of
@@ -608,21 +603,21 @@ def h_closed_orbit_rep(g: CurveGraph, *, cap: int = 24) -> CurveGraph:
     and rational components left with two nodal contacts are contracted.
     Idempotent.
     """
-    flags = classify(g, cap=cap)
+    flags = classify(g)
     if not flags.h_semistable or flags.h_stable:
         raise BasinError("input is not strictly h-semistable")
-    if is_h_closed_orbit(g, cap=cap):
+    if is_h_closed_orbit(g):
         return g
-    weak = find_weak_elliptic_chains(g, cap=cap)
+    weak = find_weak_elliptic_chains(g)
     closed = [w for w in weak if w.closed]
     if closed:
         r = closed[0].length
         return closed_rosary_graph(2 * r)
     ed = _Editor(g)
-    for record in _maximal_weak_chains(g, cap=cap):
+    for record in _maximal_weak_chains(g):
         _apply_weak_chain_replacement(ed, record)
     out = _contract_two_node_rationals(ed.build())
-    if not is_h_closed_orbit(out, cap=cap):
+    if not is_h_closed_orbit(out):
         raise BasinError("replacement did not reach a closed-orbit curve")
     return out
 
@@ -633,8 +628,6 @@ def h_closed_orbit_rep(g: CurveGraph, *, cap: int = 24) -> CurveGraph:
 
 
 def _contract_link_to_tacnode(g: CurveGraph, link: frozenset[str]) -> CurveGraph:
-    from .graphs import crossing_intersections
-
     cross = sorted(crossing_intersections(g, link))
     if len(cross) != 2:
         raise BasinError("link must meet the rest in exactly two nodes")
@@ -655,19 +648,17 @@ def _contract_link_to_tacnode(g: CurveGraph, link: frozenset[str]) -> CurveGraph
     return ed.build()
 
 
-def enumerate_c_replacements(
-    g: CurveGraph, *, cap: int = 24
-) -> list[CurveGraph]:
+def enumerate_c_replacements(g: CurveGraph) -> list[CurveGraph]:
     """Generic c-semistable degenerations of a pseudostable curve with bridges.
 
     One configuration per subset of the bridge links: each chosen link is
     contracted to a tacnode, with a separating rational curve inserted first
     at every node between two chosen links.  Returns exactly 2^N graphs.
     """
-    flags = classify(g, cap=cap)
+    flags = classify(g)
     if not flags.pseudostable:
         raise BasinError("input must be pseudostable")
-    links = sorted(bridge_links(g, cap=cap), key=lambda s: sorted(s))
+    links = sorted(bridge_links(g), key=lambda s: sorted(s))
     out = []
     for k in range(len(links) + 1):
         for chosen in itertools.combinations(range(len(links)), k):

@@ -26,8 +26,8 @@ TACNODE = "tacnode"
 #: local contribution of a singularity to arithmetic genus
 DELTA = {NODE: 1, TACNODE: 2}
 
-#: hard cap on component count for the exhaustive subcurve predicates
-DEFAULT_COMPONENT_CAP = 24
+#: largest component count for which the subcurve table is built
+COMPONENT_CAP = 24
 
 
 class CurveGraphError(ValueError):
@@ -35,6 +35,21 @@ class CurveGraphError(ValueError):
 
 
 End = tuple[str, int]
+
+
+def _typed(value, kind: type, what: str):
+    """A graph-document field `value` if it is a `kind`; a bool is no integer here."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        name = "a string" if kind is str else "an integer"
+        raise CurveGraphError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
+def _pair(value) -> list:
+    """`value` if it is a two-element list: an intersection's ends, an end or a mark."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise CurveGraphError(f"expected a two-element list, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -195,20 +210,32 @@ class CurveGraph:
 
     @staticmethod
     def from_dict(doc: dict) -> "CurveGraph":
+        """Parse a `to_dict` document; a wrong shape or type raises CurveGraphError."""
         try:
             comps = tuple(
-                Component(c["id"], c["genus"], c.get("cusps", 0), c.get("label"))
+                Component(
+                    _typed(c["id"], str, "component id"),
+                    _typed(c["genus"], int, "genus"),
+                    _typed(c.get("cusps", 0), int, "cusps"),
+                    None if c.get("label") is None else _typed(c["label"], str, "label"),
+                )
                 for c in doc["components"]
             )
             xs = tuple(
                 Intersection(
-                    x["kind"],
-                    ((x["ends"][0][0], x["ends"][0][1]), (x["ends"][1][0], x["ends"][1][1])),
+                    _typed(x["kind"], str, "kind"),
+                    tuple(
+                        (_typed(cid, str, "end component"), _typed(slot, int, "slot"))
+                        for cid, slot in map(_pair, _pair(x["ends"]))
+                    ),
                 )
                 for x in doc.get("intersections", [])
             )
-            marks = tuple((m[0], m[1]) for m in doc.get("marks", []))
-        except (KeyError, IndexError, TypeError) as exc:
+            marks = tuple(
+                (_typed(cid, str, "mark component"), _typed(label, str, "mark label"))
+                for cid, label in map(_pair, doc.get("marks", []))
+            )
+        except (KeyError, TypeError) as exc:
             raise CurveGraphError(f"malformed curve-graph document: {exc}") from exc
         return CurveGraph(comps, xs, marks)
 
@@ -226,7 +253,7 @@ class CurveGraph:
 
 
 class _GraphData:
-    """Bitmask tables for the exhaustive subcurve searches."""
+    """Bitmask tables for the subcurve searches."""
 
     __slots__ = (
         "ids",
@@ -313,7 +340,7 @@ class _GraphData:
             seen |= frontier
         return seen == mask
 
-    def genus(self, mask: int, exclude: frozenset[int] = frozenset()) -> int:
+    def genus(self, mask: int) -> int:
         total = 0
         m = mask
         count = 0
@@ -323,8 +350,6 @@ class _GraphData:
             total += self.contrib[bit.bit_length() - 1]
             count += 1
         for i, pm in enumerate(self.pair_masks):
-            if i in exclude:
-                continue
             if pm & mask == pm:
                 total += self.deltas[i]
         return total - (count - 1)
@@ -345,12 +370,26 @@ def _graph_data(g: CurveGraph) -> _GraphData:
 
 
 @lru_cache(maxsize=256)
-def _connected_masks(g: CurveGraph) -> tuple[int, ...]:
-    """All nonempty connected subset masks, ascending."""
+def _subcurves(g: CurveGraph) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """(mask, genus, crossings) of every connected proper subcurve of genus <= 1.
+
+    Ascending by mask; `crossings` is as in `crossing_intersections`.  Every
+    stability predicate reads this table, and this is the only sweep over
+    all component subsets, so the component cap is checked here.
+    """
+    n = len(g.components)
+    if n > COMPONENT_CAP:
+        raise CurveGraphError(
+            f"graph has {n} components; exhaustive search capped at {COMPONENT_CAP}"
+        )
     data = _graph_data(g)
-    return tuple(
-        mask for mask in range(1, data.all_mask + 1) if data.connected(mask)
-    )
+    out = []
+    for mask in range(1, data.all_mask):
+        if data.connected(mask):
+            genus = data.genus(mask)
+            if genus <= 1:
+                out.append((mask, genus, tuple(data.crossings(mask))))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -393,53 +432,38 @@ def contact_multiplicity(g: CurveGraph, sub: Iterable[str]) -> int:
     return sum(g.intersections[i].delta for i, _ in crossing_intersections(g, sub))
 
 
-def _check_cap(g: CurveGraph, cap: int) -> None:
-    n = len(g.components)
-    if n > cap:
-        raise CurveGraphError(
-            f"graph has {n} components; exhaustive search capped at {cap}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # elliptic tails, bridges, chains
 # ---------------------------------------------------------------------------
 
 
-def _genus_one_with_crossings(
-    g: CurveGraph, count: int, cap: int
-) -> list[frozenset[str]]:
+def _genus_one_with_crossings(g: CurveGraph, count: int) -> list[frozenset[str]]:
     if not g.is_connected():
         raise CurveGraphError("disconnected")
-    _check_cap(g, cap)
     data = _graph_data(g)
-    out = []
-    for mask in _connected_masks(g):
-        if mask == data.all_mask:
-            continue
-        cross = data.crossings(mask)
-        if len(cross) != count:
-            continue
-        if not all(data.kinds[i] == NODE for i, _ in cross):
-            continue
-        if data.genus(mask) == 1:
-            out.append(data.subset_of(mask))
+    out = [
+        data.subset_of(mask)
+        for mask, genus, cross in _subcurves(g)
+        if genus == 1
+        and len(cross) == count
+        and all(data.kinds[i] == NODE for i, _ in cross)
+    ]
     return sorted(out, key=lambda s: sorted(s))
 
 
-def find_elliptic_tails(g: CurveGraph, *, cap: int = DEFAULT_COMPONENT_CAP) -> list[frozenset[str]]:
+def find_elliptic_tails(g: CurveGraph) -> list[frozenset[str]]:
     """Connected genus-one subcurves meeting the rest in exactly one node."""
-    return _genus_one_with_crossings(g, 1, cap)
+    return _genus_one_with_crossings(g, 1)
 
 
-def find_elliptic_bridges(g: CurveGraph, *, cap: int = DEFAULT_COMPONENT_CAP) -> list[frozenset[str]]:
+def find_elliptic_bridges(g: CurveGraph) -> list[frozenset[str]]:
     """Connected genus-one subcurves meeting the rest in exactly two nodes."""
-    return _genus_one_with_crossings(g, 2, cap)
+    return _genus_one_with_crossings(g, 2)
 
 
-def bridge_links(g: CurveGraph, *, cap: int = DEFAULT_COMPONENT_CAP) -> list[frozenset[str]]:
+def bridge_links(g: CurveGraph) -> list[frozenset[str]]:
     """Minimal elliptic bridges: the genus-one links of maximal bridge chains."""
-    bridges = find_elliptic_bridges(g, cap=cap)
+    bridges = find_elliptic_bridges(g)
     links = [b for b in bridges if not any(o < b for o in bridges)]
     for a, b in itertools.combinations(links, 2):
         if a & b:
@@ -505,23 +529,6 @@ def _chain_ample(
     return True
 
 
-def _genus_one_blocks(
-    g: CurveGraph, exclude: frozenset[int], cap: int
-) -> list[frozenset[str]]:
-    _check_cap(g, cap)
-    data = _graph_data(g)
-    drop = next(iter(exclude)) if exclude else None
-    out = []
-    for mask in _connected_masks(g):
-        if data.genus(mask, exclude) != 1:
-            continue
-        if drop is not None and data.pair_masks[drop] & mask == data.pair_masks[drop]:
-            if not data.connected(mask, drop=drop):
-                continue
-        out.append(data.subset_of(mask))
-    return out
-
-
 def _extend_chain_sequences(
     g: CurveGraph,
     blocks: list[frozenset[str]],
@@ -548,10 +555,12 @@ def _extend_chain_sequences(
         seq.pop()
 
 
-def _find_chains(g: CurveGraph, cap: int) -> list[ChainRecord]:
+def _find_chains(g: CurveGraph) -> list[ChainRecord]:
     if not g.is_connected():
         raise CurveGraphError("disconnected")
     all_ids = frozenset(g.ids())
+    data = _graph_data(g)
+    ones = [(mask, data.subset_of(mask)) for mask, genus, _ in _subcurves(g) if genus == 1]
     records: dict[tuple, ChainRecord] = {}
 
     def emit(rec: ChainRecord) -> None:
@@ -567,8 +576,8 @@ def _find_chains(g: CurveGraph, cap: int) -> list[ChainRecord]:
         key = (rec.closed, rec.weak, rec.blocks, rec.ends)
         records.setdefault(key, rec)
 
-    # open chains
-    blocks = _genus_one_blocks(g, frozenset(), cap)
+    # open chains: a chain meets the rest of the curve, so its blocks are proper
+    blocks = [sub for _, sub in ones]
     for first in blocks:
         for seq in _extend_chain_sequences(g, blocks, [first], frozenset()):
             union = frozenset().union(*seq)
@@ -601,9 +610,16 @@ def _find_chains(g: CurveGraph, cap: int) -> list[ChainRecord]:
                     )
 
     # closed chains: the whole curve, cut at a closing node or tacnode
+    pa = arithmetic_genus(g)
     for ci, cx in enumerate(g.intersections):
         exclude = frozenset([ci])
-        cblocks = _genus_one_blocks(g, exclude, cap)
+        pair = data.pair_masks[ci]
+        # A block of a closed chain of length >= 2 holds at most one end of
+        # the closing intersection, so its genus does not see that
+        # intersection; a chain of length 1 is the whole curve cut at it.
+        cblocks = [sub for mask, sub in ones if pair & mask != pair]
+        if pa - cx.delta == 1 and data.connected(data.all_mask, drop=ci):
+            cblocks.append(all_ids)
         ca, cb = cx.components()
         for first in cblocks:
             if ca not in first and cb not in first:
@@ -631,18 +647,18 @@ def _find_chains(g: CurveGraph, cap: int) -> list[ChainRecord]:
     )
 
 
-def find_elliptic_chains(g: CurveGraph, *, cap: int = DEFAULT_COMPONENT_CAP) -> list[ChainRecord]:
+def find_elliptic_chains(g: CurveGraph) -> list[ChainRecord]:
     """Open and closed elliptic chains admitted by the curve (nodal attachments)."""
     if arithmetic_genus(g) < 3:
         raise CurveGraphError("elliptic chains require arithmetic genus >= 3")
-    return [r for r in _find_chains(g, cap) if not r.weak]
+    return [r for r in _find_chains(g) if not r.weak]
 
 
-def find_weak_elliptic_chains(g: CurveGraph, *, cap: int = DEFAULT_COMPONENT_CAP) -> list[ChainRecord]:
+def find_weak_elliptic_chains(g: CurveGraph) -> list[ChainRecord]:
     """Weak elliptic chains: one tacnodal attachment (or a tacnodal closing)."""
     if arithmetic_genus(g) < 3:
         raise CurveGraphError("elliptic chains require arithmetic genus >= 3")
-    return [r for r in _find_chains(g, cap) if r.weak]
+    return [r for r in _find_chains(g) if r.weak]
 
 
 # ---------------------------------------------------------------------------
@@ -835,30 +851,17 @@ def open_rosaries(g: CurveGraph) -> list[RosaryRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _genus_contacts(
-    g: CurveGraph, cap: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+def _genus_contacts(g: CurveGraph) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """(points, multiplicity) contact pairs of all proper genus-0 / genus-1 subcurves."""
-    _check_cap(g, cap)
     data = _graph_data(g)
     zero, one = [], []
-    for mask in _connected_masks(g):
-        if mask == data.all_mask:
-            continue
-        genus = data.genus(mask)
-        if genus > 1:
-            continue
-        cross = data.crossings(mask)
-        pts = len(cross)
-        mult = sum(data.deltas[i] for i, _ in cross)
-        if genus == 0:
-            zero.append((pts, mult))
-        else:
-            one.append((pts, mult))
+    for _mask, genus, cross in _subcurves(g):
+        pair = (len(cross), sum(data.deltas[i] for i, _ in cross))
+        (zero if genus == 0 else one).append(pair)
     return zero, one
 
 
-def classify(g: CurveGraph, *, cap: int = DEFAULT_COMPONENT_CAP) -> StabilityFlags:
+def classify(g: CurveGraph) -> StabilityFlags:
     """Evaluate every stability notion on a connected curve of genus >= 2."""
     if not g.is_connected():
         raise CurveGraphError("disconnected")
@@ -868,7 +871,7 @@ def classify(g: CurveGraph, *, cap: int = DEFAULT_COMPONENT_CAP) -> StabilityFla
 
     has_cusp = any(c.cusps > 0 for c in g.components)
     has_tacnode = any(x.kind == TACNODE for x in g.intersections)
-    zero, one = _genus_contacts(g, cap)
+    zero, one = _genus_contacts(g)
 
     genus0_plain = all(pts >= 3 for pts, _ in zero)
     genus0_mult = all(mult >= 3 for _, mult in zero)
@@ -878,11 +881,11 @@ def classify(g: CurveGraph, *, cap: int = DEFAULT_COMPONENT_CAP) -> StabilityFla
     dm_stable = (not has_cusp) and (not has_tacnode) and genus0_plain
     pseudostable = (not has_tacnode) and genus0_plain and genus1_two_points
     c_semistable = genus0_mult and genus1_two_points
-    bridges = find_elliptic_bridges(g, cap=cap)
+    bridges = find_elliptic_bridges(g)
     c_stable = c_semistable and not has_tacnode and not bridges
 
     if genus >= 3:
-        chains = _find_chains(g, cap)
+        chains = _find_chains(g)
         has_chain = any(not r.weak for r in chains)
         has_weak = any(r.weak for r in chains)
     else:
@@ -900,9 +903,7 @@ def classify(g: CurveGraph, *, cap: int = DEFAULT_COMPONENT_CAP) -> StabilityFla
     )
 
 
-def has_infinite_automorphisms(
-    g: CurveGraph, *, cap: int = DEFAULT_COMPONENT_CAP
-) -> tuple[bool, Optional[RosaryRecord]]:
+def has_infinite_automorphisms(g: CurveGraph) -> tuple[bool, Optional[RosaryRecord]]:
     """Whether the identity component of the automorphism group is positive
     dimensional, with the witnessing rosary.
 
@@ -910,7 +911,7 @@ def has_infinite_automorphisms(
     unbroken closed rosary of odd genus.  Requires a c-semistable curve of
     genus >= 4.
     """
-    flags = classify(g, cap=cap)
+    flags = classify(g)
     if not flags.c_semistable:
         raise CurveGraphError("automorphism classification requires a c-semistable curve")
     if arithmetic_genus(g) < 4:
@@ -929,7 +930,7 @@ def has_infinite_automorphisms(
     return (bool(runs), runs[0] if runs else None)
 
 
-def aut_torus_rank(g: CurveGraph, *, cap: int = DEFAULT_COMPONENT_CAP) -> int:
+def aut_torus_rank(g: CurveGraph) -> int:
     """Rank of the automorphism torus of a closed-orbit curve.
 
     Counts one factor per length-two rosary (Chow side: equals the tacnode
@@ -944,9 +945,9 @@ def aut_torus_rank(g: CurveGraph, *, cap: int = DEFAULT_COMPONENT_CAP) -> int:
         broken = sum(1 for i in junctions if g.intersections[i].kind == NODE)
         if broken == 0:
             return 1 if arithmetic_genus(g) % 2 == 1 else 0
-    if basins.is_c_closed_orbit(g, cap=cap):
+    if basins.is_c_closed_orbit(g):
         return sum(1 for r in open_rosaries(g) if r.length == 2)
-    if basins.is_h_closed_orbit(g, cap=cap):
+    if basins.is_h_closed_orbit(g):
         return sum(1 for r in open_rosaries(g) if r.length == 3)
     raise CurveGraphError("not a closed-orbit curve")
 

@@ -1,0 +1,197 @@
+"""Brute-force subcurve searches, kept as a test oracle.
+
+Every predicate here sweeps all 2^n component subsets again, exactly as
+`graphs` did before it read one shared table of genus <= 1 subcurves: the
+connected masks are listed once, and the chain search rescans them for
+every closing intersection with that intersection's delta left out of the
+genus.  The tests compare the library against these functions.
+"""
+
+import itertools
+
+from gitcurves.graphs import (
+    NODE,
+    TACNODE,
+    ChainRecord,
+    CurveGraphError,
+    _chain_ample,
+    _extend_chain_sequences,
+    _graph_data,
+    arithmetic_genus,
+    crossing_intersections,
+)
+
+
+def connected_masks(g):
+    """All nonempty connected subset masks, ascending."""
+    data = _graph_data(g)
+    return [mask for mask in range(1, data.all_mask + 1) if data.connected(mask)]
+
+
+def genus(data, mask, exclude=frozenset()):
+    """Arithmetic genus of the subcurve `mask`, ignoring intersections in `exclude`."""
+    total = sum(data.contrib[i] for i in range(data.n) if mask >> i & 1)
+    total += sum(
+        data.deltas[i]
+        for i, pm in enumerate(data.pair_masks)
+        if i not in exclude and pm & mask == pm
+    )
+    return total - (bin(mask).count("1") - 1)
+
+
+def genus_one_blocks(g, exclude):
+    """Connected genus-one subcurves, the whole curve included, with the
+    intersections in `exclude` (at most one) left out of genus and
+    connectivity."""
+    data = _graph_data(g)
+    drop = next(iter(exclude)) if exclude else None
+    out = []
+    for mask in connected_masks(g):
+        if genus(data, mask, exclude) != 1:
+            continue
+        if drop is not None and data.pair_masks[drop] & mask == data.pair_masks[drop]:
+            if not data.connected(mask, drop=drop):
+                continue
+        out.append(data.subset_of(mask))
+    return out
+
+
+def _genus_one_with_crossings(g, count):
+    data = _graph_data(g)
+    out = []
+    for mask in connected_masks(g):
+        if mask == data.all_mask:
+            continue
+        cross = data.crossings(mask)
+        if len(cross) != count or not all(data.kinds[i] == NODE for i, _ in cross):
+            continue
+        if genus(data, mask) == 1:
+            out.append(data.subset_of(mask))
+    return sorted(out, key=lambda s: sorted(s))
+
+
+def elliptic_tails(g):
+    return _genus_one_with_crossings(g, 1)
+
+
+def elliptic_bridges(g):
+    return _genus_one_with_crossings(g, 2)
+
+
+def bridge_links(g):
+    bridges = elliptic_bridges(g)
+    links = [b for b in bridges if not any(o < b for o in bridges)]
+    for a, b in itertools.combinations(links, 2):
+        if a & b:
+            raise CurveGraphError("overlapping minimal elliptic bridges")
+    return links
+
+
+def genus_contacts(g):
+    """(points, multiplicity) pairs of all proper genus-0 / genus-1 subcurves."""
+    data = _graph_data(g)
+    zero, one = [], []
+    for mask in connected_masks(g):
+        if mask == data.all_mask:
+            continue
+        h = genus(data, mask)
+        if h > 1:
+            continue
+        cross = data.crossings(mask)
+        (zero if h == 0 else one).append(
+            (len(cross), sum(data.deltas[i] for i, _ in cross))
+        )
+    return zero, one
+
+
+def find_chains(g):
+    """Open and closed (weak) elliptic chains, each closing intersection
+    searched over its own rescan of the connected masks."""
+    all_ids = frozenset(g.ids())
+    records = {}
+
+    def emit(rec):
+        fwd = rec.blocks
+        rev = tuple(reversed(rec.blocks))
+        if rec.closed and rev < fwd:
+            rec = ChainRecord(rec.closed, rec.weak, rec.length, rev, rec.ends)
+        elif not rec.closed and not rec.weak:
+            if rev < fwd or (rev == fwd and rec.ends[::-1] < rec.ends):
+                rec = ChainRecord(rec.closed, rec.weak, rec.length, rev, rec.ends[::-1])
+        records.setdefault((rec.closed, rec.weak, rec.blocks, rec.ends), rec)
+
+    blocks = genus_one_blocks(g, frozenset())
+    for first in blocks:
+        for seq in _extend_chain_sequences(g, blocks, [first], frozenset()):
+            cross = crossing_intersections(g, frozenset().union(*seq))
+            if len(cross) != 2:
+                continue
+            (i1, e1), (i2, e2) = cross
+            c1 = g.intersections[i1].ends[e1][0]
+            c2 = g.intersections[i2].ends[e2][0]
+            placements = []
+            if c1 in seq[0] and c2 in seq[-1]:
+                placements.append(((i1, c1), (i2, c2)))
+            if len(seq) > 1 and c2 in seq[0] and c1 in seq[-1]:
+                placements.append(((i2, c2), (i1, c1)))
+            for (ip, cp), (iq, cq) in placements:
+                if not _chain_ample(g, seq, [cp, cq], frozenset()):
+                    continue
+                kp, kq = g.intersections[ip].kind, g.intersections[iq].kind
+                blocks_t = tuple(tuple(sorted(b)) for b in seq)
+                if kp == NODE and kq == NODE:
+                    emit(ChainRecord(False, False, len(seq), blocks_t, (ip, iq)))
+                elif kp == TACNODE and kq == NODE:
+                    emit(ChainRecord(False, True, len(seq), blocks_t, (ip, iq)))
+                elif kp == NODE and kq == TACNODE:
+                    emit(
+                        ChainRecord(
+                            False, True, len(seq), tuple(reversed(blocks_t)), (iq, ip)
+                        )
+                    )
+
+    for ci, cx in enumerate(g.intersections):
+        exclude = frozenset([ci])
+        cblocks = genus_one_blocks(g, exclude)
+        ca, cb = cx.components()
+        for first in cblocks:
+            if ca not in first and cb not in first:
+                continue
+            for seq in _extend_chain_sequences(g, cblocks, [first], exclude):
+                if frozenset().union(*seq) != all_ids:
+                    continue
+                if len(seq) == 1:
+                    ok = ca in seq[0] and cb in seq[0]
+                else:
+                    ok = (ca in seq[0] and cb in seq[-1]) or (cb in seq[0] and ca in seq[-1])
+                if not ok or not _chain_ample(g, seq, [ca, cb], exclude):
+                    continue
+                blocks_t = tuple(tuple(sorted(b)) for b in seq)
+                emit(ChainRecord(True, cx.kind == TACNODE, len(seq), blocks_t, (ci,)))
+    return sorted(
+        records.values(), key=lambda r: (r.closed, r.weak, r.length, r.blocks, r.ends)
+    )
+
+
+def classify_flags(g):
+    """The six stability flags of `graphs.classify`, from the sweeps above."""
+    genus_g = arithmetic_genus(g)
+    has_cusp = any(c.cusps > 0 for c in g.components)
+    has_tacnode = any(x.kind == TACNODE for x in g.intersections)
+    zero, one = genus_contacts(g)
+    genus0_plain = all(pts >= 3 for pts, _ in zero)
+    c_semistable = all(mult >= 3 for _, mult in zero) and all(pts >= 2 for pts, _ in one)
+    chains = find_chains(g) if genus_g >= 3 else []
+    h_semistable = (
+        c_semistable
+        and all(mult >= 3 for _, mult in one)
+        and not any(not r.weak for r in chains)
+    )
+    return {
+        "dm_stable": not has_cusp and not has_tacnode and genus0_plain,
+        "pseudostable": not has_tacnode and genus0_plain and all(pts >= 2 for pts, _ in one),
+        "c_semistable": c_semistable,
+        "c_stable": c_semistable and not has_tacnode and not elliptic_bridges(g),
+        "h_semistable": h_semistable,
+        "h_stable": h_semistable and not any(r.weak for r in chains),
+    }

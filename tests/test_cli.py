@@ -37,6 +37,50 @@ class TestClassify:
         assert code == 2
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"components": [{"id": ["x"], "genus": 3}]}, "component id must be a string"),
+            ({"components": [{"id": "a", "genus": 2.5}]}, "genus must be an integer"),
+            ({"components": [{"id": "a", "genus": True}]}, "genus must be an integer"),
+            ({"components": [{"id": "a", "genus": 3, "cusps": "1"}]}, "cusps must be an integer"),
+            ({"components": [{"id": "a", "genus": 3, "label": ["q"]}]}, "label must be a string"),
+            (
+                {
+                    "components": [{"id": "a", "genus": 3}],
+                    "intersections": [{"kind": ["node"], "ends": [["a", 0], ["a", 1]]}],
+                },
+                "kind must be a string",
+            ),
+            (
+                {
+                    "components": [{"id": "a", "genus": 3}],
+                    "intersections": [{"kind": "node", "ends": [["a", [0]], ["a", 1]]}],
+                },
+                "slot must be an integer",
+            ),
+            (
+                {"components": [{"id": "a", "genus": 3}], "marks": [[["a"], "p"]]},
+                "mark component must be a string",
+            ),
+            (
+                {"components": [{"id": "a", "genus": 3}], "marks": [["a", ["p"]]]},
+                "mark label must be a string",
+            ),
+        ],
+        ids=[
+            "id", "genus-float", "genus-bool", "cusps", "label",
+            "kind", "slot", "mark-component", "mark-label",
+        ],
+    )
+    def test_field_type_errors(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "classify", "--in", str(path), "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
 
 class TestFamilyAndIndex:
     def test_family_emits_config(self, capsys):

@@ -1,0 +1,130 @@
+"""The shared genus <= 1 subcurve table against the brute-force sweeps.
+
+Tails, bridges, bridge links, contact multisets, chain records and the
+stability flags must equal those of `subcurve_oracle`, which rescans every
+component subset per predicate and per closing intersection.
+"""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import subcurve_oracle as oracle
+from corpus import corpus
+from gitcurves.graphs import (
+    NODE,
+    TACNODE,
+    Component,
+    CurveGraph,
+    CurveGraphError,
+    Intersection,
+    _find_chains,
+    _genus_contacts,
+    arithmetic_genus,
+    bridge_chain_graph,
+    bridge_links,
+    classify,
+    closed_rosary_graph,
+    find_elliptic_bridges,
+    find_elliptic_tails,
+    open_rosary_graph,
+)
+
+
+def _links(fn, g):
+    try:
+        return fn(g)
+    except CurveGraphError as exc:
+        return str(exc)
+
+
+def assert_matches_oracle(g):
+    assert find_elliptic_tails(g) == oracle.elliptic_tails(g)
+    assert find_elliptic_bridges(g) == oracle.elliptic_bridges(g)
+    assert _links(bridge_links, g) == _links(oracle.bridge_links, g)
+    zero, one = _genus_contacts(g)
+    want_zero, want_one = oracle.genus_contacts(g)
+    assert sorted(zero) == sorted(want_zero)
+    assert sorted(one) == sorted(want_one)
+    assert _find_chains(g) == oracle.find_chains(g)
+    assert classify(g).as_dict() == oracle.classify_flags(g)
+
+
+SELF_TACNODE = CurveGraph(
+    (Component("E", 1),), (Intersection(TACNODE, (("E", 0), ("E", 1))),)
+)
+SELF_NODE = CurveGraph(
+    (Component("F", 2),), (Intersection(NODE, (("F", 0), ("F", 1))),)
+)
+
+NAMED = {
+    "closed-rosary-2": closed_rosary_graph(2),
+    "closed-rosary-5": closed_rosary_graph(5),
+    "broken-rosary-4": closed_rosary_graph(4, broken=[1]),
+    "bridge-chain-3": bridge_chain_graph([1, 1, 1]),
+    "bridge-chain-010": bridge_chain_graph([0, 1, 0]),
+    "open-rosary-4": open_rosary_graph(4),
+    "self-tacnode": SELF_TACNODE,
+    "self-node": SELF_NODE,
+}
+
+
+class TestNamedGraphs:
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_matches_oracle(self, name):
+        assert_matches_oracle(NAMED[name])
+
+    def test_closed_rosary_two_has_single_block_closed_chains(self):
+        chains = _find_chains(closed_rosary_graph(2))
+        assert [(r.closed, r.weak, r.length, r.ends) for r in chains] == [
+            (True, True, 1, (0,)),
+            (True, True, 1, (1,)),
+        ]
+
+    def test_self_tacnode_gives_one_closed_weak_chain(self):
+        assert _find_chains(SELF_TACNODE) == oracle.find_chains(SELF_TACNODE)
+        [rec] = _find_chains(SELF_TACNODE)
+        assert (rec.closed, rec.weak, rec.blocks, rec.ends) == (True, True, (("E",),), (0,))
+
+    def test_self_node_on_genus_two_gives_no_chain(self):
+        assert arithmetic_genus(SELF_NODE) == 3
+        assert _find_chains(SELF_NODE) == [] == oracle.find_chains(SELF_NODE)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_corpus_matches_oracle(seed):
+    for g in corpus(seed=seed, size=40, max_components=10):
+        assert_matches_oracle(g)
+
+
+@st.composite
+def curve_graphs(draw):
+    """Connected curve graphs of arithmetic genus >= 2 with <= 10 components."""
+    n = draw(st.integers(1, 10))
+    comps = [
+        Component(f"c{i}", draw(st.sampled_from([0, 0, 1, 1, 2])), draw(st.sampled_from([0, 0, 1])))
+        for i in range(n)
+    ]
+    slots = [0] * n
+
+    def intersection(a, b):
+        kind = draw(st.sampled_from([NODE, NODE, TACNODE]))
+        ends = ((f"c{a}", slots[a]), (f"c{b}", slots[b] + (a == b)))
+        slots[a] += 1
+        slots[b] += 1
+        return Intersection(kind, ends)
+
+    xs = [intersection(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    for a, b in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)
+    ):
+        xs.append(intersection(a, b))
+    g = CurveGraph(tuple(comps), tuple(xs))
+    assume(arithmetic_genus(g) >= 2)
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(curve_graphs())
+def test_random_graphs_match_oracle(g):
+    assert_matches_oracle(g)
