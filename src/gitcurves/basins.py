@@ -167,14 +167,6 @@ class _Editor:
     def live(self) -> list[tuple[int, list]]:
         return [(i, x) for i, x in enumerate(self.intersections) if x is not None]
 
-    def incident(self, cid: str) -> list[tuple[int, int]]:
-        out = []
-        for i, x in self.live():
-            for j in (0, 1):
-                if x[1][j][0] == cid:
-                    out.append((i, j))
-        return out
-
     def remove_components(self, cids: Iterable[str]) -> None:
         cids = set(cids)
         for i, x in self.live():
@@ -231,9 +223,9 @@ def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
     for c in g.components:
         classes.setdefault(find(c.id), []).append(c.id)
 
-    comps = []
-    for root in sorted(classes):
-        members = classes[root]
+    ed = _Editor(g)
+    ed.components = {}
+    for root, members in classes.items():
         genus = sum(g.component(m).genus for m in members)
         cusps = sum(g.component(m).cusps for m in members)
         internal = sum(
@@ -241,22 +233,14 @@ def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
             for i in indices
             if find(g.intersections[i].components()[0]) == root
         )
-        comps.append(Component(root, genus + internal - (len(members) - 1), cusps))
-
-    slot_counter: dict[str, int] = {}
-    xs = []
-    for i, x in enumerate(g.intersections):
-        if i in indices:
-            continue
-        ends = []
-        for cid, _slot in x.ends:
-            nid = find(cid)
-            slot_counter[nid] = slot_counter.get(nid, 0)
-            ends.append((nid, slot_counter[nid]))
-            slot_counter[nid] += 1
-        xs.append(Intersection(x.kind, (ends[0], ends[1])))
-    marks = tuple((find(cid), label) for cid, label in g.marks)
-    return CurveGraph(tuple(comps), tuple(xs), marks)
+        ed.add_component(root, genus + internal - (len(members) - 1), cusps)
+    for i in indices:
+        ed.drop_intersection(i)
+    for _i, x in ed.live():
+        for end in x[1]:
+            end[0] = find(end[0])
+    ed.marks = [(find(cid), label) for cid, label in ed.marks]
+    return ed.build()
 
 
 def basin_membership(config: Configuration, rho: OneParamSubgroup) -> BasinReport:
@@ -462,7 +446,7 @@ def _contract_two_node_rationals(g: CurveGraph) -> CurveGraph:
         outer2 = ed.intersections[i2][1][1 - j2]
         ed.drop_intersection(i1)
         ed.drop_intersection(i2)
-        del ed.components[cid]
+        ed.remove_components([cid])
         ed.add_intersection(NODE, tuple(outer1), tuple(outer2))
         g = ed.build()
 
@@ -497,13 +481,7 @@ def _replace_link_with_rosary(g: CurveGraph, link: frozenset[str]) -> CurveGraph
     ed.add_component(b2)
     for (idx, inside_end), bead in zip(cross, (b1, b2)):
         ed.intersections[idx][1][inside_end] = [bead, 9]
-    for i, x in ed.live():
-        a, b = x[1][0][0], x[1][1][0]
-        if a in link and b in link:
-            ed.drop_intersection(i)
-    for cid in link:
-        del ed.components[cid]
-    ed.marks = [m for m in ed.marks if m[0] not in link]
+    ed.remove_components(link)
     ed.add_intersection(TACNODE, (b1, 8), (b2, 8))
     return ed.build()
 
@@ -585,13 +563,7 @@ def _apply_weak_chain_replacement(ed: _Editor, record) -> None:
         inside = 0 if x[1][0][0] in comps else 1
         x[1][inside] = [bead, 7]
         x[0] = NODE
-    for i, x in ed.live():
-        a, b = x[1][0][0], x[1][1][0]
-        if a in comps and b in comps:
-            ed.drop_intersection(i)
-    for cid in comps:
-        del ed.components[cid]
-    ed.marks = [m for m in ed.marks if m[0] not in comps]
+    ed.remove_components(comps)
 
 
 def h_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
@@ -637,13 +609,7 @@ def _contract_link_to_tacnode(g: CurveGraph, link: frozenset[str]) -> CurveGraph
     outer2 = ed.intersections[i2][1][1 - e2]
     ed.drop_intersection(i1)
     ed.drop_intersection(i2)
-    for i, x in ed.live():
-        a, b = x[1][0][0], x[1][1][0]
-        if a in link and b in link:
-            ed.drop_intersection(i)
-    for cid in link:
-        del ed.components[cid]
-    ed.marks = [m for m in ed.marks if m[0] not in link]
+    ed.remove_components(link)
     ed.add_intersection(TACNODE, tuple(outer1), tuple(outer2))
     return ed.build()
 

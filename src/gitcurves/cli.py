@@ -3,8 +3,10 @@
 Subcommands mirror the library: `classify`, `family`, `index`, `chow-certify`,
 `basin`, `closed-orbit`, `replacements`, `divisor`, and the pinned golden
 suite `paper-check`.  Output is a human-readable table by default and JSON
-with --json; every rational is printed exactly as p/q in lowest terms.  The
-environment variable GIT_CURVE_MAX_DEGREE overrides the slice-degree cap.
+with --json; every rational is printed exactly as p/q in lowest terms.  Bad
+input -- an unreadable, non-UTF-8 or malformed `--in` file, a document of the
+wrong shape, or a slice over the engine's size budget -- is one `error:` line
+on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -46,7 +48,15 @@ from .families import (
     configuration_from_dict,
     torus_generators,
 )
-from .graphs import CurveGraph, CurveGraphError, arithmetic_genus, classify
+from .graphs import (
+    CurveGraph,
+    CurveGraphError,
+    arithmetic_genus,
+    classify,
+    find_elliptic_bridges,
+    find_elliptic_tails,
+    find_rosaries,
+)
 from .monomials import MonomialOrder, monomial_str
 from .paperchecks import fmt, manifest_json, run_paper_check
 
@@ -57,14 +67,23 @@ class CliError(Exception):
     pass
 
 
-def _read_graph(path: str) -> CurveGraph:
+def _read_json(path: str):
+    """The JSON document in the file at `path`; a read or parse failure is a CliError."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise CliError(f"{path}: JSON nested too deeply") from exc
+
+
+def _read_graph(path: str) -> CurveGraph:
+    doc = _read_json(path)
     try:
         return CurveGraph.from_dict(doc)
     except CurveGraphError as exc:
@@ -89,10 +108,10 @@ def _build_family(args) -> Configuration:
 
 def _resolve_config(args) -> Configuration:
     if getattr(args, "infile", None):
+        doc = _read_json(args.infile)
         try:
-            with open(args.infile) as fh:
-                return configuration_from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, FamilyError, KeyError) as exc:
+            return configuration_from_dict(doc)
+        except FamilyError as exc:
             raise CliError(f"cannot load configuration: {exc}") from exc
     if getattr(args, "family", None):
         return _build_family(args)
@@ -125,8 +144,6 @@ def _table(rows: list[tuple], header: tuple) -> str:
 def cmd_classify(args) -> int:
     g = _read_graph(args.infile)
     flags = classify(g)
-    from .graphs import find_elliptic_bridges, find_elliptic_tails, find_rosaries
-
     witnesses = {
         "elliptic_tails": [sorted(t) for t in find_elliptic_tails(g)],
         "elliptic_bridges": [sorted(b) for b in find_elliptic_bridges(g)],

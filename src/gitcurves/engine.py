@@ -15,33 +15,24 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 from typing import Optional, Sequence
 
 from .families import Configuration, OneParamSubgroup, Parametrization
 from .monomials import Monomial, MonomialOrder, degree_monomials
 
-DEFAULT_DEGREE_CAP = 5
-DEGREE_CAP_ENV = "GIT_CURVE_MAX_DEGREE"
+#: most supported monomials a slice may enumerate.  A slice costs what it
+#: eliminates, not its degree: the largest slice in the tests has a bound of
+#: 2,970 (closed rosary r = 6, m = 8), and the slowest slice within the budget,
+#: a long rosary at m = 2, still ends in seconds.
+SLICE_BUDGET = 5000
 
 
 class EngineError(ValueError):
     pass
-
-
-def resolve_degree_cap(cap: Optional[int] = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(DEGREE_CAP_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise EngineError(f"bad {DEGREE_CAP_ENV}={env!r}") from exc
-    return DEFAULT_DEGREE_CAP
 
 
 Certificate = tuple[int, tuple[tuple[int, Fraction], ...]]
@@ -139,7 +130,6 @@ def evaluate_slice(
     m: int,
     order: Optional[MonomialOrder] = None,
     *,
-    cap: Optional[int] = None,
     with_certificates: bool = False,
 ) -> IdealSlice:
     """Echelonized degree-m slice of the configuration's ideal.
@@ -147,14 +137,20 @@ def evaluate_slice(
     In split mode this is the slice of the rosary block: the kernel of
     evaluation on the parametrized components in the block coordinates.
     Only monomials supported on some component enter the elimination; the
-    others have zero columns and are initial by construction.
+    others have zero columns and are initial by construction.  A slice whose
+    count of supported monomials may exceed `SLICE_BUDGET` is rejected before
+    anything is enumerated.
     """
-    cap = resolve_degree_cap(cap)
     if m < 1:
         raise EngineError("slice degree must be >= 1")
-    if m > cap:
-        raise EngineError(f"slice degree {m} exceeds cap {cap}")
     par = config.parametrization
+    # counts a monomial once per component it is supported on: never below the
+    # exact count, and closed-form
+    size = sum(comb(len(cm.coords()) + m - 1, m) for cm in par.maps)
+    if size > SLICE_BUDGET:
+        raise EngineError(
+            f"degree-{m} slice has up to {size} supported monomials; budget {SLICE_BUDGET}"
+        )
     nvars = par.num_coordinates
     if order is None:
         order = MonomialOrder(OneParamSubgroup(tuple([0] * nvars)))
@@ -279,8 +275,6 @@ def hilbert_index(
     config: Configuration,
     rho: OneParamSubgroup,
     m: int,
-    *,
-    cap: Optional[int] = None,
 ) -> IndexReport:
     """Hilbert-Mumford index of the m-th Hilbert point with respect to rho.
 
@@ -309,12 +303,12 @@ def hilbert_index(
                 "split mode requires a single weight on the D coordinates"
             )
         w_d = d_weights.pop()
-        slice_ = evaluate_slice(config, m, MonomialOrder(block_rho), cap=cap)
+        slice_ = evaluate_slice(config, m, MonomialOrder(block_rho))
         d_count = (4 * m - 1) * split.d_genus - 1
         weight_sum = Fraction(slice_.standard_weight_sum() + m * w_d * d_count)
         standard_count = slice_.standard_count + d_count
     else:
-        slice_ = evaluate_slice(config, m, MonomialOrder(rho), cap=cap)
+        slice_ = evaluate_slice(config, m, MonomialOrder(rho))
         weight_sum = Fraction(slice_.standard_weight_sum())
         standard_count = slice_.standard_count
 
@@ -365,11 +359,9 @@ def index_suite(
     config: Configuration,
     rho: OneParamSubgroup,
     degrees: Sequence[int],
-    *,
-    cap: Optional[int] = None,
 ) -> IndexSuite:
     """Index reports for several degrees, with the Chow sign when 2,3 appear."""
-    reports = tuple(hilbert_index(config, rho, m, cap=cap) for m in degrees)
+    reports = tuple(hilbert_index(config, rho, m) for m in degrees)
     by_m = {r.m: r for r in reports}
     sign = None
     if 2 in by_m and 3 in by_m:

@@ -113,12 +113,6 @@ class Parametrization:
                 if not 0 <= t.coord < self.num_coordinates:
                     raise FamilyError("coordinate index out of range")
 
-    def map_for(self, component: str) -> ComponentMap:
-        for m in self.maps:
-            if m.component == component:
-                return m
-        raise FamilyError(f"component {component!r} is not parametrized")
-
     def total_degree(self) -> int:
         return sum(m.degree for m in self.maps)
 

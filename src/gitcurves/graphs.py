@@ -52,6 +52,21 @@ def _pair(value) -> list:
     return value
 
 
+def _keys(*allowed: str):
+    """A check that a document object has no key outside `allowed`; returns the object."""
+
+    def check(value):
+        if isinstance(value, dict):
+            for key in value:
+                if key not in allowed:
+                    raise CurveGraphError(
+                        f"unknown key {key!r} (expected {', '.join(allowed)})"
+                    )
+        return value
+
+    return check
+
+
 @dataclass(frozen=True)
 class Component:
     """One irreducible component: geometric genus plus ordinary-cusp count."""
@@ -210,8 +225,9 @@ class CurveGraph:
 
     @staticmethod
     def from_dict(doc: dict) -> "CurveGraph":
-        """Parse a `to_dict` document; a wrong shape or type raises CurveGraphError."""
+        """Parse a `to_dict` document; a wrong shape, type or key raises CurveGraphError."""
         try:
+            doc = _keys("components", "intersections", "marks")(doc)
             comps = tuple(
                 Component(
                     _typed(c["id"], str, "component id"),
@@ -219,7 +235,7 @@ class CurveGraph:
                     _typed(c.get("cusps", 0), int, "cusps"),
                     None if c.get("label") is None else _typed(c["label"], str, "label"),
                 )
-                for c in doc["components"]
+                for c in map(_keys("id", "genus", "cusps", "label"), doc["components"])
             )
             xs = tuple(
                 Intersection(
@@ -229,7 +245,7 @@ class CurveGraph:
                         for cid, slot in map(_pair, _pair(x["ends"]))
                     ),
                 )
-                for x in doc.get("intersections", [])
+                for x in map(_keys("kind", "ends"), doc.get("intersections", []))
             )
             marks = tuple(
                 (_typed(cid, str, "mark component"), _typed(label, str, "mark label"))

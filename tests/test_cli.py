@@ -67,10 +67,28 @@ class TestClassify:
                 {"components": [{"id": "a", "genus": 3}], "marks": [["a", ["p"]]]},
                 "mark label must be a string",
             ),
+            ({"components": [{"id": "a", "genus": 3, "cusp": 1}]}, "unknown key 'cusp'"),
+            (
+                {
+                    "components": [{"id": "a", "genus": 3}],
+                    "intersection": [{"kind": "node", "ends": [["a", 0], ["a", 1]]}],
+                },
+                "unknown key 'intersection'",
+            ),
+            (
+                {
+                    "components": [{"id": "a", "genus": 3}],
+                    "intersections": [
+                        {"kind": "node", "ends": [["a", 0], ["a", 1]], "delta": 2}
+                    ],
+                },
+                "unknown key 'delta'",
+            ),
         ],
         ids=[
             "id", "genus-float", "genus-bool", "cusps", "label",
             "kind", "slot", "mark-component", "mark-label",
+            "component-key", "document-key", "intersection-key",
         ],
     )
     def test_field_type_errors(self, capsys, tmp_path, doc, message):
@@ -80,6 +98,35 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify"],
+        ["index"],
+        ["closed-orbit", "--mode", "c"],
+        ["replacements"],
+        ["basin"],
+    ],
+    ids=["classify", "index", "closed-orbit", "replacements", "basin"],
+)
+def test_non_utf8_input_reported(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"components": [{"id": "é", "genus": 3}]}'.encode("latin-1"))
+    code, out, err = run(capsys, *argv, "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: not UTF-8 text:")
+
+
+def test_deeply_nested_input_reported(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "classify", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: JSON nested too deeply\n"
 
 
 class TestFamilyAndIndex:
@@ -125,6 +172,21 @@ class TestFamilyAndIndex:
         )
         assert code == 0
         assert "x0^2" in out
+
+    def test_index_above_degree_five(self, capsys):
+        code, out, _ = run(
+            capsys, "index", "--family", "closed-rosary", "--r", "4", "--m", "6", "--json"
+        )
+        assert code == 0
+        (report,) = json.loads(out)["reports"]
+        assert report["mu"] == "0"
+        assert report["standard_count"] == report["expected_count"] == 92
+
+    def test_index_over_slice_budget(self, capsys):
+        code, out, err = run(capsys, "index", "--family", "closed-rosary", "--r", "400", "--m", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: degree-2 slice has up to 6000 supported monomials; budget 5000\n"
 
     def test_bad_degree_list(self, capsys):
         code, out, err = run(capsys, "index", "--family", "closed-rosary", "--r", "4", "--m", "x")

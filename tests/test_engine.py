@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from gitcurves import engine
 from gitcurves.engine import (
     EngineError,
     chow_index_sign,
@@ -121,20 +122,26 @@ class TestSlices:
         assert len(s2.monomials) == monomial_count(n, 2)
         assert s2.standard_count + len(s2.initial_monomials()) == len(s2.monomials)
 
-    def test_degree_cap(self):
-        c = build_broken_bead_config(3)
-        with pytest.raises(EngineError):
-            evaluate_slice(c, 6, MonomialOrder(canonical_1ps(c)))
-        # explicit cap overrides the default
-        evaluate_slice(c, 2, MonomialOrder(canonical_1ps(c)), cap=2)
-        with pytest.raises(EngineError):
-            evaluate_slice(c, 3, MonomialOrder(canonical_1ps(c)), cap=2)
+    def test_over_budget_slice_raises_before_enumeration(self, monkeypatch):
+        def enumerate_nothing(par, m):
+            raise AssertionError("over-budget slice was enumerated")
 
-    def test_env_cap(self, monkeypatch):
-        c = build_broken_bead_config(3)
-        monkeypatch.setenv("GIT_CURVE_MAX_DEGREE", "2")
-        with pytest.raises(EngineError):
-            evaluate_slice(c, 3, MonomialOrder(canonical_1ps(c)))
+        monkeypatch.setattr(engine, "_supported_monomials", enumerate_nothing)
+        c = build_closed_rosary_config(400)
+        with pytest.raises(EngineError) as exc:
+            evaluate_slice(c, 2, MonomialOrder(canonical_1ps(c)))
+        assert str(exc.value) == (
+            "degree-2 slice has up to 6000 supported monomials; budget 5000"
+        )
+
+    def test_budget_bounds_slice_size_not_degree(self):
+        # ten beads of five coordinates: 10 * C(12, 8) = 4950 at m = 8,
+        # 10 * C(13, 9) = 7150 at m = 9
+        c = build_closed_rosary_config(10)
+        order = MonomialOrder(canonical_1ps(c))
+        assert len(evaluate_slice(c, 8, order).supported) <= engine.SLICE_BUDGET
+        with pytest.raises(EngineError, match="degree-9 slice has up to 7150"):
+            evaluate_slice(c, 9, order)
 
     def test_certificates_are_ideal_members(self):
         c = build_broken_bead_config(3)
@@ -408,6 +415,6 @@ class TestExtrapolationBeyondDegreeFour:
         r3 = hilbert_index(cfg, rho, 3)
         assert r2.count_matches_hilbert and r3.count_matches_hilbert
         for m in range(4, 9):
-            rep = hilbert_index(cfg, rho, m, cap=8)
+            rep = hilbert_index(cfg, rho, m)
             assert rep.count_matches_hilbert
             assert rep.mu == extrapolate_index(r2.mu, r3.mu, m)
