@@ -446,7 +446,9 @@ def _contract_two_node_rationals(g: CurveGraph) -> CurveGraph:
         outer2 = ed.intersections[i2][1][1 - j2]
         ed.drop_intersection(i1)
         ed.drop_intersection(i2)
-        ed.remove_components([cid])
+        # not remove_components, which drops marks: a mark on the contracted
+        # component is left dangling, so build() refuses the graph
+        del ed.components[cid]
         ed.add_intersection(NODE, tuple(outer1), tuple(outer2))
         g = ed.build()
 

@@ -30,6 +30,13 @@ from .monomials import Monomial, MonomialOrder, degree_monomials
 #: a long rosary at m = 2, still ends in seconds.
 SLICE_BUDGET = 5000
 
+#: most degree-m monomials `IdealSlice.monomials` may list.  That listing holds
+#: every monomial in every coordinate, supported or not, so it grows far past
+#: the slice: closed rosary r = 8 at m = 5 lists 98,280 (1.3 s, 55 MB for the
+#: whole `index --monomials` run) and r = 10 at m = 5 lists 278,256 (3.4 s,
+#: 130 MB), while r = 10 at m = 8 would list 38.6 million.
+LISTING_BUDGET = 300_000
+
 
 class EngineError(ValueError):
     pass
@@ -49,7 +56,8 @@ class IdealSlice:
     `x^{a(j)}` itself.
 
     `monomials` lists all degree-m monomials in ascending order and
-    `standard` marks the standard ones; both are built on first use.  When
+    `standard` marks the standard ones; both are built on first use, and
+    raise `EngineError` when there would be more than `LISTING_BUDGET`.  When
     built with certificates, `basis` holds the reduced echelon basis of the
     slice: for each initial monomial, its coefficients over smaller standard
     monomials (indices into `monomials`), so the row
@@ -72,6 +80,11 @@ class IdealSlice:
 
     @cached_property
     def monomials(self) -> tuple[Monomial, ...]:
+        count = comb(self.order.nvars + self.degree - 1, self.degree)
+        if count > LISTING_BUDGET:
+            raise EngineError(
+                f"degree-{self.degree} listing has {count} monomials; budget {LISTING_BUDGET}"
+            )
         return tuple(
             self.order.sorted_ascending(list(degree_monomials(self.order.nvars, self.degree)))
         )

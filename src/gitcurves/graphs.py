@@ -52,19 +52,12 @@ def _pair(value) -> list:
     return value
 
 
-def _keys(*allowed: str):
-    """A check that a document object has no key outside `allowed`; returns the object."""
-
-    def check(value):
-        if isinstance(value, dict):
-            for key in value:
-                if key not in allowed:
-                    raise CurveGraphError(
-                        f"unknown key {key!r} (expected {', '.join(allowed)})"
-                    )
-        return value
-
-    return check
+def _keys(value, *allowed: str) -> None:
+    """Reject a document object with a key outside `allowed`."""
+    if isinstance(value, dict):
+        for key in value:
+            if key not in allowed:
+                raise CurveGraphError(f"unknown key {key!r} (expected {', '.join(allowed)})")
 
 
 @dataclass(frozen=True)
@@ -227,33 +220,37 @@ class CurveGraph:
     def from_dict(doc: dict) -> "CurveGraph":
         """Parse a `to_dict` document; a wrong shape, type or key raises CurveGraphError."""
         try:
-            doc = _keys("components", "intersections", "marks")(doc)
-            comps = tuple(
-                Component(
-                    _typed(c["id"], str, "component id"),
-                    _typed(c["genus"], int, "genus"),
-                    _typed(c.get("cusps", 0), int, "cusps"),
-                    None if c.get("label") is None else _typed(c["label"], str, "label"),
+            _keys(doc, "components", "intersections", "marks")
+            comps = []
+            for c in doc["components"]:
+                _keys(c, "id", "genus", "cusps", "label")
+                comps.append(
+                    Component(
+                        _typed(c["id"], str, "component id"),
+                        _typed(c["genus"], int, "genus"),
+                        _typed(c.get("cusps", 0), int, "cusps"),
+                        None if c.get("label") is None else _typed(c["label"], str, "label"),
+                    )
                 )
-                for c in map(_keys("id", "genus", "cusps", "label"), doc["components"])
-            )
-            xs = tuple(
-                Intersection(
-                    _typed(x["kind"], str, "kind"),
-                    tuple(
-                        (_typed(cid, str, "end component"), _typed(slot, int, "slot"))
-                        for cid, slot in map(_pair, _pair(x["ends"]))
-                    ),
+            xs = []
+            for x in doc.get("intersections", []):
+                _keys(x, "kind", "ends")
+                xs.append(
+                    Intersection(
+                        _typed(x["kind"], str, "kind"),
+                        tuple(
+                            (_typed(cid, str, "end component"), _typed(slot, int, "slot"))
+                            for cid, slot in map(_pair, _pair(x["ends"]))
+                        ),
+                    )
                 )
-                for x in map(_keys("kind", "ends"), doc.get("intersections", []))
-            )
             marks = tuple(
                 (_typed(cid, str, "mark component"), _typed(label, str, "mark label"))
                 for cid, label in map(_pair, doc.get("marks", []))
             )
         except (KeyError, TypeError) as exc:
             raise CurveGraphError(f"malformed curve-graph document: {exc}") from exc
-        return CurveGraph(comps, xs, marks)
+        return CurveGraph(tuple(comps), tuple(xs), marks)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -38,6 +38,7 @@ from gitcurves.graphs import (
     TACNODE,
     Component,
     CurveGraph,
+    CurveGraphError,
     Intersection,
     arithmetic_genus,
     aut_torus_rank,
@@ -274,6 +275,22 @@ class TestClosedOrbitReps:
         assert classify(red).pseudostable
         assert arithmetic_genus(red) == 5
         assert isomorphic(red, bridge_chain_graph([1]))
+
+    def test_marked_two_node_rational_is_not_contracted_away(self):
+        # C1 =t= P - C2: the tacnode becomes an elliptic bridge and leaves P
+        # rational with two nodes; a mark on P is refused, not dropped
+        g = CurveGraph(
+            (Component("C1", 2), Component("P", 0), Component("C2", 2)),
+            (
+                Intersection(TACNODE, (("C1", 0), ("P", 0))),
+                Intersection(NODE, (("P", 1), ("C2", 0))),
+            ),
+        )
+        assert isomorphic(pseudostable_reduction(g), bridge_chain_graph([1]))
+        marked = CurveGraph(g.components, g.intersections, (("P", "p"),))
+        for f in (pseudostable_reduction, c_closed_orbit_rep):
+            with pytest.raises(CurveGraphError, match="mark references unknown component 'P'"):
+                f(marked)
 
     def test_h_rep_contracts_middle_rational(self):
         ex1 = CurveGraph(

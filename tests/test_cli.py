@@ -188,6 +188,14 @@ class TestFamilyAndIndex:
         assert out == ""
         assert err == "error: degree-2 slice has up to 6000 supported monomials; budget 5000\n"
 
+    def test_index_monomials_over_listing_budget(self, capsys):
+        code, out, err = run(
+            capsys, "index", "--family", "closed-rosary", "--r", "10", "--m", "8", "--monomials"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: degree-8 listing has 38608020 monomials; budget 300000\n"
+
     def test_bad_degree_list(self, capsys):
         code, out, err = run(capsys, "index", "--family", "closed-rosary", "--r", "4", "--m", "x")
         assert code == 2
@@ -245,6 +253,26 @@ class TestOtherCommands:
         doc = json.loads(out)
         kinds = sorted(x["kind"] for x in doc["representative"]["intersections"])
         assert kinds == ["node", "node", "tacnode"]
+
+    def test_closed_orbit_refuses_to_drop_a_mark(self, capsys, tmp_path):
+        # C1 =t= P - C2 with a mark on P: pseudostable reduction would
+        # contract P, and the mark is refused rather than dropped
+        doc = {
+            "components": [
+                {"id": "C1", "genus": 2}, {"id": "P", "genus": 0}, {"id": "C2", "genus": 2},
+            ],
+            "intersections": [
+                {"kind": "tacnode", "ends": [["C1", 0], ["P", 0]]},
+                {"kind": "node", "ends": [["P", 1], ["C2", 0]]},
+            ],
+            "marks": [["P", "p"]],
+        }
+        path = tmp_path / "marked.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "closed-orbit", "--mode", "c", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: mark references unknown component 'P'\n"
 
     def test_replacements(self, capsys, tmp_path):
         path = tmp_path / "two.json"

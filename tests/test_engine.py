@@ -143,6 +143,22 @@ class TestSlices:
         with pytest.raises(EngineError, match="degree-9 slice has up to 7150"):
             evaluate_slice(c, 9, order)
 
+    def test_listing_budget_bounds_all_monomials(self):
+        # the slice fits SLICE_BUDGET, but listing every degree-8 monomial in
+        # 30 coordinates would hold C(37, 8) = 38,608,020 tuples
+        c = build_closed_rosary_config(10)
+        s8 = evaluate_slice(c, 8, MonomialOrder(canonical_1ps(c)))
+        assert s8.standard_count == 8 * 40 + 1 - 11
+        with pytest.raises(EngineError) as exc:
+            s8.initial_monomials()
+        assert str(exc.value) == "degree-8 listing has 38608020 monomials; budget 300000"
+        with pytest.raises(EngineError):
+            s8.standard
+        # closed r = 8 at m = 5, the largest listing in use, fits
+        c = build_closed_rosary_config(8)
+        s5 = evaluate_slice(c, 5, MonomialOrder(canonical_1ps(c)))
+        assert len(s5.monomials) == monomial_count(24, 5) == 98280 <= engine.LISTING_BUDGET
+
     def test_certificates_are_ideal_members(self):
         c = build_broken_bead_config(3)
         order = MonomialOrder(canonical_1ps(c))
