@@ -196,6 +196,13 @@ def _parse_degrees(text: str) -> list[int]:
         raise CliError(f"bad --m {text!r}") from exc
 
 
+def _parse_degree(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise CliError(f"bad --m {text!r}") from exc
+
+
 def cmd_index(args) -> int:
     cfg = _resolve_config(args)
     if args.weights:
@@ -357,13 +364,13 @@ def cmd_divisor(args) -> int:
     elif args.what == "viehweg":
         if args.n is None or args.m is None or args.g is None:
             raise CliError("divisor viehweg needs --n, --m and --g")
-        cls = viehweg_class(args.n, int(args.m), args.g)
+        cls = viehweg_class(args.n, _parse_degree(args.m), args.g)
         payload = {"lambda": fmt(cls.lam), "delta": fmt(cls.delta_total)}
         human = f"{fmt(cls.lam)}*lambda {fmt(cls.delta_total)}*delta"
     elif args.what == "epsilon":
         if args.m is None:
             raise CliError("divisor epsilon needs --m")
-        val = epsilon_of_m(int(args.m))
+        val = epsilon_of_m(_parse_degree(args.m))
         payload = {"epsilon": fmt(val)}
         human = fmt(val)
     elif args.what == "k-alpha":

@@ -26,8 +26,8 @@ TACNODE = "tacnode"
 #: local contribution of a singularity to arithmetic genus
 DELTA = {NODE: 1, TACNODE: 2}
 
-#: largest component count for which the subcurve table is built
-COMPONENT_CAP = 24
+#: most component subsets the subcurve search may visit on one graph
+SUBCURVE_BUDGET = 200_000
 
 
 class CurveGraphError(ValueError):
@@ -275,7 +275,6 @@ class _GraphData:
         "contrib",
         "nbr",
         "end_bits",
-        "pair_masks",
         "deltas",
         "kinds",
         "all_mask",
@@ -288,13 +287,11 @@ class _GraphData:
         self.contrib = [c.genus + c.cusps for c in g.components]
         self.nbr = [0] * self.n
         self.end_bits = []
-        self.pair_masks = []
         self.deltas = []
         self.kinds = []
         for x in g.intersections:
             a, b = (self.index[c] for c in x.components())
             self.end_bits.append((a, b))
-            self.pair_masks.append((1 << a) | (1 << b))
             self.deltas.append(x.delta)
             self.kinds.append(x.kind)
             if a != b:
@@ -353,20 +350,6 @@ class _GraphData:
             seen |= frontier
         return seen == mask
 
-    def genus(self, mask: int) -> int:
-        total = 0
-        m = mask
-        count = 0
-        while m:
-            bit = m & -m
-            m ^= bit
-            total += self.contrib[bit.bit_length() - 1]
-            count += 1
-        for i, pm in enumerate(self.pair_masks):
-            if pm & mask == pm:
-                total += self.deltas[i]
-        return total - (count - 1)
-
     def crossings(self, mask: int) -> list[tuple[int, int]]:
         out = []
         for i, (a, b) in enumerate(self.end_bits):
@@ -374,6 +357,16 @@ class _GraphData:
             inb = mask >> b & 1
             if ina != inb:
                 out.append((i, 0 if ina else 1))
+        return out
+
+    def incident(self) -> list[list[tuple[int, int, int]]]:
+        """(pair mask, delta, intersection index) of each intersection on each component."""
+        out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
+        for i, (a, b) in enumerate(self.end_bits):
+            entry = ((1 << a) | (1 << b), self.deltas[i], i)
+            out[a].append(entry)
+            if a != b:
+                out[b].append(entry)
         return out
 
 
@@ -387,21 +380,50 @@ def _subcurves(g: CurveGraph) -> tuple[tuple[int, int, tuple[tuple[int, int], ..
     """(mask, genus, crossings) of every connected proper subcurve of genus <= 1.
 
     Ascending by mask; `crossings` is as in `crossing_intersections`.  Every
-    stability predicate reads this table, and this is the only sweep over
-    all component subsets, so the component cap is checked here.
+    stability predicate reads this table.  Connected sets grow one adjacent
+    component at a time from each seed, in Wernicke's ESU order, which
+    reaches every connected set exactly once.  Growth never lowers the
+    genus: adding v to a connected S adds contrib(v) - 1 plus the deltas of
+    the intersections v gains, at least one of which joins v to S.  So a set
+    of genus above 1 is never extended.  Visiting more than `SUBCURVE_BUDGET`
+    sets raises CurveGraphError.
     """
-    n = len(g.components)
-    if n > COMPONENT_CAP:
-        raise CurveGraphError(
-            f"graph has {n} components; exhaustive search capped at {COMPONENT_CAP}"
-        )
     data = _graph_data(g)
+    incident = data.incident()
+    # one (intersection, end) tuple per crossing side, shared by all entries
+    sides: dict[tuple[int, int], tuple[int, int]] = {}
     out = []
-    for mask in range(1, data.all_mask):
-        if data.connected(mask):
-            genus = data.genus(mask)
-            if genus <= 1:
-                out.append((mask, genus, tuple(data.crossings(mask))))
+    visited = 0
+    for v in range(data.n):
+        bit = 1 << v
+        above = -(bit << 1)  # ESU extends a seed only by components after it
+        # each entry: (set, its genus, extension candidates, set plus
+        # neighbours); the empty set counts genus 1, so that growing it by v
+        # gives v's own genus, cusps and self-intersections
+        stack = [(0, 1, bit, 0)]
+        while stack:
+            mask, genus, ext, closed = stack.pop()
+            while ext:
+                w = ext & -ext
+                ext ^= w
+                visited += 1
+                if visited > SUBCURVE_BUDGET:
+                    raise CurveGraphError(
+                        f"subcurve search on {data.n} components visits more than "
+                        f"{SUBCURVE_BUDGET} subsets"
+                    )
+                grown = mask | w
+                k = w.bit_length() - 1
+                h = genus + data.contrib[k] - 1
+                h += sum(d for pm, d, _ in incident[k] if pm & grown == pm)
+                if h > 1:
+                    continue
+                if grown != data.all_mask:
+                    xs = tuple(sides.setdefault(x, x) for x in data.crossings(grown))
+                    out.append((grown, h, xs))
+                nbr = data.nbr[k]
+                stack.append((grown, h, ext | nbr & ~closed & above, closed | nbr | w))
+    out.sort()
     return tuple(out)
 
 
@@ -500,163 +522,172 @@ class ChainRecord:
     ends: tuple[int, ...]
 
 
-def _joins(g: CurveGraph, a: frozenset[str], b: frozenset[str]) -> list[int]:
-    out = []
-    for i, x in enumerate(g.intersections):
-        ca, cb = x.components()
-        if (ca in a and cb in b) or (ca in b and cb in a):
-            out.append(i)
-    return out
-
-
 def _chain_ample(
-    g: CurveGraph,
-    blocks: Sequence[frozenset[str]],
-    mark_comps: Sequence[str],
-    exclude: frozenset[int],
+    data: _GraphData,
+    incident: list[list[tuple[int, int, int]]],
+    blocks: Sequence[int],
+    ends: Sequence[int],
+    excl: int,
 ) -> bool:
     """Check ampleness of the dualizing sheaf twisted by the two end points.
 
     Combinatorial form: on every component of the chain, twice its local
     arithmetic genus, minus two, plus its branch-weighted contact inside the
-    chain, plus end marks, must be positive.
+    chain, plus end marks, must be positive.  `incident` is
+    `data.incident()`, `blocks` are component masks, `ends` the component
+    indices of the end points, and the intersections in the bitmask `excl`
+    are left out.
     """
-    union = frozenset().union(*blocks)
-    for cid in union:
-        c = g.component(cid)
-        pa = c.genus + c.cusps
-        contact = 0
-        for i, x in enumerate(g.intersections):
-            if i in exclude:
-                continue
-            a, b = x.components()
-            if a == cid and b == cid:
-                pa += x.delta
-            elif a == cid and b in union:
-                contact += x.delta
-            elif b == cid and a in union:
-                contact += x.delta
-        deg = 2 * pa - 2 + contact + sum(1 for m in mark_comps if m == cid)
+    union = 0
+    for b in blocks:
+        union |= b
+    m = union
+    while m:
+        bit = m & -m
+        m ^= bit
+        k = bit.bit_length() - 1
+        deg = 2 * data.contrib[k] - 2 + ends.count(k)
+        for pm, d, i in incident[k]:
+            if not excl >> i & 1 and pm & union == pm:
+                # a self-intersection has both branches on the component
+                deg += 2 * d if pm == bit else d
         if deg <= 0:
             return False
     return True
 
 
-def _extend_chain_sequences(
-    g: CurveGraph,
-    blocks: list[frozenset[str]],
-    seq: list[frozenset[str]],
-    exclude: frozenset[int],
-) -> Iterator[list[frozenset[str]]]:
-    yield list(seq)
-    last = seq[-1]
-    used = frozenset().union(*seq)
-    for b in blocks:
-        if b & used:
-            continue
-        js = [j for j in _joins(g, last, b) if j not in exclude]
-        if len(js) != 1 or g.intersections[js[0]].kind != TACNODE:
-            continue
-        if any(
-            j not in exclude
-            for earlier in seq[:-1]
-            for j in _joins(g, earlier, b)
-        ):
-            continue
-        seq.append(b)
-        yield from _extend_chain_sequences(g, blocks, seq, exclude)
-        seq.pop()
+# A graph's chains are read again within one basins operation; the records
+# are larger than the subcurve table, so fewer graphs are kept.
+@lru_cache(maxsize=32)
+def _find_chains(g: CurveGraph) -> tuple[ChainRecord, ...]:
+    """Every open and closed (weak) elliptic chain.
 
-
-def _find_chains(g: CurveGraph) -> list[ChainRecord]:
+    The blocks are the genus-one entries of `_subcurves`.  Exploring more
+    than `SUBCURVE_BUDGET` sequences of two or more blocks raises
+    CurveGraphError.
+    """
     if not g.is_connected():
         raise CurveGraphError("disconnected")
-    all_ids = frozenset(g.ids())
     data = _graph_data(g)
-    ones = [(mask, data.subset_of(mask)) for mask, genus, _ in _subcurves(g) if genus == 1]
-    records: dict[tuple, ChainRecord] = {}
+    incident = data.incident()
+    tacnodes = sum(1 << i for i, kind in enumerate(data.kinds) if kind == TACNODE)
+    ones: dict[int, int] = {}
+    leaving: dict[int, list[int]] = {}  # intersection bit -> blocks it leaves
+    for mask, genus, xs in _subcurves(g):
+        if genus == 1:
+            ones[mask] = 0
+            for i, _ in xs:
+                ones[mask] |= 1 << i
+                leaving.setdefault(1 << i, []).append(mask)
+    explored = 0
 
-    def emit(rec: ChainRecord) -> None:
+    def sequences(first: int, excl: int) -> Iterator[tuple[list[int], int]]:
+        """(blocks, union) of `first` and of each sequence of disjoint blocks
+        after it, every block joined to the one before by exactly one tacnode
+        and to no earlier block; the intersections in `excl` join nothing.
+
+        Two disjoint blocks are joined by exactly the intersections that
+        leave both, and `before` holds those leaving the blocks before the
+        last.
+        """
+        nonlocal explored
+        stack = [([first], first, 0)]
+        while stack:
+            seq, used, before = stack.pop()
+            yield seq, used
+            last = ones[seq[-1]] & ~excl
+            m = last & tacnodes
+            while m:
+                bit = m & -m
+                m ^= bit
+                for b in leaving[bit]:
+                    cb = ones[b]
+                    if b & used or last & cb != bit or cb & before:
+                        continue
+                    explored += 1
+                    if explored > SUBCURVE_BUDGET:
+                        raise CurveGraphError(
+                            f"chain search on {data.n} components explores more than "
+                            f"{SUBCURVE_BUDGET} block sequences"
+                        )
+                    stack.append((seq + [b], used | b, before | last))
+
+    records: dict[tuple, ChainRecord] = {}
+    names: dict[int, tuple[str, ...]] = {}  # one id tuple per block, shared by its records
+
+    def emit(closed: bool, weak: bool, seq: list[int], ends: tuple[int, ...]) -> None:
         # canonicalize direction so each chain is reported once; weak open
         # chains are already oriented with the tacnodal end on the first block
-        fwd = rec.blocks
-        rev = tuple(reversed(rec.blocks))
-        if rec.closed and rev < fwd:
-            rec = ChainRecord(rec.closed, rec.weak, rec.length, rev, rec.ends)
-        elif not rec.closed and not rec.weak:
-            if rev < fwd or (rev == fwd and rec.ends[::-1] < rec.ends):
-                rec = ChainRecord(rec.closed, rec.weak, rec.length, rev, rec.ends[::-1])
-        key = (rec.closed, rec.weak, rec.blocks, rec.ends)
-        records.setdefault(key, rec)
+        for b in seq:
+            if b not in names:
+                names[b] = tuple(sorted(data.subset_of(b)))
+        fwd = tuple(names[b] for b in seq)
+        rev = fwd[::-1]
+        if closed and rev < fwd:
+            fwd = rev
+        elif not closed and not weak:
+            if rev < fwd or (rev == fwd and ends[::-1] < ends):
+                fwd, ends = rev, ends[::-1]
+        records.setdefault((closed, weak, fwd, ends), ChainRecord(closed, weak, len(seq), fwd, ends))
 
     # open chains: a chain meets the rest of the curve, so its blocks are proper
-    blocks = [sub for _, sub in ones]
-    for first in blocks:
-        for seq in _extend_chain_sequences(g, blocks, [first], frozenset()):
-            union = frozenset().union(*seq)
-            cross = crossing_intersections(g, union)
-            if len(cross) != 2:
+    for first in ones:
+        for seq, union in sequences(first, 0):
+            cross = 0
+            for blk in seq:
+                cross ^= ones[blk]  # the blocks are disjoint: what leaves the union
+            if cross.bit_count() != 2:
                 continue
-            (i1, e1), (i2, e2) = cross
-            c1 = g.intersections[i1].ends[e1][0]
-            c2 = g.intersections[i2].ends[e2][0]
+            i1, i2 = (cross & -cross).bit_length() - 1, cross.bit_length() - 1
+            if data.kinds[i1] == data.kinds[i2] == TACNODE:
+                continue  # two tacnodal attachments make no chain
+            (a1, b1), (a2, b2) = data.end_bits[i1], data.end_bits[i2]
+            c1 = a1 if union >> a1 & 1 else b1
+            c2 = a2 if union >> a2 & 1 else b2
             placements = []
-            if c1 in seq[0] and c2 in seq[-1]:
+            if seq[0] >> c1 & 1 and seq[-1] >> c2 & 1:
                 placements.append(((i1, c1), (i2, c2)))
-            if len(seq) > 1 and c2 in seq[0] and c1 in seq[-1]:
+            if len(seq) > 1 and seq[0] >> c2 & 1 and seq[-1] >> c1 & 1:
                 placements.append(((i2, c2), (i1, c1)))
             for (ip, cp), (iq, cq) in placements:
-                if not _chain_ample(g, seq, [cp, cq], frozenset()):
+                if not _chain_ample(data, incident, seq, (cp, cq), 0):
                     continue
-                kp, kq = g.intersections[ip].kind, g.intersections[iq].kind
-                blocks_t = tuple(tuple(sorted(b)) for b in seq)
+                kp, kq = data.kinds[ip], data.kinds[iq]
                 if kp == NODE and kq == NODE:
-                    emit(ChainRecord(False, False, len(seq), blocks_t, (ip, iq)))
+                    emit(False, False, seq, (ip, iq))
                 elif kp == TACNODE and kq == NODE:
-                    emit(ChainRecord(False, True, len(seq), blocks_t, (ip, iq)))
+                    emit(False, True, seq, (ip, iq))
                 elif kp == NODE and kq == TACNODE:
                     # orient the tacnodal attachment onto the first block
-                    emit(
-                        ChainRecord(
-                            False, True, len(seq), tuple(reversed(blocks_t)), (iq, ip)
-                        )
-                    )
+                    emit(False, True, seq[::-1], (iq, ip))
 
     # closed chains: the whole curve, cut at a closing node or tacnode
     pa = arithmetic_genus(g)
-    for ci, cx in enumerate(g.intersections):
-        exclude = frozenset([ci])
-        pair = data.pair_masks[ci]
-        # A block of a closed chain of length >= 2 holds at most one end of
-        # the closing intersection, so its genus does not see that
-        # intersection; a chain of length 1 is the whole curve cut at it.
-        cblocks = [sub for mask, sub in ones if pair & mask != pair]
-        if pa - cx.delta == 1 and data.connected(data.all_mask, drop=ci):
-            cblocks.append(all_ids)
-        ca, cb = cx.components()
-        for first in cblocks:
-            if ca not in first and cb not in first:
+    for ci, (a, b) in enumerate(data.end_bits):
+        excl = 1 << ci
+        weak = data.kinds[ci] == TACNODE
+        # a chain of length 1 is the whole curve cut at `ci`
+        if (
+            pa - data.deltas[ci] == 1
+            and data.connected(data.all_mask, drop=ci)
+            and _chain_ample(data, incident, [data.all_mask], (a, b), excl)
+        ):
+            emit(True, weak, [data.all_mask], (ci,))
+        # A longer chain starts with a block holding one end of `ci`, so
+        # `ci` leaves it; every later block is disjoint from it and so holds
+        # at most one end too, and its genus does not see `ci`.
+        for first in leaving.get(excl, ()):
+            if not ones[first] & tacnodes & ~excl:
                 continue
-            for seq in _extend_chain_sequences(g, cblocks, [first], exclude):
-                union = frozenset().union(*seq)
-                if union != all_ids:
-                    continue
-                if len(seq) == 1:
-                    ok = ca in seq[0] and cb in seq[0]
-                else:
-                    ok = (ca in seq[0] and cb in seq[-1]) or (cb in seq[0] and ca in seq[-1])
-                if not ok:
-                    continue
-                if not _chain_ample(g, seq, [ca, cb], exclude):
-                    continue
-                blocks_t = tuple(tuple(sorted(b)) for b in seq)
-                emit(
-                    ChainRecord(
-                        True, cx.kind == TACNODE, len(seq), blocks_t, (ci,)
-                    )
-                )
-    return sorted(
-        records.values(), key=lambda r: (r.closed, r.weak, r.length, r.blocks, r.ends)
+            for seq, union in sequences(first, excl):
+                if (
+                    union == data.all_mask
+                    and seq[-1] >> (a if seq[0] >> b & 1 else b) & 1
+                    and _chain_ample(data, incident, seq, (a, b), excl)
+                ):
+                    emit(True, weak, seq, (ci,))
+    return tuple(
+        sorted(records.values(), key=lambda r: (r.closed, r.weak, r.length, r.blocks, r.ends))
     )
 
 

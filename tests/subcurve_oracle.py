@@ -4,7 +4,9 @@ Every predicate here sweeps all 2^n component subsets again, exactly as
 `graphs` did before it read one shared table of genus <= 1 subcurves: the
 connected masks are listed once, and the chain search rescans them for
 every closing intersection with that intersection's delta left out of the
-genus.  The tests compare the library against these functions.
+genus.  The chain search joins blocks and checks ampleness on component
+ids, where `graphs` works on bitmasks.  The tests compare the library
+against these functions.
 """
 
 import itertools
@@ -14,8 +16,6 @@ from gitcurves.graphs import (
     TACNODE,
     ChainRecord,
     CurveGraphError,
-    _chain_ample,
-    _extend_chain_sequences,
     _graph_data,
     arithmetic_genus,
     crossing_intersections,
@@ -28,15 +28,30 @@ def connected_masks(g):
     return [mask for mask in range(1, data.all_mask + 1) if data.connected(mask)]
 
 
+def pair_mask(data, i):
+    a, b = data.end_bits[i]
+    return (1 << a) | (1 << b)
+
+
 def genus(data, mask, exclude=frozenset()):
     """Arithmetic genus of the subcurve `mask`, ignoring intersections in `exclude`."""
     total = sum(data.contrib[i] for i in range(data.n) if mask >> i & 1)
     total += sum(
         data.deltas[i]
-        for i, pm in enumerate(data.pair_masks)
-        if i not in exclude and pm & mask == pm
+        for i in range(len(data.end_bits))
+        if i not in exclude and pair_mask(data, i) & mask == pair_mask(data, i)
     )
     return total - (bin(mask).count("1") - 1)
+
+
+def subcurve_table(g):
+    """`graphs._subcurves` by testing every proper component subset."""
+    data = _graph_data(g)
+    return tuple(
+        (mask, genus(data, mask), tuple(data.crossings(mask)))
+        for mask in connected_masks(g)
+        if mask != data.all_mask and genus(data, mask) <= 1
+    )
 
 
 def genus_one_blocks(g, exclude):
@@ -49,7 +64,7 @@ def genus_one_blocks(g, exclude):
     for mask in connected_masks(g):
         if genus(data, mask, exclude) != 1:
             continue
-        if drop is not None and data.pair_masks[drop] & mask == data.pair_masks[drop]:
+        if drop is not None and pair_mask(data, drop) & mask == pair_mask(data, drop):
             if not data.connected(mask, drop=drop):
                 continue
         out.append(data.subset_of(mask))
@@ -104,6 +119,57 @@ def genus_contacts(g):
     return zero, one
 
 
+def joins(g, a, b):
+    """Indices of the intersections with one end in `a` and the other in `b`."""
+    out = []
+    for i, x in enumerate(g.intersections):
+        ca, cb = x.components()
+        if (ca in a and cb in b) or (ca in b and cb in a):
+            out.append(i)
+    return out
+
+
+def chain_ample(g, blocks, mark_comps, exclude):
+    """Twice the local arithmetic genus, minus two, plus the branch-weighted
+    contact inside the chain, plus end marks, is positive on every component."""
+    union = frozenset().union(*blocks)
+    for cid in union:
+        c = g.component(cid)
+        pa = c.genus + c.cusps
+        contact = 0
+        for i, x in enumerate(g.intersections):
+            if i in exclude:
+                continue
+            a, b = x.components()
+            if a == cid and b == cid:
+                pa += x.delta
+            elif a == cid and b in union:
+                contact += x.delta
+            elif b == cid and a in union:
+                contact += x.delta
+        if 2 * pa - 2 + contact + sum(1 for m in mark_comps if m == cid) <= 0:
+            return False
+    return True
+
+
+def chain_sequences(g, blocks, seq, exclude):
+    """`seq` and its extensions by disjoint blocks, each joined to the last by
+    exactly one tacnode and to no earlier block."""
+    yield list(seq)
+    used = frozenset().union(*seq)
+    for b in blocks:
+        if b & used:
+            continue
+        js = [j for j in joins(g, seq[-1], b) if j not in exclude]
+        if len(js) != 1 or g.intersections[js[0]].kind != TACNODE:
+            continue
+        if any(j not in exclude for earlier in seq[:-1] for j in joins(g, earlier, b)):
+            continue
+        seq.append(b)
+        yield from chain_sequences(g, blocks, seq, exclude)
+        seq.pop()
+
+
 def find_chains(g):
     """Open and closed (weak) elliptic chains, each closing intersection
     searched over its own rescan of the connected masks."""
@@ -122,7 +188,7 @@ def find_chains(g):
 
     blocks = genus_one_blocks(g, frozenset())
     for first in blocks:
-        for seq in _extend_chain_sequences(g, blocks, [first], frozenset()):
+        for seq in chain_sequences(g, blocks, [first], frozenset()):
             cross = crossing_intersections(g, frozenset().union(*seq))
             if len(cross) != 2:
                 continue
@@ -135,7 +201,7 @@ def find_chains(g):
             if len(seq) > 1 and c2 in seq[0] and c1 in seq[-1]:
                 placements.append(((i2, c2), (i1, c1)))
             for (ip, cp), (iq, cq) in placements:
-                if not _chain_ample(g, seq, [cp, cq], frozenset()):
+                if not chain_ample(g, seq, [cp, cq], frozenset()):
                     continue
                 kp, kq = g.intersections[ip].kind, g.intersections[iq].kind
                 blocks_t = tuple(tuple(sorted(b)) for b in seq)
@@ -157,19 +223,19 @@ def find_chains(g):
         for first in cblocks:
             if ca not in first and cb not in first:
                 continue
-            for seq in _extend_chain_sequences(g, cblocks, [first], exclude):
+            for seq in chain_sequences(g, cblocks, [first], exclude):
                 if frozenset().union(*seq) != all_ids:
                     continue
                 if len(seq) == 1:
                     ok = ca in seq[0] and cb in seq[0]
                 else:
                     ok = (ca in seq[0] and cb in seq[-1]) or (cb in seq[0] and ca in seq[-1])
-                if not ok or not _chain_ample(g, seq, [ca, cb], exclude):
+                if not ok or not chain_ample(g, seq, [ca, cb], exclude):
                     continue
                 blocks_t = tuple(tuple(sorted(b)) for b in seq)
                 emit(ChainRecord(True, cx.kind == TACNODE, len(seq), blocks_t, (ci,)))
-    return sorted(
-        records.values(), key=lambda r: (r.closed, r.weak, r.length, r.blocks, r.ends)
+    return tuple(
+        sorted(records.values(), key=lambda r: (r.closed, r.weak, r.length, r.blocks, r.ends))
     )
 
 

@@ -33,6 +33,7 @@ from gitcurves.families import (
     build_open_rosary_config,
     canonical_1ps,
 )
+from gitcurves import graphs
 from gitcurves.graphs import (
     NODE,
     TACNODE,
@@ -261,6 +262,25 @@ class TestClosedOrbitReps:
         assert is_c_closed_orbit(star)
         assert arithmetic_genus(star) == 5
         assert isomorphic(star, c_closed_orbit_rep(bridge_chain_graph([1])))
+
+    @pytest.mark.parametrize("k", [12, 20])
+    def test_long_bridge_chain_rep_accepts_itself(self, k):
+        star = c_closed_orbit_rep(bridge_chain_graph([1] * k))
+        # each of the k genus-one links becomes two beads joined by a tacnode
+        assert len(star.components) == 2 * k + 2
+        assert star.tacnode_count() == k
+        flags = classify(star)
+        assert flags.c_semistable and not flags.c_stable
+        assert is_c_closed_orbit(star)
+        assert c_closed_orbit_rep(star) == star
+
+    def test_one_chain_search_per_graph(self):
+        graphs._find_chains.cache_clear()
+        c_closed_orbit_rep(bridge_chain_graph([1] * 9))
+        # one search on the input and one on its representative; the
+        # repeated classifications read the cache
+        info = graphs._find_chains.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
 
     def test_c_stable_input_rejected(self):
         with pytest.raises(BasinError):

@@ -5,7 +5,14 @@ import json
 import pytest
 
 from gitcurves.cli import main
-from gitcurves.graphs import bridge_chain_graph
+from gitcurves.graphs import (
+    NODE,
+    SUBCURVE_BUDGET,
+    Component,
+    CurveGraph,
+    Intersection,
+    bridge_chain_graph,
+)
 
 
 @pytest.fixture
@@ -29,6 +36,23 @@ class TestClassify:
         assert doc["flags"]["c_semistable"] is True
         assert doc["flags"]["h_semistable"] is False
         assert doc["witnesses"]["elliptic_bridges"] == [["E1"]]
+
+    def test_over_subcurve_budget(self, capsys, tmp_path):
+        # every set of the hub and some of its 18 rational leaves is a
+        # connected genus-0 subcurve: 2^18 of them, over the budget
+        others = [Component("X", 2)] + [Component(f"L{i}", 0) for i in range(18)]
+        g = CurveGraph(
+            (Component("H", 0), *others),
+            tuple(Intersection(NODE, (("H", i), (c.id, 0))) for i, c in enumerate(others)),
+        )
+        path = tmp_path / "hub.json"
+        path.write_text(g.to_json())
+        code, out, err = run(capsys, "classify", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: subcurve search on 20 components visits more than {SUBCURVE_BUDGET} subsets\n"
+        )
 
     def test_parse_error_reported(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -254,6 +278,15 @@ class TestOtherCommands:
         kinds = sorted(x["kind"] for x in doc["representative"]["intersections"])
         assert kinds == ["node", "node", "tacnode"]
 
+    def test_closed_orbit_output_over_24_components(self, capsys, tmp_path):
+        path = tmp_path / "bridge12.json"
+        path.write_text(bridge_chain_graph([1] * 12).to_json())
+        code, out, err = run(capsys, "closed-orbit", "--mode", "c", "--in", str(path), "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["closed_orbit"] is True
+        assert len(doc["representative"]["components"]) == 26
+
     def test_closed_orbit_refuses_to_drop_a_mark(self, capsys, tmp_path):
         # C1 =t= P - C2 with a mark on P: pseudostable reduction would
         # contract P, and the mark is refused rather than dropped
@@ -289,6 +322,17 @@ class TestOtherCommands:
         assert json.loads(out) == {"lambda": "13", "delta": "-1"}
         code, out, _ = run(capsys, "divisor", "moriwaki", "--g", "12", "--json")
         assert json.loads(out)["all_positive"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["epsilon", "--m", "x"], ["viehweg", "--n", "2", "--m", "x", "--g", "3"]],
+        ids=["epsilon", "viehweg"],
+    )
+    def test_divisor_bad_degree(self, capsys, argv):
+        code, out, err = run(capsys, "divisor", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad --m 'x'\n"
 
 
 class TestPaperCheck:

@@ -232,6 +232,14 @@ class TestRosaries:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("length", [30, 31])
+    def test_closed_rosary_over_24_components(self, length):
+        # genus length + 1: an odd genus carries a closed weak chain
+        flags = classify(closed_rosary_graph(length))
+        assert (flags.dm_stable, flags.pseudostable) == (False, False)
+        assert (flags.c_semistable, flags.c_stable, flags.h_semistable) == (True, False, True)
+        assert flags.h_stable == (length % 2 == 1)
+
     def test_smooth_curve_all_flags(self):
         flags = classify(smooth_curve(5))
         assert all(flags.as_dict().values())
