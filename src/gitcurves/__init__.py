@@ -44,9 +44,7 @@ from .engine import (  # noqa: F401
     extrapolate_index,
     hilbert_index,
     index_suite,
-    initial_monomials,
     point_index,
-    standard_monomials,
 )
 from .monomials import MonomialOrder  # noqa: F401
 from .chow import (  # noqa: F401

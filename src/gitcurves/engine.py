@@ -3,9 +3,10 @@
 For a monomially parametrized configuration the degree-m slice of its ideal
 is the kernel of the substitution map sending each degree-m coordinate
 monomial to the tuple of binary forms it restricts to on the components.
-Echelonizing that kernel against a weighted monomial order splits the
-degree-m monomials into initial and standard ones, from which the
-Hilbert-Mumford index of the m-th Hilbert point is an exact rational:
+A monomial is standard, outside the initial ideal of that kernel under a
+weighted monomial order, when its column is independent of the columns of
+all smaller monomials.  The standard monomials give the Hilbert-Mumford
+index of the m-th Hilbert point as an exact rational:
 
     mu = m * P(m) / (N+1) * sum(r_i)  -  sum of standard-monomial weights.
 
@@ -22,13 +23,12 @@ from math import comb
 from typing import Optional, Sequence
 
 from .families import Configuration, OneParamSubgroup, Parametrization
-from .monomials import Monomial, MonomialOrder, degree_monomials
+from .monomials import Monomial, MonomialOrder, SparseMonomial, degree_monomials
 
 #: most supported monomials a slice may enumerate.  A slice costs what it
-#: eliminates, not its degree: the largest slice in the tests has a bound of
-#: 2,970 (closed rosary r = 6, m = 8), and the slowest slice within the budget,
-#: a long rosary at m = 2, still ends in seconds.
-SLICE_BUDGET = 5000
+#: enumerates and sorts, not its degree: at the budget, closed rosary
+#: r = 3,333 at m = 2 and r = 396 at m = 5 each take under a second.
+SLICE_BUDGET = 50_000
 
 #: most degree-m monomials `IdealSlice.monomials` may list.  That listing holds
 #: every monomial in every coordinate, supported or not, so it grows far past
@@ -42,41 +42,40 @@ class EngineError(ValueError):
     pass
 
 
-Certificate = tuple[int, tuple[tuple[int, Fraction], ...]]
-
-
 @dataclass(frozen=True)
 class IdealSlice:
-    """Degree slice of a homogeneous ideal in echelonized form.
+    """Standard monomials of the degree-m slice of a homogeneous ideal.
 
-    `supported` lists, in ascending order, the degree-m monomials supported on
-    some component's coordinates, and `supported_standard` marks the ones
-    outside the initial ideal.  Every other degree-m monomial restricts to
-    zero on every component, so it is initial with the certificate
-    `x^{a(j)}` itself.
+    `sparse` lists, in ascending order, the degree-m monomials supported on
+    some component's coordinates, in sparse form, and `supported_standard`
+    marks the ones outside the initial ideal.  Every other degree-m monomial
+    restricts to zero on every component, so it is initial.
 
-    `monomials` lists all degree-m monomials in ascending order and
-    `standard` marks the standard ones; both are built on first use, and
-    raise `EngineError` when there would be more than `LISTING_BUDGET`.  When
-    built with certificates, `basis` holds the reduced echelon basis of the
-    slice: for each initial monomial, its coefficients over smaller standard
-    monomials (indices into `monomials`), so the row
-
-        x^{a(j)} - sum_k coeff[k] * x^{a(k)}
-
-    lies in the ideal and has leading term x^{a(j)}.
+    The exponent-vector forms are built on first read: `supported` holds the
+    same monomials as `sparse`, `monomials` lists all degree-m monomials in
+    ascending order and `standard` marks the standard ones.  `monomials` and
+    `standard` raise `EngineError` when there would be more than
+    `LISTING_BUDGET`.
     """
 
     degree: int
     order: MonomialOrder
-    supported: tuple[Monomial, ...]
+    sparse: tuple[SparseMonomial, ...]
     supported_standard: tuple[bool, ...]
-    # certificates of the supported initial monomials, indexed into `supported`
-    supported_basis: Optional[tuple[Certificate, ...]] = None
+
+    def _dense(self, mono: SparseMonomial) -> Monomial:
+        vec = [0] * self.order.nvars
+        for c, e in mono:
+            vec[c] = e
+        return tuple(vec)
 
     @property
     def standard_count(self) -> int:
         return sum(self.supported_standard)
+
+    @cached_property
+    def supported(self) -> tuple[Monomial, ...]:
+        return tuple(self._dense(mono) for mono in self.sparse)
 
     @cached_property
     def monomials(self) -> tuple[Monomial, ...]:
@@ -94,47 +93,28 @@ class IdealSlice:
         std = set(self.standard_monomials())
         return tuple(m in std for m in self.monomials)
 
-    @cached_property
-    def basis(self) -> Optional[tuple[Certificate, ...]]:
-        if self.supported_basis is None:
-            return None
-        index = {mono: j for j, mono in enumerate(self.monomials)}
-        full = [index[mono] for mono in self.supported]
-        tails = {
-            full[k]: tuple((full[i], v) for i, v in tail)
-            for k, tail in self.supported_basis
-        }
-        return tuple(
-            (j, tails.get(j, ())) for j, s in enumerate(self.standard) if not s
-        )
-
     def standard_monomials(self) -> list[Monomial]:
-        return [m for m, s in zip(self.supported, self.supported_standard) if s]
+        return [self._dense(m) for m, s in zip(self.sparse, self.supported_standard) if s]
 
     def initial_monomials(self) -> list[Monomial]:
         return [m for m, s in zip(self.monomials, self.standard) if not s]
 
     def standard_weight_sum(self) -> int:
-        return sum(self.order.weight(m) for m in self.standard_monomials())
+        w = self.order.weights.weights
+        return sum(
+            w[c] * e for m, s in zip(self.sparse, self.supported_standard) if s for c, e in m
+        )
 
 
-def initial_monomials(slice_: IdealSlice) -> set[Monomial]:
-    return set(slice_.initial_monomials())
-
-
-def standard_monomials(slice_: IdealSlice) -> set[Monomial]:
-    return set(slice_.standard_monomials())
-
-
-def _supported_monomials(par: Parametrization, m: int) -> list[Monomial]:
+def _sparse_monomials(par: Parametrization, m: int) -> list[SparseMonomial]:
     """The degree-m monomials in the coordinates of at least one component."""
-    found: set[Monomial] = set()
+    found: set[SparseMonomial] = set()
     for cm in par.maps:
         for combo in itertools.combinations_with_replacement(sorted(cm.coords()), m):
-            mono = [0] * par.num_coordinates
-            for i in combo:
-                mono[i] += 1
-            found.add(tuple(mono))
+            mono: dict[int, int] = {}
+            for c in combo:
+                mono[c] = mono.get(c, 0) + 1
+            found.add(tuple(mono.items()))
     return list(found)
 
 
@@ -142,17 +122,26 @@ def evaluate_slice(
     config: Configuration,
     m: int,
     order: Optional[MonomialOrder] = None,
-    *,
-    with_certificates: bool = False,
 ) -> IdealSlice:
-    """Echelonized degree-m slice of the configuration's ideal.
+    """Standard monomials of the degree-m slice of the configuration's ideal.
 
     In split mode this is the slice of the rosary block: the kernel of
     evaluation on the parametrized components in the block coordinates.
-    Only monomials supported on some component enter the elimination; the
-    others have zero columns and are initial by construction.  A slice whose
-    count of supported monomials may exceed `SLICE_BUDGET` is rejected before
+    Only monomials supported on some component are enumerated; the others
+    have zero columns and are initial by construction.  A slice whose count
+    of supported monomials may exceed `SLICE_BUDGET` is rejected before
     anything is enumerated.
+
+    The rows of the substitution map are the pairs (component, exponent of
+    s), and a monomial's column has one entry per component holding all its
+    coordinates.  With every coefficient 1 and every coordinate on at most
+    two components, as in the three rosary families, each column is e_a (a
+    half-edge at row a) or e_a + e_b (a negative edge a-b).  Greedy
+    independence in the monomial order is then independence in the frame
+    matroid of this signed graph (Zaslavsky): an edge or half-edge is
+    independent of the earlier ones unless its class already holds an odd
+    cycle or a half-edge, or it closes an even cycle.  A union-find with
+    parity decides that.  Any other parametrization raises `EngineError`.
     """
     if m < 1:
         raise EngineError("slice degree must be >= 1")
@@ -172,85 +161,75 @@ def evaluate_slice(
             f"order on {order.nvars} coordinates, parametrization has {nvars}"
         )
 
-    # per-component substitution data and row offsets
-    comp_data = []
-    offset = 0
-    for cm in par.maps:
-        table = {t.coord: (t.s_exp, t.coeff) for t in cm.terms}
-        comp_data.append((table, cm.degree, offset))
-        offset += m * cm.degree + 1
-
-    monos = order.sorted_ascending(_supported_monomials(par, m))
-
-    def column(mono: Monomial) -> dict[int, Fraction]:
-        col: dict[int, Fraction] = {}
-        support = [i for i, e in enumerate(mono) if e]
-        for table, _deg, off in comp_data:
-            if any(i not in table for i in support):
-                continue
-            alpha = 0
-            coeff = Fraction(1)
-            for i in support:
-                s_exp, c = table[i]
-                alpha += s_exp * mono[i]
-                coeff *= c ** mono[i]
-            row = off + alpha
-            val = col.get(row, Fraction(0)) + coeff
-            if val:
-                col[row] = val
-            else:
-                col.pop(row, None)
-        return col
-
-    pivots: dict[int, dict[int, Fraction]] = {}
-    pivot_expr: dict[int, dict[int, Fraction]] = {}
-    standard: list[bool] = []
-    certificates: list[Certificate] = []
-
-    for j, mono in enumerate(monos):
-        col = column(mono)
-        expr: dict[int, Fraction] = {j: Fraction(1)} if with_certificates else {}
-        while col:
-            r = min(col)
-            if r not in pivots:
-                break
-            f = col.pop(r)
-            for rr, v in pivots[r].items():
-                if rr == r:
-                    continue
-                nv = col.get(rr, Fraction(0)) - f * v
-                if nv:
-                    col[rr] = nv
-                else:
-                    col.pop(rr, None)
-            if with_certificates:
-                for k, v in pivot_expr[r].items():
-                    nv = expr.get(k, Fraction(0)) - f * v
-                    if nv:
-                        expr[k] = nv
-                    else:
-                        expr.pop(k, None)
-        if col:
-            r = min(col)
-            lead = col[r]
-            pivots[r] = {rr: v / lead for rr, v in col.items()}
-            if with_certificates:
-                pivot_expr[r] = {k: v / lead for k, v in expr.items()}
-            standard.append(True)
-        else:
-            standard.append(False)
-            if with_certificates:
-                tail = tuple(
-                    (k, -v) for k, v in sorted(expr.items()) if k != j
+    # per component: its first row and the s-exponent of each coordinate;
+    # per coordinate: the components holding it
+    offsets: list[int] = []
+    s_exps: list[dict[int, int]] = []
+    holders: dict[int, list[int]] = {}
+    nrows = 0
+    for i, cm in enumerate(par.maps):
+        offsets.append(nrows)
+        nrows += m * cm.degree + 1
+        s_exps.append({t.coord: t.s_exp for t in cm.terms})
+        for t in cm.terms:
+            if t.coeff != 1:
+                raise EngineError(
+                    f"coordinate x{t.coord} has coefficient {t.coeff}; "
+                    "the slice kernel needs coefficient 1"
                 )
-                certificates.append((j, tail))
+            holders.setdefault(t.coord, []).append(i)
+    for c, comps in holders.items():
+        if len(comps) > 2:
+            raise EngineError(
+                f"coordinate x{c} lies on {len(comps)} components; "
+                "the slice kernel admits at most 2"
+            )
+
+    parent = list(range(nrows))
+    parity = [0] * nrows  # parity of the edge path from a row to its parent
+    full = [False] * nrows  # per root: the class holds an odd cycle or a half-edge
+
+    def find(a: int) -> tuple[int, int]:
+        """Root of row a's class, and the parity of a relative to it."""
+        path = []
+        while parent[a] != a:
+            path.append(a)
+            a = parent[a]
+        p = 0
+        for x in reversed(path):
+            p ^= parity[x]
+            parent[x], parity[x] = a, p
+        return a, p
+
+    monos = sorted(_sparse_monomials(par, m), key=order.sparse_key)
+    standard: list[bool] = []
+    for mono in monos:
+        rows = [
+            offsets[i] + sum(s_exps[i][c] * e for c, e in mono)
+            for i in holders[mono[0][0]]
+            if all(c in s_exps[i] for c, _ in mono)
+        ]
+        ra, pa = find(rows[0])
+        if len(rows) == 1:  # a half-edge
+            new = not full[ra]
+            full[ra] = True
+        else:
+            rb, pb = find(rows[1])
+            if ra != rb:
+                new = not (full[ra] and full[rb])
+                if new:
+                    parent[ra], parity[ra] = rb, pa ^ pb ^ 1
+                    full[rb] = full[ra] or full[rb]
+            else:  # closes a cycle, odd when both ends have the same parity
+                new = not full[ra] and pa == pb
+                full[ra] = full[ra] or new
+        standard.append(new)
 
     return IdealSlice(
         degree=m,
         order=order,
-        supported=tuple(monos),
+        sparse=tuple(monos),
         supported_standard=tuple(standard),
-        supported_basis=tuple(certificates) if with_certificates else None,
     )
 
 

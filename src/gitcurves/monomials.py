@@ -2,18 +2,22 @@
 
 Monomials of a fixed degree are compared by weight first (the weight vector
 of a one-parameter subgroup), ties broken lexicographically with
-x_0 > x_1 > ... > x_N unless another variable precedence is supplied.
+x_0 > x_1 > ... > x_N unless another variable precedence is supplied.  A
+monomial is a dense exponent vector, or in sparse form its nonzero
+`(coord, exp)` pairs in ascending coordinate order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .families import OneParamSubgroup
 
 Monomial = tuple[int, ...]
+SparseMonomial = tuple[tuple[int, int], ...]
 
 
 class OrderError(ValueError):
@@ -48,6 +52,24 @@ class MonomialOrder:
         else:
             lex = tuple(mono[i] for i in self.precedence)
         return (sum(mono), self.weight(mono), lex)
+
+    def sparse_key(self, mono: SparseMonomial) -> tuple:
+        """Sort key of a sparse monomial: among monomials of one degree it
+        orders as `key` does on their exponent vectors."""
+        w = self.weights.weights
+        weight = sum(w[c] * e for c, e in mono)
+        if self.precedence is None:
+            return (weight, tuple((-c, e) for c, e in mono))
+        rank = self._rank
+        return (weight, tuple(sorted(((-rank[c], e) for c, e in mono), reverse=True)))
+
+    @cached_property
+    def _rank(self) -> list[int]:
+        """Position of each coordinate in the precedence."""
+        rank = [0] * len(self.precedence)
+        for p, c in enumerate(self.precedence):
+            rank[c] = p
+        return rank
 
     def sorted_ascending(self, monos: Sequence[Monomial]) -> list[Monomial]:
         return sorted(monos, key=self.key)

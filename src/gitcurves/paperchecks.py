@@ -35,7 +35,6 @@ from .divisors import (
 )
 from .engine import (
     chow_index_sign,
-    evaluate_slice,
     extrapolate_index,
     hilbert_index,
 )
@@ -60,7 +59,7 @@ from .graphs import (
     isomorphic,
     open_rosary_graph,
 )
-from .monomials import MonomialOrder
+from .monomials import monomial_count
 
 
 def fmt(x) -> str:
@@ -229,14 +228,10 @@ def build_items() -> list[CheckItem]:
             f"mu2=0 mu3=0 std2={7*r} std3={11*r} init2={(9*r*r-11*r)//2}",
             (lambda r=r: (
                 lambda cfg, rho: (
-                    lambda i2, i3, sl: f"mu2={fmt(i2.mu)} mu3={fmt(i3.mu)} "
+                    lambda i2, i3: f"mu2={fmt(i2.mu)} mu3={fmt(i3.mu)} "
                     f"std2={i2.standard_count} std3={i3.standard_count} "
-                    f"init2={len(sl.initial_monomials())}"
-                )(
-                    hilbert_index(cfg, rho, 2),
-                    hilbert_index(cfg, rho, 3),
-                    evaluate_slice(cfg, 2, MonomialOrder(rho)),
-                )
+                    f"init2={monomial_count(cfg.num_coordinates, 2) - i2.standard_count}"
+                )(hilbert_index(cfg, rho, 2), hilbert_index(cfg, rho, 3))
             )(build_closed_rosary_config(r), canonical_1ps(build_closed_rosary_config(r)))),
         )
     for r in (3, 5):

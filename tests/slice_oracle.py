@@ -1,8 +1,9 @@
 """Full-enumeration slice elimination, kept as a test oracle.
 
 `full_slice` echelonizes every degree-m monomial, supported on a component
-or not, against the weighted order, exactly as the engine did before it
-restricted the elimination to supported monomials.  `substitution_matrix`
+or not, against the weighted order by exact `Fraction` elimination, for any
+monomial parametrization; the engine decides the same standard monomials by
+a union-find on the supported ones.  `substitution_matrix`
 builds the substitution matrix from the parametrization terms, for rank
 and pivot checks by an independent linear-algebra package.
 """
@@ -15,8 +16,13 @@ from gitcurves.monomials import degree_monomials
 def full_slice(config, m, order):
     """(monomials, standard flags, certificates) over all degree-m monomials.
 
-    Certificates are `(j, tail)` pairs indexed into the monomial list, as in
-    `IdealSlice.basis`.
+    There is one certificate `(j, tail)` per initial monomial, indexed into
+    the monomial list: `tail` holds the coefficients over smaller standard
+    monomials k, so the row
+
+        x^{a(j)} - sum_k coeff[k] * x^{a(k)}
+
+    lies in the ideal and has leading term x^{a(j)}.
     """
     par = config.parametrization
     comp_data = []

@@ -207,10 +207,10 @@ class TestFamilyAndIndex:
         assert report["standard_count"] == report["expected_count"] == 92
 
     def test_index_over_slice_budget(self, capsys):
-        code, out, err = run(capsys, "index", "--family", "closed-rosary", "--r", "400", "--m", "2")
+        code, out, err = run(capsys, "index", "--family", "closed-rosary", "--r", "3334", "--m", "2")
         assert code == 2
         assert out == ""
-        assert err == "error: degree-2 slice has up to 6000 supported monomials; budget 5000\n"
+        assert err == "error: degree-2 slice has up to 50010 supported monomials; budget 50000\n"
 
     def test_index_monomials_over_listing_budget(self, capsys):
         code, out, err = run(

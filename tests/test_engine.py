@@ -6,6 +6,7 @@ spot values were recomputed independently from the closed formulas
 asserted here.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,11 @@ from gitcurves.engine import (
     point_index,
 )
 from gitcurves.families import (
+    ComponentMap,
     FamilyError,
     OneParamSubgroup,
+    ParamTerm,
+    Parametrization,
     build_broken_bead_config,
     build_closed_rosary_config,
     build_open_rosary_config,
@@ -126,22 +130,57 @@ class TestSlices:
         def enumerate_nothing(par, m):
             raise AssertionError("over-budget slice was enumerated")
 
-        monkeypatch.setattr(engine, "_supported_monomials", enumerate_nothing)
-        c = build_closed_rosary_config(400)
+        monkeypatch.setattr(engine, "_sparse_monomials", enumerate_nothing)
+        c = build_closed_rosary_config(3334)
         with pytest.raises(EngineError) as exc:
             evaluate_slice(c, 2, MonomialOrder(canonical_1ps(c)))
         assert str(exc.value) == (
-            "degree-2 slice has up to 6000 supported monomials; budget 5000"
+            "degree-2 slice has up to 50010 supported monomials; budget 50000"
         )
 
     def test_budget_bounds_slice_size_not_degree(self):
-        # ten beads of five coordinates: 10 * C(12, 8) = 4950 at m = 8,
-        # 10 * C(13, 9) = 7150 at m = 9
-        c = build_closed_rosary_config(10)
+        # four beads of five coordinates: 4 * C(24, 20) = 42504 at m = 20,
+        # 4 * C(25, 21) = 50600 at m = 21
+        c = build_closed_rosary_config(4)
         order = MonomialOrder(canonical_1ps(c))
-        assert len(evaluate_slice(c, 8, order).supported) <= engine.SLICE_BUDGET
-        with pytest.raises(EngineError, match="degree-9 slice has up to 7150"):
-            evaluate_slice(c, 9, order)
+        s20 = evaluate_slice(c, 20, order)
+        assert len(s20.supported) <= engine.SLICE_BUDGET
+        assert s20.standard_count == hilbert_polynomial(c.genus, 20)
+        with pytest.raises(EngineError, match="degree-21 slice has up to 50600"):
+            evaluate_slice(c, 21, order)
+
+    @pytest.mark.parametrize("r,m", [(334, 2), (40, 5)])
+    def test_long_rosaries_within_budget(self, r, m):
+        # the smallest closed rosaries a budget of 5,000 refused at m = 2 and 5
+        c = build_closed_rosary_config(r)
+        rep = hilbert_index(c, canonical_1ps(c), m)
+        assert rep.mu == 0 and rep.count_matches_hilbert
+
+    @pytest.mark.parametrize(
+        "comp,coord,changes,message",
+        [
+            # x0 = 2 s^3 t on L1: the column of x0*x1 has the entry 2
+            ("L1", 0, {"coeff": Fraction(2)}, "coordinate x0 has coefficient 2"),
+            # x5 of L2 becomes x0, which L1 and L3 hold: x0^2 has three entries
+            ("L2", 5, {"coord": 0}, "coordinate x0 lies on 3 components"),
+        ],
+        ids=["coefficient", "three-components"],
+    )
+    def test_column_outside_kernel_shape_raises(self, comp, coord, changes, message):
+        c = build_closed_rosary_config(3)
+        maps = tuple(
+            ComponentMap(
+                cm.component,
+                tuple(
+                    replace(t, **changes) if (cm.component, t.coord) == (comp, coord) else t
+                    for t in cm.terms
+                ),
+            )
+            for cm in c.parametrization.maps
+        )
+        c = replace(c, parametrization=Parametrization(c.num_coordinates, maps))
+        with pytest.raises(EngineError, match=message):
+            evaluate_slice(c, 2)
 
     def test_listing_budget_bounds_all_monomials(self):
         # the slice fits SLICE_BUDGET, but listing every degree-8 monomial in
@@ -162,20 +201,19 @@ class TestSlices:
     def test_certificates_are_ideal_members(self):
         c = build_broken_bead_config(3)
         order = MonomialOrder(canonical_1ps(c))
-        s2 = evaluate_slice(c, 2, order, with_certificates=True)
-        assert s2.basis is not None
-        assert len(s2.basis) == len(s2.initial_monomials())
-        stds = {i for i, flag in enumerate(s2.standard) if flag}
+        monos, standard, basis = full_slice(c, 2, order)
+        assert len(basis) == standard.count(False)
+        stds = {i for i, flag in enumerate(standard) if flag}
         par = c.parametrization
-        for lead, tail in s2.basis:
-            assert not s2.standard[lead]
+        for lead, tail in basis:
+            assert not standard[lead]
             assert all(k in stds and k < lead for k, _ in tail)
             # evaluate the certificate polynomial on every component: must vanish
             for cm in par.maps:
                 table = {t.coord: (t.s_exp, t.t_exp) for t in cm.terms}
                 acc = {}
                 for idx, coeff in [(lead, Fraction(1))] + [(k, -v) for k, v in tail]:
-                    mono = s2.monomials[idx]
+                    mono = monos[idx]
                     if any(e and i not in table for i, e in enumerate(mono)):
                         continue
                     se = sum(table[i][0] * e for i, e in enumerate(mono) if e)
@@ -358,9 +396,12 @@ ORACLE_CONFIGS = (
 
 
 def _block_orders(cfg):
-    """A scrambled weight order, and the canonical one where the family has it."""
+    """A scrambled weight order, the same weights under a scrambled variable
+    precedence, and the canonical order where the family has it."""
     n = cfg.parametrization.num_coordinates
-    orders = [MonomialOrder(OneParamSubgroup(tuple((5 * i) % 7 - 3 for i in range(n))))]
+    scrambled = OneParamSubgroup(tuple((5 * i) % 7 - 3 for i in range(n)))
+    precedence = tuple(sorted(range(n), key=lambda i: ((3 * i) % 5, -i)))
+    orders = [MonomialOrder(scrambled), MonomialOrder(scrambled, precedence)]
     try:
         orders.append(MonomialOrder(canonical_1ps(cfg).restrict(n)))
     except FamilyError:
@@ -376,11 +417,12 @@ class TestFullEnumerationOracle:
             self._check_order(cfg, m, order)
 
     def _check_order(self, cfg, m, order):
-        monos, standard, basis = full_slice(cfg, m, order)
-        sl = evaluate_slice(cfg, m, order, with_certificates=True)
+        monos, standard, _ = full_slice(cfg, m, order)
+        sl = evaluate_slice(cfg, m, order)
         assert sl.monomials == monos
+        supported = set(sl.supported)
+        assert sl.supported == tuple(mo for mo in monos if mo in supported)
         assert sl.standard == standard
-        assert sl.basis == basis
         assert sl.standard_count == sum(standard)
         assert sl.standard_weight_sum() == sum(
             order.weight(mo) for mo, s in zip(monos, standard) if s
@@ -396,6 +438,33 @@ class TestFullEnumerationOracle:
 
     def test_matches_full_enumeration_degree_5(self):
         self._check(build_broken_bead_config(3), 5)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "maps",
+        [
+            # two quartics on the same five coordinates, in different orders:
+            # every column is an edge, and the edges close even cycles
+            [(4, [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]),
+             (4, [(0, 4), (1, 2), (2, 0), (3, 3), (4, 1)])],
+            # three components, each pair sharing coordinates: odd cycles, and
+            # classes deep enough for path compression to matter
+            [(3, [(0, 3), (1, 3)]), (3, [(0, 2), (1, 2), (2, 3), (3, 1)]), (2, [(2, 2), (3, 0)])],
+        ],
+        ids=["even-cycles", "odd-cycles"],
+    )
+    def test_signed_graph_with_cycles(self, maps, m):
+        """Every rosary slice is a matching plus half-edges; these synthetic
+        parametrizations, given as (degree, [(coord, s-exponent)]) per
+        component, are not.  Only the parametrization enters a slice."""
+        par = Parametrization(
+            5,
+            tuple(
+                ComponentMap(f"C{k}", tuple(ParamTerm(c, a, d - a) for c, a in terms))
+                for k, (d, terms) in enumerate(maps)
+            ),
+        )
+        self._check(replace(build_closed_rosary_config(3), parametrization=par), m)
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize(
