@@ -144,7 +144,6 @@ class _Editor:
         self.intersections: list[Optional[list]] = [
             [x.kind, [list(x.ends[0]), list(x.ends[1])]] for x in g.intersections
         ]
-        self.marks = list(g.marks)
         self._fresh = 0
 
     def fresh_id(self, stem: str = "Q") -> str:
@@ -176,7 +175,6 @@ class _Editor:
                 raise BasinError("removing components with live outward branches")
         for cid in cids:
             del self.components[cid]
-        self.marks = [m for m in self.marks if m[0] not in cids]
 
     def build(self) -> CurveGraph:
         # renumber slots per component for uniqueness
@@ -190,7 +188,7 @@ class _Editor:
                 counter[cid] += 1
             xs.append(Intersection(x[0], (ends[0], ends[1])))
         comps = tuple(sorted(self.components.values(), key=lambda c: c.id))
-        return CurveGraph(comps, tuple(xs), tuple(self.marks))
+        return CurveGraph(comps, tuple(xs))
 
 
 def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
@@ -239,7 +237,6 @@ def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
     for _i, x in ed.live():
         for end in x[1]:
             end[0] = find(end[0])
-    ed.marks = [(find(cid), label) for cid, label in ed.marks]
     return ed.build()
 
 
@@ -446,9 +443,7 @@ def _contract_two_node_rationals(g: CurveGraph) -> CurveGraph:
         outer2 = ed.intersections[i2][1][1 - j2]
         ed.drop_intersection(i1)
         ed.drop_intersection(i2)
-        # not remove_components, which drops marks: a mark on the contracted
-        # component is left dangling, so build() refuses the graph
-        del ed.components[cid]
+        ed.remove_components((cid,))
         ed.add_intersection(NODE, tuple(outer1), tuple(outer2))
         g = ed.build()
 

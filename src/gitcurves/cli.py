@@ -36,7 +36,7 @@ from .divisors import (
     moriwaki_decomposition,
     viehweg_class,
 )
-from .engine import EngineError, evaluate_slice, index_suite
+from .engine import EngineError, index_suite
 from .families import (
     Configuration,
     FamilyError,
@@ -57,7 +57,7 @@ from .graphs import (
     find_elliptic_tails,
     find_rosaries,
 )
-from .monomials import MonomialOrder, monomial_str
+from .monomials import monomial_str
 from .paperchecks import fmt, manifest_json, run_paper_check
 
 USAGE_ERROR = 2
@@ -239,16 +239,14 @@ def cmd_index(args) -> int:
         human += f"\nchow sign: {suite.chow_sign:+d}" if suite.chow_sign else "\nchow sign: 0"
     if args.monomials:
         lines = []
-        for m in degrees:
-            block_rho = rho.restrict(cfg.parametrization.num_coordinates)
-            sl = evaluate_slice(cfg, m, MonomialOrder(block_rho))
+        for r in suite.reports:
             lines.append(
-                f"degree {m} initial: "
-                + " ".join(monomial_str(mo) for mo in sl.initial_monomials())
+                f"degree {r.m} initial: "
+                + " ".join(monomial_str(mo) for mo in r.slice.initial_monomials())
             )
             lines.append(
-                f"degree {m} standard: "
-                + " ".join(monomial_str(mo) for mo in sl.standard_monomials())
+                f"degree {r.m} standard: "
+                + " ".join(monomial_str(mo) for mo in r.slice.standard_monomials())
             )
         human += "\n" + "\n".join(lines)
         payload["monomials"] = lines

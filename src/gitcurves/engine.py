@@ -16,7 +16,7 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -240,7 +240,11 @@ def evaluate_slice(
 
 @dataclass(frozen=True)
 class IndexReport:
-    """Exact index data of the degree-m Hilbert point under one weight vector."""
+    """Exact index data of the degree-m Hilbert point under one weight vector.
+
+    `slice` is the degree-m slice the index was computed from; in split mode
+    it covers only the fully parametrized block.
+    """
 
     m: int
     weight_sum: Fraction
@@ -250,6 +254,7 @@ class IndexReport:
     expected_count: int
     count_matches_hilbert: bool
     chow_sign: Optional[int] = None
+    slice: Optional[IdealSlice] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -314,6 +319,7 @@ def hilbert_index(
         standard_count=standard_count,
         expected_count=expected,
         count_matches_hilbert=standard_count == expected,
+        slice=slice_,
     )
 
 

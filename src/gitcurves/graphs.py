@@ -46,7 +46,7 @@ def _typed(value, kind: type, what: str):
 
 
 def _pair(value) -> list:
-    """`value` if it is a two-element list: an intersection's ends, an end or a mark."""
+    """`value` if it is a two-element list: an intersection's ends or one end."""
     if not isinstance(value, list) or len(value) != 2:
         raise CurveGraphError(f"expected a two-element list, got {value!r}")
     return value
@@ -125,17 +125,21 @@ class StabilityFlags:
 
 @dataclass(frozen=True)
 class CurveGraph:
-    """Connected decorated dual graph of a projective curve.
+    """Connected decorated dual graph of an unpointed projective curve.
 
     Connectivity is not enforced at construction; operations that require it
-    raise `CurveGraphError("disconnected")`.
+    raise `CurveGraphError("disconnected")`.  Marked points are not supported:
+    a non-empty `marks` raises CurveGraphError.
     """
 
     components: tuple[Component, ...]
     intersections: tuple[Intersection, ...] = ()
-    marks: tuple[tuple[str, str], ...] = ()
+    # always empty: perfbench/workloads.relabel still passes g.marks as a third argument
+    marks: tuple[()] = ()
 
     def __post_init__(self) -> None:
+        if self.marks:
+            raise CurveGraphError("marked points are not supported")
         ids = [c.id for c in self.components]
         if len(set(ids)) != len(ids):
             raise CurveGraphError("duplicate component ids")
@@ -149,9 +153,6 @@ class CurveGraph:
                 if end in used_ends:
                     raise CurveGraphError(f"branch slot {end!r} used twice")
                 used_ends.add(end)
-        for cid, _label in self.marks:
-            if cid not in known:
-                raise CurveGraphError(f"mark references unknown component {cid!r}")
 
     # -- basic accessors -------------------------------------------------
 
@@ -164,27 +165,9 @@ class CurveGraph:
                 return c
         raise CurveGraphError(f"no component {cid!r}")
 
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {c.id: set() for c in self.components}
-        for x in self.intersections:
-            a, b = x.components()
-            if a != b:
-                adj[a].add(b)
-                adj[b].add(a)
-        return adj
-
     def is_connected(self) -> bool:
-        if not self.components:
-            return False
-        adj = self.adjacency()
-        seen = {self.components[0].id}
-        stack = [self.components[0].id]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(self.components)
+        data = _graph_data(self)
+        return data.connected(data.all_mask)
 
     def incident_ends(self, cid: str) -> list[tuple[int, int]]:
         """(intersection index, end index) pairs of branches on `cid`."""
@@ -213,7 +196,8 @@ class CurveGraph:
                 {"kind": x.kind, "ends": [list(e) for e in x.ends]}
                 for x in self.intersections
             ],
-            "marks": [list(m) for m in self.marks],
+            # kept so that saved documents, which embed this dict, still load
+            "marks": [],
         }
 
     @staticmethod
@@ -244,13 +228,11 @@ class CurveGraph:
                         ),
                     )
                 )
-            marks = tuple(
-                (_typed(cid, str, "mark component"), _typed(label, str, "mark label"))
-                for cid, label in map(_pair, doc.get("marks", []))
-            )
+            if doc.get("marks", []) != []:
+                raise CurveGraphError("marked points are not supported")
         except (KeyError, TypeError) as exc:
             raise CurveGraphError(f"malformed curve-graph document: {exc}") from exc
-        return CurveGraph(tuple(comps), tuple(xs), marks)
+        return CurveGraph(tuple(comps), tuple(xs))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -276,7 +258,7 @@ class _GraphData:
         "nbr",
         "end_bits",
         "deltas",
-        "kinds",
+        "tacnodes",
         "all_mask",
     )
 
@@ -288,12 +270,13 @@ class _GraphData:
         self.nbr = [0] * self.n
         self.end_bits = []
         self.deltas = []
-        self.kinds = []
-        for x in g.intersections:
+        self.tacnodes = 0  # bit i: intersection i is a tacnode
+        for i, x in enumerate(g.intersections):
             a, b = (self.index[c] for c in x.components())
             self.end_bits.append((a, b))
             self.deltas.append(x.delta)
-            self.kinds.append(x.kind)
+            if x.kind == TACNODE:
+                self.tacnodes |= 1 << i
             if a != b:
                 self.nbr[a] |= 1 << b
                 self.nbr[b] |= 1 << a
@@ -309,11 +292,16 @@ class _GraphData:
         return frozenset(self.ids[i] for i in range(self.n) if mask >> i & 1)
 
     def connected(self, mask: int, drop: Optional[int] = None) -> bool:
-        """Connectivity of the induced subgraph, optionally dropping one edge."""
+        """Connectivity of the induced subgraph, optionally dropping one intersection."""
         if mask == 0:
             return False
+        nbr = self.nbr
         if drop is not None:
-            return self._connected_drop(mask, drop)
+            nbr = [0] * self.n
+            for i, (a, b) in enumerate(self.end_bits):
+                if i != drop and a != b:
+                    nbr[a] |= 1 << b
+                    nbr[b] |= 1 << a
         seen = mask & -mask
         frontier = seen
         while frontier:
@@ -322,35 +310,13 @@ class _GraphData:
             while m:
                 bit = m & -m
                 m ^= bit
-                nxt |= self.nbr[bit.bit_length() - 1]
-            frontier = nxt & mask & ~seen
-            seen |= frontier
-        return seen == mask
-
-    def _connected_drop(self, mask: int, drop: int) -> bool:
-        # neighbor masks with one intersection ignored: recompute adjacency on
-        # the fly, skipping `drop` (cheap: only masks containing both ends).
-        adj = [0] * self.n
-        for i, (a, b) in enumerate(self.end_bits):
-            if i == drop or a == b:
-                continue
-            if mask >> a & 1 and mask >> b & 1:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-        seen = mask & -mask
-        frontier = seen
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                bit = m & -m
-                m ^= bit
-                nxt |= adj[bit.bit_length() - 1]
+                nxt |= nbr[bit.bit_length() - 1]
             frontier = nxt & mask & ~seen
             seen |= frontier
         return seen == mask
 
     def crossings(self, mask: int) -> list[tuple[int, int]]:
+        """(intersection index, end inside `mask`) of each intersection leaving `mask`."""
         out = []
         for i, (a, b) in enumerate(self.end_bits):
             ina = mask >> a & 1
@@ -376,33 +342,38 @@ def _graph_data(g: CurveGraph) -> _GraphData:
 
 
 @lru_cache(maxsize=256)
-def _subcurves(g: CurveGraph) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+def _subcurves(g: CurveGraph) -> tuple[tuple[int, int, int], ...]:
     """(mask, genus, crossings) of every connected proper subcurve of genus <= 1.
 
-    Ascending by mask; `crossings` is as in `crossing_intersections`.  Every
-    stability predicate reads this table.  Connected sets grow one adjacent
-    component at a time from each seed, in Wernicke's ESU order, which
-    reaches every connected set exactly once.  Growth never lowers the
-    genus: adding v to a connected S adds contrib(v) - 1 plus the deltas of
-    the intersections v gains, at least one of which joins v to S.  So a set
-    of genus above 1 is never extended.  Visiting more than `SUBCURVE_BUDGET`
+    Ascending by mask; bit i of `crossings` is set when intersection i joins
+    the subcurve to its complement.  Every stability predicate reads this
+    table.  Connected sets grow one adjacent component at a time from each
+    seed, in Wernicke's ESU order, which reaches every connected set exactly
+    once.  Growth never lowers the genus: adding v to a connected S adds
+    contrib(v) - 1 plus the deltas of the intersections v gains, at least
+    one of which joins v to S.  So a set of genus above 1 is never extended.
+    Growth keeps the crossings too: adding v toggles every intersection
+    joining v to another component.  Visiting more than `SUBCURVE_BUDGET`
     sets raises CurveGraphError.
     """
     data = _graph_data(g)
     incident = data.incident()
-    # one (intersection, end) tuple per crossing side, shared by all entries
-    sides: dict[tuple[int, int], tuple[int, int]] = {}
+    flips = [0] * data.n  # bit i of flips[k]: intersection i joins k to another component
+    for i, (a, b) in enumerate(data.end_bits):
+        if a != b:
+            flips[a] ^= 1 << i
+            flips[b] ^= 1 << i
     out = []
     visited = 0
     for v in range(data.n):
         bit = 1 << v
         above = -(bit << 1)  # ESU extends a seed only by components after it
-        # each entry: (set, its genus, extension candidates, set plus
-        # neighbours); the empty set counts genus 1, so that growing it by v
-        # gives v's own genus, cusps and self-intersections
-        stack = [(0, 1, bit, 0)]
+        # each entry: (set, its genus, its crossings, extension candidates,
+        # set plus neighbours); the empty set counts genus 1, so that growing
+        # it by v gives v's own genus, cusps and self-intersections
+        stack = [(0, 1, 0, bit, 0)]
         while stack:
-            mask, genus, ext, closed = stack.pop()
+            mask, genus, cross, ext, closed = stack.pop()
             while ext:
                 w = ext & -ext
                 ext ^= w
@@ -418,11 +389,11 @@ def _subcurves(g: CurveGraph) -> tuple[tuple[int, int, tuple[tuple[int, int], ..
                 h += sum(d for pm, d, _ in incident[k] if pm & grown == pm)
                 if h > 1:
                     continue
+                gcross = cross ^ flips[k]
                 if grown != data.all_mask:
-                    xs = tuple(sides.setdefault(x, x) for x in data.crossings(grown))
-                    out.append((grown, h, xs))
+                    out.append((grown, h, gcross))
                 nbr = data.nbr[k]
-                stack.append((grown, h, ext | nbr & ~closed & above, closed | nbr | w))
+                stack.append((grown, h, gcross, ext | nbr & ~closed & above, closed | nbr | w))
     out.sort()
     return tuple(out)
 
@@ -479,9 +450,7 @@ def _genus_one_with_crossings(g: CurveGraph, count: int) -> list[frozenset[str]]
     out = [
         data.subset_of(mask)
         for mask, genus, cross in _subcurves(g)
-        if genus == 1
-        and len(cross) == count
-        and all(data.kinds[i] == NODE for i, _ in cross)
+        if genus == 1 and cross.bit_count() == count and not cross & data.tacnodes
     ]
     return sorted(out, key=lambda s: sorted(s))
 
@@ -533,10 +502,10 @@ def _chain_ample(
 
     Combinatorial form: on every component of the chain, twice its local
     arithmetic genus, minus two, plus its branch-weighted contact inside the
-    chain, plus end marks, must be positive.  `incident` is
-    `data.incident()`, `blocks` are component masks, `ends` the component
-    indices of the end points, and the intersections in the bitmask `excl`
-    are left out.
+    chain, plus the number of end points on it, must be positive.
+    `incident` is `data.incident()`, `blocks` are component masks, `ends`
+    the component indices of the end points, and the intersections in the
+    bitmask `excl` are left out.
     """
     union = 0
     for b in blocks:
@@ -570,15 +539,17 @@ def _find_chains(g: CurveGraph) -> tuple[ChainRecord, ...]:
         raise CurveGraphError("disconnected")
     data = _graph_data(g)
     incident = data.incident()
-    tacnodes = sum(1 << i for i, kind in enumerate(data.kinds) if kind == TACNODE)
-    ones: dict[int, int] = {}
+    tacnodes = data.tacnodes
+    ones: dict[int, int] = {}  # block -> the intersections leaving it
     leaving: dict[int, list[int]] = {}  # intersection bit -> blocks it leaves
-    for mask, genus, xs in _subcurves(g):
+    for mask, genus, cross in _subcurves(g):
         if genus == 1:
-            ones[mask] = 0
-            for i, _ in xs:
-                ones[mask] |= 1 << i
-                leaving.setdefault(1 << i, []).append(mask)
+            ones[mask] = cross
+            m = cross
+            while m:
+                bit = m & -m
+                m ^= bit
+                leaving.setdefault(bit, []).append(mask)
     explored = 0
 
     def sequences(first: int, excl: int) -> Iterator[tuple[list[int], int]]:
@@ -638,9 +609,9 @@ def _find_chains(g: CurveGraph) -> tuple[ChainRecord, ...]:
                 cross ^= ones[blk]  # the blocks are disjoint: what leaves the union
             if cross.bit_count() != 2:
                 continue
-            i1, i2 = (cross & -cross).bit_length() - 1, cross.bit_length() - 1
-            if data.kinds[i1] == data.kinds[i2] == TACNODE:
+            if cross & tacnodes == cross:
                 continue  # two tacnodal attachments make no chain
+            i1, i2 = (cross & -cross).bit_length() - 1, cross.bit_length() - 1
             (a1, b1), (a2, b2) = data.end_bits[i1], data.end_bits[i2]
             c1 = a1 if union >> a1 & 1 else b1
             c2 = a2 if union >> a2 & 1 else b2
@@ -652,12 +623,11 @@ def _find_chains(g: CurveGraph) -> tuple[ChainRecord, ...]:
             for (ip, cp), (iq, cq) in placements:
                 if not _chain_ample(data, incident, seq, (cp, cq), 0):
                     continue
-                kp, kq = data.kinds[ip], data.kinds[iq]
-                if kp == NODE and kq == NODE:
+                if not cross & tacnodes:
                     emit(False, False, seq, (ip, iq))
-                elif kp == TACNODE and kq == NODE:
+                elif tacnodes >> ip & 1:
                     emit(False, True, seq, (ip, iq))
-                elif kp == NODE and kq == TACNODE:
+                else:
                     # orient the tacnodal attachment onto the first block
                     emit(False, True, seq[::-1], (iq, ip))
 
@@ -665,7 +635,7 @@ def _find_chains(g: CurveGraph) -> tuple[ChainRecord, ...]:
     pa = arithmetic_genus(g)
     for ci, (a, b) in enumerate(data.end_bits):
         excl = 1 << ci
-        weak = data.kinds[ci] == TACNODE
+        weak = excl & tacnodes != 0
         # a chain of length 1 is the whole curve cut at `ci`
         if (
             pa - data.deltas[ci] == 1
@@ -896,11 +866,15 @@ def open_rosaries(g: CurveGraph) -> list[RosaryRecord]:
 
 
 def _genus_contacts(g: CurveGraph) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(points, multiplicity) contact pairs of all proper genus-0 / genus-1 subcurves."""
-    data = _graph_data(g)
+    """(points, multiplicity) contact pairs of all proper genus-0 / genus-1 subcurves.
+
+    A node counts once in the multiplicity and a tacnode twice.
+    """
+    tacnodes = _graph_data(g).tacnodes
     zero, one = [], []
     for _mask, genus, cross in _subcurves(g):
-        pair = (len(cross), sum(data.deltas[i] for i, _ in cross))
+        points = cross.bit_count()
+        pair = (points, points + (cross & tacnodes).bit_count())
         (zero if genus == 0 else one).append(pair)
     return zero, one
 

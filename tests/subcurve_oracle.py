@@ -48,7 +48,7 @@ def subcurve_table(g):
     """`graphs._subcurves` by testing every proper component subset."""
     data = _graph_data(g)
     return tuple(
-        (mask, genus(data, mask), tuple(data.crossings(mask)))
+        (mask, genus(data, mask), sum(1 << i for i, _ in data.crossings(mask)))
         for mask in connected_masks(g)
         if mask != data.all_mask and genus(data, mask) <= 1
     )
@@ -78,7 +78,7 @@ def _genus_one_with_crossings(g, count):
         if mask == data.all_mask:
             continue
         cross = data.crossings(mask)
-        if len(cross) != count or not all(data.kinds[i] == NODE for i, _ in cross):
+        if len(cross) != count or not all(g.intersections[i].kind == NODE for i, _ in cross):
             continue
         if genus(data, mask) == 1:
             out.append(data.subset_of(mask))

@@ -298,7 +298,8 @@ class TestClosedOrbitReps:
 
     def test_marked_two_node_rational_is_not_contracted_away(self):
         # C1 =t= P - C2: the tacnode becomes an elliptic bridge and leaves P
-        # rational with two nodes; a mark on P is refused, not dropped
+        # rational with two nodes, so P is contracted; a mark on P, which
+        # would keep it, cannot be given at all
         g = CurveGraph(
             (Component("C1", 2), Component("P", 0), Component("C2", 2)),
             (
@@ -307,10 +308,8 @@ class TestClosedOrbitReps:
             ),
         )
         assert isomorphic(pseudostable_reduction(g), bridge_chain_graph([1]))
-        marked = CurveGraph(g.components, g.intersections, (("P", "p"),))
-        for f in (pseudostable_reduction, c_closed_orbit_rep):
-            with pytest.raises(CurveGraphError, match="mark references unknown component 'P'"):
-                f(marked)
+        with pytest.raises(CurveGraphError, match="marked points are not supported"):
+            CurveGraph(g.components, g.intersections, (("P", "p"),))
 
     def test_h_rep_contracts_middle_rational(self):
         ex1 = CurveGraph(

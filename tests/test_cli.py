@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gitcurves import engine
 from gitcurves.cli import main
 from gitcurves.graphs import (
     NODE,
@@ -84,12 +85,8 @@ class TestClassify:
                 "slot must be an integer",
             ),
             (
-                {"components": [{"id": "a", "genus": 3}], "marks": [[["a"], "p"]]},
-                "mark component must be a string",
-            ),
-            (
-                {"components": [{"id": "a", "genus": 3}], "marks": [["a", ["p"]]]},
-                "mark label must be a string",
+                {"components": [{"id": "a", "genus": 3}], "marks": [["a", "p"]]},
+                "marked points are not supported",
             ),
             ({"components": [{"id": "a", "genus": 3, "cusp": 1}]}, "unknown key 'cusp'"),
             (
@@ -111,7 +108,7 @@ class TestClassify:
         ],
         ids=[
             "id", "genus-float", "genus-bool", "cusps", "label",
-            "kind", "slot", "mark-component", "mark-label",
+            "kind", "slot", "marks",
             "component-key", "document-key", "intersection-key",
         ],
     )
@@ -196,6 +193,25 @@ class TestFamilyAndIndex:
         )
         assert code == 0
         assert "x0^2" in out
+
+    def test_index_monomials_evaluate_each_slice_once(self, capsys, monkeypatch):
+        # every `evaluate_slice` call enumerates once, whichever binding it is
+        # called through
+        calls = []
+        enumerate_slice = engine._sparse_monomials
+
+        def counted(par, m):
+            calls.append(m)
+            return enumerate_slice(par, m)
+
+        monkeypatch.setattr(engine, "_sparse_monomials", counted)
+        code, out, _ = run(
+            capsys, "index", "--family", "closed-rosary", "--r", "4", "--m", "2,3,4,5",
+            "--monomials",
+        )
+        assert code == 0
+        assert calls == [2, 3, 4, 5]
+        assert "degree 5 standard: " in out
 
     def test_index_above_degree_five(self, capsys):
         code, out, _ = run(
@@ -289,7 +305,7 @@ class TestOtherCommands:
 
     def test_closed_orbit_refuses_to_drop_a_mark(self, capsys, tmp_path):
         # C1 =t= P - C2 with a mark on P: pseudostable reduction would
-        # contract P, and the mark is refused rather than dropped
+        # contract P, and the document is refused rather than the mark dropped
         doc = {
             "components": [
                 {"id": "C1", "genus": 2}, {"id": "P", "genus": 0}, {"id": "C2", "genus": 2},
@@ -305,7 +321,7 @@ class TestOtherCommands:
         code, out, err = run(capsys, "closed-orbit", "--mode", "c", "--in", str(path))
         assert code == 2
         assert out == ""
-        assert err == "error: mark references unknown component 'P'\n"
+        assert err == f"error: {path}: marked points are not supported\n"
 
     def test_replacements(self, capsys, tmp_path):
         path = tmp_path / "two.json"

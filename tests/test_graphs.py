@@ -356,6 +356,16 @@ class TestSerialization:
         assert doc["components"][0] == {"id": "C1", "genus": 2, "cusps": 0}
         assert doc["intersections"][0]["kind"] == "node"
 
+    def test_marks_load_only_when_empty(self):
+        doc = bridge_chain_graph([1]).to_dict()
+        assert doc["marks"] == []
+        assert CurveGraph.from_dict(doc) == bridge_chain_graph([1])
+        del doc["marks"]
+        assert CurveGraph.from_dict(doc) == bridge_chain_graph([1])
+        doc["marks"] = [["E1", "p"]]
+        with pytest.raises(CurveGraphError, match="marked points are not supported"):
+            CurveGraph.from_dict(doc)
+
     def test_validation(self):
         with pytest.raises(CurveGraphError):
             CurveGraph(
