@@ -3,77 +3,119 @@
 Dual-graph stability classification, weighted-monomial-order Hilbert-Mumford
 indices via exact linear algebra, Chow multiplicity certificates, basin and
 closed-orbit combinatorics, and divisor-class arithmetic on the moduli space.
+
+`import gitcurves` loads no submodule.  Each exported name is looked up in
+`_EXPORTS` on first use and imported from its submodule then, so a command
+that needs only `graphs` never compiles the engine or the golden suite.
 """
+
+import importlib
+from fractions import Fraction
 
 __version__ = "0.1.0"
 
-from .graphs import (  # noqa: F401
-    Component,
-    CurveGraph,
-    CurveGraphError,
-    Intersection,
-    StabilityFlags,
-    arithmetic_genus,
-    aut_torus_rank,
-    classify,
-    contact_multiplicity,
-    find_elliptic_bridges,
-    find_elliptic_chains,
-    find_elliptic_tails,
-    find_rosaries,
-    find_weak_elliptic_chains,
-    has_infinite_automorphisms,
-)
-from .families import (  # noqa: F401
-    Configuration,
-    FamilyError,
-    OneParamSubgroup,
-    Parametrization,
-    build_broken_bead_config,
-    build_closed_rosary_config,
-    build_open_rosary_config,
-    canonical_1ps,
-    torus_generators,
-)
-from .engine import (  # noqa: F401
-    EngineError,
-    IdealSlice,
-    IndexReport,
-    chow_index_sign,
-    evaluate_slice,
-    extrapolate_index,
-    hilbert_index,
-    index_suite,
-    point_index,
-)
-from .monomials import MonomialOrder  # noqa: F401
-from .chow import (  # noqa: F401
-    BranchData,
-    ChowError,
-    MultiplicityCertificate,
-    branch_multiplicity_bound,
-    certify_unstable,
-    chow_threshold,
-    degenerate_multiplicity,
-)
-from .basins import (  # noqa: F401
-    BasinError,
-    BasinReport,
-    VersalWeights,
-    basin_membership,
-    c_closed_orbit_rep,
-    enumerate_c_replacements,
-    h_closed_orbit_rep,
-    is_c_closed_orbit,
-    is_h_closed_orbit,
-    versal_weights,
-)
-from .divisors import (  # noqa: F401
-    DivisorClass,
-    DivisorError,
-    epsilon_of_m,
-    lambda_n,
-    moriwaki_decomposition,
-    proportional,
-    viehweg_class,
-)
+_EXPORTS = {
+    "graphs": (
+        "Component",
+        "CurveGraph",
+        "CurveGraphError",
+        "Intersection",
+        "StabilityFlags",
+        "arithmetic_genus",
+        "aut_torus_rank",
+        "classify",
+        "contact_multiplicity",
+        "find_elliptic_bridges",
+        "find_elliptic_chains",
+        "find_elliptic_tails",
+        "find_rosaries",
+        "find_weak_elliptic_chains",
+        "has_infinite_automorphisms",
+    ),
+    "families": (
+        "Configuration",
+        "FamilyError",
+        "OneParamSubgroup",
+        "Parametrization",
+        "build_broken_bead_config",
+        "build_closed_rosary_config",
+        "build_open_rosary_config",
+        "canonical_1ps",
+        "torus_generators",
+    ),
+    "engine": (
+        "EngineError",
+        "IdealSlice",
+        "IndexReport",
+        "chow_index_sign",
+        "evaluate_slice",
+        "extrapolate_index",
+        "hilbert_index",
+        "index_suite",
+        "point_index",
+    ),
+    "monomials": ("MonomialOrder",),
+    "chow": (
+        "BranchData",
+        "ChowError",
+        "MultiplicityCertificate",
+        "branch_multiplicity_bound",
+        "certify_unstable",
+        "chow_threshold",
+        "degenerate_multiplicity",
+    ),
+    "basins": (
+        "BasinError",
+        "BasinReport",
+        "VersalWeights",
+        "basin_membership",
+        "c_closed_orbit_rep",
+        "enumerate_c_replacements",
+        "h_closed_orbit_rep",
+        "is_c_closed_orbit",
+        "is_h_closed_orbit",
+        "versal_weights",
+    ),
+    "divisors": (
+        "DivisorClass",
+        "DivisorError",
+        "epsilon_of_m",
+        "lambda_n",
+        "moriwaki_decomposition",
+        "proportional",
+        "viehweg_class",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["GitcurvesError", "fmt", *_MODULE_OF]
+
+
+class GitcurvesError(ValueError):
+    """Bad input to the library: the CLI prints these as one `error:` line."""
+
+
+def fmt(x) -> str:
+    """Exact rendering: integers bare, fractions as p/q in lowest terms."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, Fraction):
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, (list, tuple)):
+        return "(" + ", ".join(fmt(v) for v in x) + ")"
+    return str(x)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))

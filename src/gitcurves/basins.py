@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from . import GitcurvesError
 from .families import (
     Configuration,
     FamilyError,
@@ -55,7 +56,7 @@ SMOOTHABLE = "smoothable"
 FROZEN = "frozen"
 
 
-class BasinError(ValueError):
+class BasinError(GitcurvesError):
     pass
 
 

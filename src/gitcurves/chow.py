@@ -10,20 +10,26 @@ The four built-in certificates cover non-ordinary cusps, higher tacnodes,
 multiple components, and a genus-one subcurve attached at a single tacnode;
 their vanishing-order tables mirror bicanonical coordinates adapted to each
 singularity.
+
+The command-line parser reads `CASES` from here for every command, so this
+module imports `families` only inside `certify_unstable`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .families import OneParamSubgroup
+from . import GitcurvesError
+
+if TYPE_CHECKING:
+    from .families import OneParamSubgroup
 
 INFINITE_ORDER = None  # vanishing order of a coordinate identically zero on the branch
 
 
-class ChowError(ValueError):
+class ChowError(GitcurvesError):
     pass
 
 
@@ -132,6 +138,8 @@ def certify_unstable(case: str, g: Optional[int] = None) -> MultiplicityCertific
     The first three cases are genus independent (the bicanonical ratio
     2*deg/(N+1) = 8/3 cancels g); the tacnodal genus-one tail needs g >= 4.
     """
+    from .families import OneParamSubgroup  # deferred: the CLI parser loads this module
+
     if case == NON_ORDINARY_CUSP:
         # vanishing sequence (0, 2, 4, >=5, ...) against weights (5, 3, 1, 0...)
         rho = OneParamSubgroup((5, 3, 1, 0))

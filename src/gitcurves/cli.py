@@ -7,6 +7,11 @@ with --json; every rational is printed exactly as p/q in lowest terms.  Bad
 input -- an unreadable, non-UTF-8 or malformed `--in` file, a document of the
 wrong shape, or a slice or listing over the engine's size budgets -- is one
 `error:` line on stderr and exit code 2.
+
+Start-up is most of a command's time, so each subcommand imports the modules
+it uses when it runs.  At load time this module needs only the package root
+and `chow`, whose `CASES` the parser lists: `classify` adds `graphs` and
+never loads the engine or the golden suite.
 """
 
 from __future__ import annotations
@@ -15,50 +20,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import __version__
-from .basins import (
-    BasinError,
-    basin_membership,
-    c_closed_orbit_rep,
-    enumerate_c_replacements,
-    h_closed_orbit_rep,
-    is_c_closed_orbit,
-    is_h_closed_orbit,
-)
-from .chow import CASES, ChowError, certify_unstable
-from .divisors import (
-    DivisorError,
-    canonical_alpha_class,
-    epsilon_of_m,
-    lambda_n,
-    moriwaki_decomposition,
-    viehweg_class,
-)
-from .engine import EngineError, index_suite
-from .families import (
-    Configuration,
-    FamilyError,
-    OneParamSubgroup,
-    build_broken_bead_config,
-    build_closed_rosary_config,
-    build_open_rosary_config,
-    canonical_1ps,
-    configuration_from_dict,
-    torus_generators,
-)
-from .graphs import (
-    CurveGraph,
-    CurveGraphError,
-    arithmetic_genus,
-    classify,
-    find_elliptic_bridges,
-    find_elliptic_tails,
-    find_rosaries,
-)
-from .monomials import monomial_str
-from .paperchecks import fmt, manifest_json, run_paper_check
+from . import GitcurvesError, __version__, fmt
+from .chow import CASES, certify_unstable
+
+if TYPE_CHECKING:
+    from .families import Configuration, OneParamSubgroup
+    from .graphs import CurveGraph
 
 USAGE_ERROR = 2
 
@@ -83,6 +52,8 @@ def _read_json(path: str):
 
 
 def _read_graph(path: str) -> CurveGraph:
+    from .graphs import CurveGraph, CurveGraphError
+
     doc = _read_json(path)
     try:
         return CurveGraph.from_dict(doc)
@@ -91,6 +62,12 @@ def _read_graph(path: str) -> CurveGraph:
 
 
 def _build_family(args) -> Configuration:
+    from .families import (
+        build_broken_bead_config,
+        build_closed_rosary_config,
+        build_open_rosary_config,
+    )
+
     if args.family == "open-rosary":
         if args.g is None or args.r is None:
             raise CliError("open-rosary needs --g and --r")
@@ -107,6 +84,8 @@ def _build_family(args) -> Configuration:
 
 
 def _resolve_config(args) -> Configuration:
+    from .families import FamilyError, configuration_from_dict
+
     if getattr(args, "infile", None):
         doc = _read_json(args.infile)
         try:
@@ -142,6 +121,14 @@ def _table(rows: list[tuple], header: tuple) -> str:
 
 
 def cmd_classify(args) -> int:
+    from .graphs import (
+        arithmetic_genus,
+        classify,
+        find_elliptic_bridges,
+        find_elliptic_tails,
+        find_rosaries,
+    )
+
     g = _read_graph(args.infile)
     flags = classify(g)
     witnesses = {
@@ -180,6 +167,8 @@ def cmd_family(args) -> int:
 
 
 def _parse_weights(text: str, expected_len: int) -> OneParamSubgroup:
+    from .families import OneParamSubgroup
+
     try:
         weights = tuple(int(w) for w in text.split(","))
     except ValueError as exc:
@@ -204,6 +193,10 @@ def _parse_degree(text: str) -> int:
 
 
 def cmd_index(args) -> int:
+    from .engine import index_suite
+    from .families import canonical_1ps
+    from .monomials import monomial_str
+
     cfg = _resolve_config(args)
     if args.weights:
         rho = _parse_weights(args.weights, cfg.num_coordinates)
@@ -271,6 +264,9 @@ def cmd_chow_certify(args) -> int:
 
 
 def cmd_basin(args) -> int:
+    from .basins import basin_membership
+    from .families import OneParamSubgroup, torus_generators
+
     cfg = _resolve_config(args)
     gens = torus_generators(cfg)
     if not gens:
@@ -312,6 +308,14 @@ def cmd_basin(args) -> int:
 
 
 def cmd_closed_orbit(args) -> int:
+    from .basins import (
+        c_closed_orbit_rep,
+        h_closed_orbit_rep,
+        is_c_closed_orbit,
+        is_h_closed_orbit,
+    )
+    from .graphs import arithmetic_genus
+
     g = _read_graph(args.infile)
     if args.mode == "c":
         rep = c_closed_orbit_rep(g)
@@ -332,6 +336,8 @@ def cmd_closed_orbit(args) -> int:
 
 
 def cmd_replacements(args) -> int:
+    from .basins import enumerate_c_replacements
+
     g = _read_graph(args.infile)
     reps = enumerate_c_replacements(g)
     payload = {
@@ -353,6 +359,14 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def cmd_divisor(args) -> int:
+    from .divisors import (
+        canonical_alpha_class,
+        epsilon_of_m,
+        lambda_n,
+        moriwaki_decomposition,
+        viehweg_class,
+    )
+
     if args.what == "lambda-n":
         if args.n is None or args.g is None:
             raise CliError("divisor lambda-n needs --n and --g")
@@ -389,7 +403,16 @@ def cmd_divisor(args) -> int:
     return 0
 
 
+def run_paper_check(only: Optional[str] = None) -> dict:
+    """The golden suite's manifest (`paperchecks.run_paper_check`)."""
+    from . import paperchecks
+
+    return paperchecks.run_paper_check(only)
+
+
 def cmd_paper_check(args) -> int:
+    from .paperchecks import manifest_json
+
     manifest = run_paper_check(only=args.only)
     if args.only and not manifest["items"]:
         print(f"error: no checks match prefix {args.only!r}", file=sys.stderr)
@@ -496,15 +519,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CliError,
-        CurveGraphError,
-        FamilyError,
-        EngineError,
-        BasinError,
-        ChowError,
-        DivisorError,
-    ) as exc:
+    except (CliError, GitcurvesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

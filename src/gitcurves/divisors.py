@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from . import GitcurvesError
+
 Rat = Union[int, Fraction]
 
 
-class DivisorError(ValueError):
+class DivisorError(GitcurvesError):
     pass
 
 

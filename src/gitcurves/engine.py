@@ -22,6 +22,7 @@ from functools import cached_property
 from math import comb
 from typing import Optional, Sequence
 
+from . import GitcurvesError
 from .families import Configuration, OneParamSubgroup, Parametrization
 from .monomials import Monomial, MonomialOrder, SparseMonomial, degree_monomials
 
@@ -38,7 +39,7 @@ SLICE_BUDGET = 50_000
 LISTING_BUDGET = 300_000
 
 
-class EngineError(ValueError):
+class EngineError(GitcurvesError):
     pass
 
 
@@ -253,7 +254,6 @@ class IndexReport:
     standard_count: int
     expected_count: int
     count_matches_hilbert: bool
-    chow_sign: Optional[int] = None
     slice: Optional[IdealSlice] = field(default=None, compare=False, repr=False)
 
 

@@ -22,16 +22,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import GitcurvesError
 from .graphs import (
     NODE,
     TACNODE,
     Component,
     CurveGraph,
     Intersection,
+    arithmetic_genus,
 )
 
 
-class FamilyError(ValueError):
+class FamilyError(GitcurvesError):
     """Raised for invalid family parameters or unsupported operations."""
 
 
@@ -152,8 +154,6 @@ class Configuration:
     def genus(self) -> int:
         if self.split is not None:
             return self.split.genus
-        from .graphs import arithmetic_genus
-
         return arithmetic_genus(self.graph)
 
     @property

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
+from . import GitcurvesError
+
 NODE = "node"
 TACNODE = "tacnode"
 
@@ -30,7 +32,7 @@ DELTA = {NODE: 1, TACNODE: 2}
 SUBCURVE_BUDGET = 200_000
 
 
-class CurveGraphError(ValueError):
+class CurveGraphError(GitcurvesError):
     """Raised for malformed graphs or violated operation preconditions."""
 
 

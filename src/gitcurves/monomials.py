@@ -10,6 +10,7 @@ monomial is a dense exponent vector, or in sparse form its nonzero
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -85,8 +86,6 @@ def degree_monomials(nvars: int, degree: int) -> Iterator[Monomial]:
 
 
 def monomial_count(nvars: int, degree: int) -> int:
-    import math
-
     return math.comb(nvars + degree - 1, degree)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import __version__
+from . import __version__, fmt
 from .basins import (
     basin_membership,
     c_closed_orbit_rep,
@@ -34,11 +34,14 @@ from .divisors import (
     viehweg_class,
 )
 from .engine import (
+    IndexReport,
     chow_index_sign,
     extrapolate_index,
     hilbert_index,
 )
 from .families import (
+    Configuration,
+    OneParamSubgroup,
     build_broken_bead_config,
     build_closed_rosary_config,
     build_open_rosary_config,
@@ -62,19 +65,6 @@ from .graphs import (
 from .monomials import monomial_count
 
 
-def fmt(x) -> str:
-    """Exact rendering: integers bare, fractions as p/q in lowest terms."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, (list, tuple)):
-        return "(" + ", ".join(fmt(v) for v in x) + ")"
-    return str(x)
-
-
 @dataclass(frozen=True)
 class CheckItem:
     id: str
@@ -88,9 +78,9 @@ def _flags_str(g: CurveGraph) -> str:
     return ",".join(f"{k}={fmt(v)}" for k, v in d.items())
 
 
-def _mu_pair(cfg, rho) -> str:
-    r2 = hilbert_index(cfg, rho, 2)
-    r3 = hilbert_index(cfg, rho, 3)
+def _mu_pair(index, cfg, rho) -> str:
+    r2 = index(cfg, rho, 2)
+    r3 = index(cfg, rho, 3)
     return (
         f"mu2={fmt(r2.mu)} ws2={fmt(r2.weight_sum)} avg2={fmt(r2.average)} "
         f"mu3={fmt(r3.mu)} ws3={fmt(r3.weight_sum)} avg3={fmt(r3.average)}"
@@ -104,7 +94,11 @@ def _tacnodal_tail_graph() -> CurveGraph:
     )
 
 
-def build_items() -> list[CheckItem]:
+def build_items(
+    index: Callable[[Configuration, OneParamSubgroup, int], IndexReport],
+) -> list[CheckItem]:
+    """The golden checks.  Each Hilbert-Mumford index they need comes from
+    `index`, called as `engine.hilbert_index` is."""
     items: list[CheckItem] = []
 
     def add(id_, desc, expected, compute):
@@ -217,6 +211,7 @@ def build_items() -> list[CheckItem]:
             f"open rosary (g={g}, r={r}): degree 2 and 3 indices",
             expected,
             (lambda g=g, r=r: _mu_pair(
+                index,
                 build_open_rosary_config(g, r),
                 canonical_1ps(build_open_rosary_config(g, r)),
             )),
@@ -231,7 +226,7 @@ def build_items() -> list[CheckItem]:
                     lambda i2, i3: f"mu2={fmt(i2.mu)} mu3={fmt(i3.mu)} "
                     f"std2={i2.standard_count} std3={i3.standard_count} "
                     f"init2={monomial_count(cfg.num_coordinates, 2) - i2.standard_count}"
-                )(hilbert_index(cfg, rho, 2), hilbert_index(cfg, rho, 3))
+                )(index(cfg, rho, 2), index(cfg, rho, 3))
             )(build_closed_rosary_config(r), canonical_1ps(build_closed_rosary_config(r)))),
         )
     for r in (3, 5):
@@ -244,7 +239,7 @@ def build_items() -> list[CheckItem]:
                     lambda i2, i3: f"mu2={fmt(i2.mu)} ws2={fmt(i2.weight_sum)} "
                     f"avg2={fmt(i2.average)} mu3={fmt(i3.mu)} ws3={fmt(i3.weight_sum)} "
                     f"avg3={fmt(i3.average)} chow={chow_index_sign(i2.mu, i3.mu)}"
-                )(hilbert_index(cfg, rho, 2), hilbert_index(cfg, rho, 3))
+                )(index(cfg, rho, 2), index(cfg, rho, 3))
             )(build_broken_bead_config(r), canonical_1ps(build_broken_bead_config(r)))),
         )
     add(
@@ -259,10 +254,10 @@ def build_items() -> list[CheckItem]:
         "true,true",
         lambda: ",".join(
             fmt(
-                hilbert_index(cfg, canonical_1ps(cfg), 4).mu
+                index(cfg, canonical_1ps(cfg), 4).mu
                 == extrapolate_index(
-                    hilbert_index(cfg, canonical_1ps(cfg), 2).mu,
-                    hilbert_index(cfg, canonical_1ps(cfg), 3).mu,
+                    index(cfg, canonical_1ps(cfg), 2).mu,
+                    index(cfg, canonical_1ps(cfg), 3).mu,
                     4,
                 )
             )
@@ -490,8 +485,20 @@ def build_items() -> list[CheckItem]:
 
 
 def run_paper_check(only: Optional[str] = None) -> dict:
-    """Run the golden suite; returns the manifest dictionary."""
-    items = sorted(build_items(), key=lambda it: it.id)
+    """Run the golden suite; returns the manifest dictionary.
+
+    Several checks read the same slice; each distinct (configuration, weights,
+    degree) is evaluated once per run.
+    """
+    reports: dict[tuple, IndexReport] = {}
+
+    def index(cfg: Configuration, rho: OneParamSubgroup, m: int) -> IndexReport:
+        key = (cfg, rho, m)
+        if key not in reports:
+            reports[key] = hilbert_index(cfg, rho, m)
+        return reports[key]
+
+    items = sorted(build_items(index), key=lambda it: it.id)
     if only:
         items = [it for it in items if it.id.startswith(only)]
     results = []

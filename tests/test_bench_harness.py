@@ -1,15 +1,18 @@
-"""The benchmark's in-process operations run and pass their own checks.
+"""The benchmark's operations run and pass their own checks.
 
 `perfbench/workloads.py` builds its inputs through the graph model (for
 example `relabel` rebuilds every graph it times), so a change to that model
 can break the benchmark without breaking any other test.  Here every
 `index`, `classify` and `closed_orbit` operation runs once, untimed, on the
-modules imported from `src/`.
+modules imported from `src/`.  The traced `cli` workload runs each command
+through `perfbench/cli_child.py`, which replaces `cli.run_paper_check` with a
+timed wrapper; the last tests run that child as the benchmark does.
 """
 
 import contextlib
 import importlib.util
-import pathlib
+import json
+import subprocess
 import sys
 from types import SimpleNamespace
 
@@ -20,8 +23,10 @@ import gitcurves.engine
 import gitcurves.families
 import gitcurves.graphs
 import gitcurves.monomials
+from test_cli_startup import ROOT, src_env
 
-WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+CLI_CHILD = ROOT / "perfbench" / "cli_child.py"
 
 G = SimpleNamespace(
     basins=gitcurves.basins,
@@ -59,3 +64,27 @@ def test_every_operation_passes_its_check(workload):
         if message is not None:
             failures[op.id] = message
     assert failures == {}
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["paper-check", "--json"], {"import_ms", "command_ms", "paperchecks_ms", "items"}),
+        (["classify", "--in", "fixtures/bridge-length-1.json", "--json"], {"import_ms", "command_ms"}),
+    ],
+    ids=["paper-check", "classify"],
+)
+def test_cli_child_reports_its_timings(argv, keys):
+    proc = subprocess.run(
+        [sys.executable, str(CLI_CHILD), *argv],
+        cwd=ROOT,
+        env=src_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    json.loads(proc.stdout)
+    timings = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert set(timings) == keys
+    if "items" in keys:
+        assert timings["items"] == 41
