@@ -7,6 +7,7 @@ closed-orbit combinatorics, and divisor-class arithmetic on the moduli space.
 `import gitcurves` loads no submodule.  Each exported name is looked up in
 `_EXPORTS` on first use and imported from its submodule then, so a command
 that needs only `graphs` never compiles the engine or the golden suite.
+The submodules named there also resolve as attributes, `gitcurves.engine`.
 """
 
 import importlib
@@ -109,6 +110,8 @@ def fmt(x) -> str:
 
 
 def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -94,12 +94,17 @@ def _tacnodal_tail_graph() -> CurveGraph:
     )
 
 
-def build_items(
-    index: Callable[[Configuration, OneParamSubgroup, int], IndexReport],
-) -> list[CheckItem]:
-    """The golden checks.  Each Hilbert-Mumford index they need comes from
-    `index`, called as `engine.hilbert_index` is."""
+def build_items() -> list[CheckItem]:
+    """The golden checks.  Several read the same slice, so each distinct
+    (configuration, weights, degree) is evaluated once per call."""
     items: list[CheckItem] = []
+    reports: dict[tuple, IndexReport] = {}
+
+    def index(cfg: Configuration, rho: OneParamSubgroup, m: int) -> IndexReport:
+        key = (cfg, rho, m)
+        if key not in reports:
+            reports[key] = hilbert_index(cfg, rho, m)
+        return reports[key]
 
     def add(id_, desc, expected, compute):
         items.append(CheckItem(id_, desc, expected, compute))
@@ -485,20 +490,8 @@ def build_items(
 
 
 def run_paper_check(only: Optional[str] = None) -> dict:
-    """Run the golden suite; returns the manifest dictionary.
-
-    Several checks read the same slice; each distinct (configuration, weights,
-    degree) is evaluated once per run.
-    """
-    reports: dict[tuple, IndexReport] = {}
-
-    def index(cfg: Configuration, rho: OneParamSubgroup, m: int) -> IndexReport:
-        key = (cfg, rho, m)
-        if key not in reports:
-            reports[key] = hilbert_index(cfg, rho, m)
-        return reports[key]
-
-    items = sorted(build_items(index), key=lambda it: it.id)
+    """Run the golden suite; returns the manifest dictionary."""
+    items = sorted(build_items(), key=lambda it: it.id)
     if only:
         items = [it for it in items if it.id.startswith(only)]
     results = []

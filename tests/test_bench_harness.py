@@ -23,7 +23,7 @@ import gitcurves.engine
 import gitcurves.families
 import gitcurves.graphs
 import gitcurves.monomials
-from test_cli_startup import ROOT, src_env
+from paths import ROOT, src_env
 
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 CLI_CHILD = ROOT / "perfbench" / "cli_child.py"

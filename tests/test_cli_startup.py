@@ -8,14 +8,11 @@ silently make every command pay for the whole package again.
 """
 
 import json
-import os
-import pathlib
 import subprocess
 import sys
 
 import pytest
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from paths import ROOT, src_env
 
 PROBE = """
 import json, runpy, sys
@@ -35,12 +32,6 @@ ALL_MODULES = BASIN_COMMAND | {
     "gitcurves.monomials",
     "gitcurves.paperchecks",
 }
-
-
-def src_env() -> dict:
-    """This environment with the package's `src/` first on the path."""
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def loaded_modules(argv: list[str]) -> set[str]:

@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from test_cli_startup import ROOT, src_env
+from paths import ROOT, src_env
 
 import gitcurves
 from gitcurves import GitcurvesError, basins, chow, divisors, engine, families, graphs, monomials
@@ -109,6 +109,17 @@ def test_import_loads_no_submodule():
         [sys.executable, "-c", code], cwd=ROOT, env=src_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "['gitcurves']"
+
+
+def test_submodules_resolve_as_attributes():
+    code = (
+        "import sys, gitcurves; "
+        "print(gitcurves.graphs.__name__, gitcurves.engine is sys.modules['gitcurves.engine'])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=src_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["gitcurves.graphs", "True"]
 
 
 def test_unknown_name_raises_attribute_error():
