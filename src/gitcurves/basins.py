@@ -45,7 +45,6 @@ from .graphs import (
     bridge_links,
     classify,
     closed_rosary_graph,
-    crossing_intersections,
     find_elliptic_bridges,
     find_weak_elliptic_chains,
     open_rosaries,
@@ -54,6 +53,9 @@ from .graphs import (
 
 SMOOTHABLE = "smoothable"
 FROZEN = "frozen"
+
+#: most generic replacements `enumerate_c_replacements` may return: N <= 12 bridge links
+REPLACEMENT_BUDGET = 4096
 
 
 class BasinError(GitcurvesError):
@@ -166,6 +168,18 @@ class _Editor:
 
     def live(self) -> list[tuple[int, list]]:
         return [(i, x) for i, x in enumerate(self.intersections) if x is not None]
+
+    def two_crossings(self, sub: frozenset[str], error: str) -> list[tuple[int, int]]:
+        """(index, end inside `sub`) of the live intersections leaving `sub`,
+        in index order; BasinError(`error`) unless there are exactly two."""
+        out = []
+        for i, x in self.live():
+            inside = (x[1][0][0] in sub, x[1][1][0] in sub)
+            if inside[0] != inside[1]:
+                out.append((i, 0 if inside[0] else 1))
+        if len(out) != 2:
+            raise BasinError(error)
+        return out
 
     def remove_components(self, cids: Iterable[str]) -> None:
         cids = set(cids)
@@ -468,12 +482,13 @@ def pseudostable_reduction(g: CurveGraph) -> CurveGraph:
     return _contract_two_node_rationals(ed.build())
 
 
-def _replace_link_with_rosary(g: CurveGraph, link: frozenset[str]) -> CurveGraph:
-    """Swap one elliptic-bridge link for a length-two open rosary."""
-    cross = sorted(crossing_intersections(g, link))
-    if len(cross) != 2:
-        raise BasinError("bridge link must meet the rest in exactly two nodes")
-    ed = _Editor(g)
+def _replace_link_with_rosary(ed: _Editor, link: frozenset[str]) -> None:
+    """Swap one elliptic-bridge link for a length-two open rosary in the editor.
+
+    Bead names restart from R0, skipping ids in use, for each link.
+    """
+    cross = ed.two_crossings(link, "bridge link must meet the rest in exactly two nodes")
+    ed._fresh = 0
     b1, b2 = ed.fresh_id("R"), ed.fresh_id("R")
     ed.add_component(b1)
     ed.add_component(b2)
@@ -481,14 +496,15 @@ def _replace_link_with_rosary(g: CurveGraph, link: frozenset[str]) -> CurveGraph
         ed.intersections[idx][1][inside_end] = [bead, 9]
     ed.remove_components(link)
     ed.add_intersection(TACNODE, (b1, 8), (b2, 8))
-    return ed.build()
 
 
 def c_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
     """The closed-orbit curve equivalent to a strictly c-semistable curve.
 
     Tacnodal input is first reduced to its pseudostable model; every bridge
-    link is then replaced by a length-two open rosary.  Idempotent.
+    link, in order of its sorted ids, is then replaced by a length-two open
+    rosary with beads named by the first free ids R0, R1, ..., all inside one
+    editor, so the representative is built once.  Idempotent.
     """
     flags = classify(g)
     if not flags.c_semistable or flags.c_stable:
@@ -501,9 +517,10 @@ def c_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
     links = bridge_links(base)
     if not links:
         raise BasinError("no elliptic bridges after pseudostable reduction")
-    out = base
+    ed = _Editor(base)
     for link in sorted(links, key=lambda s: sorted(s)):
-        out = _replace_link_with_rosary(out, link)
+        _replace_link_with_rosary(ed, link)
+    out = ed.build()
     if not is_c_closed_orbit(out):
         raise BasinError("replacement did not reach a closed-orbit curve")
     return out
@@ -597,62 +614,49 @@ def h_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
 # ---------------------------------------------------------------------------
 
 
-def _contract_link_to_tacnode(g: CurveGraph, link: frozenset[str]) -> CurveGraph:
-    cross = sorted(crossing_intersections(g, link))
-    if len(cross) != 2:
-        raise BasinError("link must meet the rest in exactly two nodes")
-    (i1, e1), (i2, e2) = cross
-    ed = _Editor(g)
-    outer1 = ed.intersections[i1][1][1 - e1]
-    outer2 = ed.intersections[i2][1][1 - e2]
-    ed.drop_intersection(i1)
-    ed.drop_intersection(i2)
-    ed.remove_components(link)
-    ed.add_intersection(TACNODE, tuple(outer1), tuple(outer2))
-    return ed.build()
-
-
 def enumerate_c_replacements(g: CurveGraph) -> list[CurveGraph]:
     """Generic c-semistable degenerations of a pseudostable curve with bridges.
 
-    One configuration per subset of the bridge links: each chosen link is
-    contracted to a tacnode, with a separating rational curve inserted first
-    at every node between two chosen links.  Returns exactly 2^N graphs.
+    One configuration per subset of the N bridge links: each chosen link is
+    contracted to a tacnode, with a separating rational curve P<i> inserted
+    first at every node between two chosen links.  Each configuration is
+    edited in one scratch copy of `g` and built once.  Returns exactly 2^N
+    graphs, in the order of their subsets: by size, then lexicographically
+    over the links sorted by their sorted ids, so the first entry is `g`
+    itself.  More than `REPLACEMENT_BUDGET` of them raises BasinError before
+    any is built.
     """
     flags = classify(g)
     if not flags.pseudostable:
         raise BasinError("input must be pseudostable")
     links = sorted(bridge_links(g), key=lambda s: sorted(s))
-    out = []
-    for k in range(len(links) + 1):
+    if 2 ** len(links) > REPLACEMENT_BUDGET:
+        raise BasinError(
+            f"{len(links)} bridge links give {2 ** len(links)} replacements; "
+            f"budget {REPLACEMENT_BUDGET}"
+        )
+    out = [g]
+    for k in range(1, len(links) + 1):
         for chosen in itertools.combinations(range(len(links)), k):
-            chosen_sets = [links[i] for i in chosen]
-            if not chosen_sets:
-                out.append(g)
-                continue
+            owner = {cid: n for n in chosen for cid in links[n]}
             ed = _Editor(g)
             # separate adjacent chosen links with a rational curve
             for i, x in list(ed.live()):
-                if x[0] != NODE:
-                    continue
-                a, b = x[1][0][0], x[1][1][0]
-                owners = []
-                for s in chosen_sets:
-                    if a in s:
-                        owners.append(("a", s))
-                    if b in s:
-                        owners.append(("b", s))
-                sides = {side for side, _ in owners}
-                distinct = {frozenset(s) for _, s in owners}
-                if len(sides) == 2 and len(distinct) == 2:
+                a, b = (owner.get(cid) for cid, _slot in x[1])
+                if x[0] == NODE and a is not None and b is not None and a != b:
                     pid = ed.fresh_id("P")
                     ed.add_component(pid)
                     e0, e1 = x[1]
                     ed.drop_intersection(i)
                     ed.add_intersection(NODE, tuple(e0), (pid, 0))
                     ed.add_intersection(NODE, (pid, 1), tuple(e1))
-            cur = ed.build()
-            for s in chosen_sets:
-                cur = _contract_link_to_tacnode(cur, s)
-            out.append(cur)
+            # contract each chosen link to a tacnode joining its outer branches
+            for n in chosen:
+                cross = ed.two_crossings(links[n], "link must meet the rest in exactly two nodes")
+                outer = [tuple(ed.intersections[i][1][1 - e]) for i, e in cross]
+                for i, _e in cross:
+                    ed.drop_intersection(i)
+                ed.remove_components(links[n])
+                ed.add_intersection(TACNODE, *outer)
+            out.append(ed.build())
     return out

@@ -5,7 +5,8 @@ Subcommands mirror the library: `classify`, `family`, `index`, `chow-certify`,
 suite `paper-check`.  Output is a human-readable table by default and JSON
 with --json; every rational is printed exactly as p/q in lowest terms.  Bad
 input -- an unreadable, non-UTF-8 or malformed `--in` file, a document of the
-wrong shape, or a slice or listing over the engine's size budgets -- is one
+wrong shape, a slice or listing over the engine's size budgets, or a curve
+with more generic replacements than `basins.REPLACEMENT_BUDGET` -- is one
 `error:` line on stderr and exit code 2.
 
 Start-up is most of a command's time, so each subcommand imports the modules

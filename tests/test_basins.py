@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import corpus
 from gitcurves.basins import (
     BasinError,
+    _Editor,
     basin_membership,
     c_closed_orbit_rep,
     cusp_versal_weights,
@@ -49,6 +51,7 @@ from gitcurves.graphs import (
     find_weak_elliptic_chains,
     isomorphic,
 )
+from paths import ROOT
 
 
 class TestVersalWeights:
@@ -475,6 +478,99 @@ class TestReplacements:
             assert any(isomorphic(rep, m) for m in members)
             matched += 1
         assert matched == 4
+
+
+def _count_builds(monkeypatch) -> list[int]:
+    calls = [0]
+    build = _Editor.build
+
+    def counted(self):
+        calls[0] += 1
+        return build(self)
+
+    monkeypatch.setattr(_Editor, "build", counted)
+    return calls
+
+
+class TestSurgeryBuilds:
+    """Every link surgery happens in one editor per output graph."""
+
+    def test_one_build_per_replacement(self, monkeypatch):
+        calls = _count_builds(monkeypatch)
+        reps = enumerate_c_replacements(bridge_chain_graph([1] * 5))
+        # 32 replacements; the identity is the input itself (111 builds when
+        # each contracted link was rebuilt on its own)
+        assert len(reps) == 32
+        assert calls[0] == 31
+
+    def test_one_build_per_representative(self, monkeypatch):
+        calls = _count_builds(monkeypatch)
+        star = c_closed_orbit_rep(bridge_chain_graph([1] * 9))
+        assert star.tacnode_count() == 9
+        assert calls[0] == 1  # was one per link
+
+    def test_beads_reuse_names_freed_by_earlier_links(self):
+        # R0 - R1 - R2 - R3 with links R1, R2: the first link's beads are R4,
+        # R5; replacing it frees R1, so the second link's beads are R1, R6
+        # (a counter running on from the first link would give R6, R7)
+        g = CurveGraph(
+            tuple(Component(f"R{i}", 2 if i in (0, 3) else 1) for i in range(4)),
+            tuple(
+                Intersection(NODE, ((f"R{i}", 1), (f"R{i + 1}", 0))) for i in range(3)
+            ),
+        )
+        star = c_closed_orbit_rep(g)
+        assert sorted(c.id for c in star.components) == ["R0", "R1", "R3", "R4", "R5", "R6"]
+        beads = {
+            frozenset(x.components()) for x in star.intersections if x.kind == TACNODE
+        }
+        assert beads == {frozenset({"R4", "R5"}), frozenset({"R1", "R6"})}
+
+
+class TestReplacementBudget:
+    def test_refused_before_any_build(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def fail(self):
+            raise Built
+
+        monkeypatch.setattr(_Editor, "build", fail)
+        # twelve links pass the budget and reach the first build
+        with pytest.raises(Built):
+            enumerate_c_replacements(bridge_chain_graph([1] * 12))
+        with pytest.raises(BasinError) as err:
+            enumerate_c_replacements(bridge_chain_graph([1] * 13))
+        assert str(err.value) == "13 bridge links give 8192 replacements; budget 4096"
+
+
+def _own_output_inputs():
+    fixtures = sorted((ROOT / "fixtures").glob("*.json"))
+    out = [bridge_chain_graph([1] * k) for k in range(6)]
+    out += [CurveGraph.from_json(path.read_text()) for path in fixtures]
+    out += [g for seed in range(3) for g in corpus(seed, 300)]
+    return out
+
+
+def test_replacements_share_the_input_closed_orbit():
+    """Each replacement is c-semistable, keeps the genus, and degenerates onto
+    the closed-orbit curve of the input."""
+    checked = 0
+    for g in _own_output_inputs():
+        try:
+            reps = enumerate_c_replacements(g)
+        except (BasinError, CurveGraphError):
+            continue
+        if not graphs.bridge_links(g):
+            assert reps == [g] and classify(g).c_stable
+            continue
+        star = c_closed_orbit_rep(g)
+        for rep in reps:
+            assert classify(rep).c_semistable
+            assert arithmetic_genus(rep) == arithmetic_genus(g)
+            assert isomorphic(c_closed_orbit_rep(rep), star)
+            checked += 1
+    assert checked == 118
 
 
 class TestProductWeights:

@@ -330,6 +330,15 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["count"] == 4
 
+    def test_replacements_over_budget(self, capsys, tmp_path):
+        # 13 bridge links would give 2^13 = 8192 configurations
+        path = tmp_path / "thirteen.json"
+        path.write_text(bridge_chain_graph([1] * 13).to_json())
+        code, out, err = run(capsys, "replacements", "--in", str(path), "--json")
+        assert code == 2
+        assert out == ""
+        assert err == "error: 13 bridge links give 8192 replacements; budget 4096\n"
+
     def test_divisor(self, capsys):
         code, out, _ = run(capsys, "divisor", "epsilon", "--m", "10")
         assert code == 0
