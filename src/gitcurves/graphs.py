@@ -527,15 +527,16 @@ def _chain_ample(
     return True
 
 
-# A graph's chains are read again within one basins operation; the records
-# are larger than the subcurve table, so fewer graphs are kept.
-@lru_cache(maxsize=32)
-def _find_chains(g: CurveGraph) -> tuple[ChainRecord, ...]:
-    """Every open and closed (weak) elliptic chain.
+def _chain_hits(
+    g: CurveGraph, weak: Optional[bool] = None
+) -> Iterator[tuple[bool, bool, list[int], tuple[int, ...]]]:
+    """(closed, weak, blocks, ends) of the elliptic chains, as the search meets them.
 
-    The blocks are the genus-one entries of `_subcurves`.  Exploring more
-    than `SUBCURVE_BUDGET` sequences of two or more blocks raises
-    CurveGraphError.
+    `weak` None searches both kinds, True or False only that kind.  The
+    blocks are the genus-one entries of `_subcurves`, as component masks.
+    An open weak chain comes with its tacnodal end first; other chains may
+    come once from each end.  Exploring more than `SUBCURVE_BUDGET`
+    sequences of two or more blocks raises CurveGraphError.
     """
     if not g.is_connected():
         raise CurveGraphError("disconnected")
@@ -585,34 +586,22 @@ def _find_chains(g: CurveGraph) -> tuple[ChainRecord, ...]:
                         )
                     stack.append((seq + [b], used | b, before | last))
 
-    records: dict[tuple, ChainRecord] = {}
-    names: dict[int, tuple[str, ...]] = {}  # one id tuple per block, shared by its records
-
-    def emit(closed: bool, weak: bool, seq: list[int], ends: tuple[int, ...]) -> None:
-        # canonicalize direction so each chain is reported once; weak open
-        # chains are already oriented with the tacnodal end on the first block
-        for b in seq:
-            if b not in names:
-                names[b] = tuple(sorted(data.subset_of(b)))
-        fwd = tuple(names[b] for b in seq)
-        rev = fwd[::-1]
-        if closed and rev < fwd:
-            fwd = rev
-        elif not closed and not weak:
-            if rev < fwd or (rev == fwd and ends[::-1] < ends):
-                fwd, ends = rev, ends[::-1]
-        records.setdefault((closed, weak, fwd, ends), ChainRecord(closed, weak, len(seq), fwd, ends))
-
-    # open chains: a chain meets the rest of the curve, so its blocks are proper
-    for first in ones:
+    # Open chains: a chain meets the rest of the curve, so its blocks are
+    # proper.  Two tacnodal attachments make no chain, so one attachment is
+    # a node, and it leaves an end block: the search starts only at blocks
+    # that a node leaves.
+    for first, leaves in ones.items():
+        if not leaves & ~tacnodes:
+            continue
         for seq, union in sequences(first, 0):
             cross = 0
             for blk in seq:
                 cross ^= ones[blk]  # the blocks are disjoint: what leaves the union
             if cross.bit_count() != 2:
                 continue
-            if cross & tacnodes == cross:
-                continue  # two tacnodal attachments make no chain
+            tacnodal = cross & tacnodes
+            if tacnodal == cross or (weak is not None and weak != bool(tacnodal)):
+                continue
             i1, i2 = (cross & -cross).bit_length() - 1, cross.bit_length() - 1
             (a1, b1), (a2, b2) = data.end_bits[i1], data.end_bits[i2]
             c1 = a1 if union >> a1 & 1 else b1
@@ -625,26 +614,31 @@ def _find_chains(g: CurveGraph) -> tuple[ChainRecord, ...]:
             for (ip, cp), (iq, cq) in placements:
                 if not _chain_ample(data, incident, seq, (cp, cq), 0):
                     continue
-                if not cross & tacnodes:
-                    emit(False, False, seq, (ip, iq))
+                if not tacnodal:
+                    yield False, False, seq, (ip, iq)
                 elif tacnodes >> ip & 1:
-                    emit(False, True, seq, (ip, iq))
+                    yield False, True, seq, (ip, iq)
                 else:
                     # orient the tacnodal attachment onto the first block
-                    emit(False, True, seq[::-1], (iq, ip))
+                    yield False, True, seq[::-1], (iq, ip)
 
-    # closed chains: the whole curve, cut at a closing node or tacnode
+    # Closed chains: the whole curve, cut at a closing node (a chain) or
+    # tacnode (a weak chain).  L genus-one blocks joined in a row by L - 1
+    # tacnodes have arithmetic genus 2L - 1, so a closing `ci` can close a
+    # chain only if pa - delta(ci) is odd.
     pa = arithmetic_genus(g)
     for ci, (a, b) in enumerate(data.end_bits):
         excl = 1 << ci
-        weak = excl & tacnodes != 0
+        closing_weak = excl & tacnodes != 0
+        if (pa - data.deltas[ci]) % 2 == 0 or (weak is not None and weak != closing_weak):
+            continue
         # a chain of length 1 is the whole curve cut at `ci`
         if (
             pa - data.deltas[ci] == 1
             and data.connected(data.all_mask, drop=ci)
             and _chain_ample(data, incident, [data.all_mask], (a, b), excl)
         ):
-            emit(True, weak, [data.all_mask], (ci,))
+            yield True, closing_weak, [data.all_mask], (ci,)
         # A longer chain starts with a block holding one end of `ci`, so
         # `ci` leaves it; every later block is disjoint from it and so holds
         # at most one end too, and its genus does not see `ci`.
@@ -657,10 +651,43 @@ def _find_chains(g: CurveGraph) -> tuple[ChainRecord, ...]:
                     and seq[-1] >> (a if seq[0] >> b & 1 else b) & 1
                     and _chain_ample(data, incident, seq, (a, b), excl)
                 ):
-                    emit(True, weak, seq, (ci,))
+                    yield True, closing_weak, seq, (ci,)
+
+
+# A graph's chains are read again within one basins operation; the records
+# are larger than the subcurve table, so fewer graphs are kept.
+@lru_cache(maxsize=32)
+def _find_chains(g: CurveGraph) -> tuple[ChainRecord, ...]:
+    """Every open and closed (weak) elliptic chain, each once."""
+    data = _graph_data(g)
+    records: dict[tuple, ChainRecord] = {}
+    names: dict[int, tuple[str, ...]] = {}  # one id tuple per block, shared by its records
+    for closed, weak, seq, ends in _chain_hits(g):
+        # canonicalize direction so each chain is reported once; weak open
+        # chains are already oriented with the tacnodal end on the first block
+        for b in seq:
+            if b not in names:
+                names[b] = tuple(sorted(data.subset_of(b)))
+        fwd = tuple(names[b] for b in seq)
+        rev = fwd[::-1]
+        if closed and rev < fwd:
+            fwd = rev
+        elif not closed and not weak:
+            if rev < fwd or (rev == fwd and ends[::-1] < ends):
+                fwd, ends = rev, ends[::-1]
+        key = (closed, weak, fwd, ends)
+        if key not in records:
+            records[key] = ChainRecord(closed, weak, len(seq), fwd, ends)
     return tuple(
         sorted(records.values(), key=lambda r: (r.closed, r.weak, r.length, r.blocks, r.ends))
     )
+
+
+@lru_cache(maxsize=256)
+def _has_chain(g: CurveGraph, weak: bool) -> bool:
+    """Whether the curve has an elliptic chain of the given kind; the search
+    stops at the first one."""
+    return any(_chain_hits(g, weak))
 
 
 def find_elliptic_chains(g: CurveGraph) -> list[ChainRecord]:
@@ -904,14 +931,12 @@ def classify(g: CurveGraph) -> StabilityFlags:
     bridges = find_elliptic_bridges(g)
     c_stable = c_semistable and not has_tacnode and not bridges
 
-    if genus >= 3:
-        chains = _find_chains(g)
-        has_chain = any(not r.weak for r in chains)
-        has_weak = any(r.weak for r in chains)
-    else:
-        has_chain = has_weak = False
-    h_semistable = c_semistable and genus1_three_mult and not has_chain
-    h_stable = h_semistable and not has_weak
+    # h-semistable adds "no elliptic chain", h-stable "no weak one either";
+    # curves of genus 2 have no chains
+    h_semistable = h_stable = c_semistable and genus1_three_mult
+    if h_semistable and genus >= 3:
+        h_semistable = not _has_chain(g, False)
+        h_stable = h_semistable and not _has_chain(g, True)
 
     return StabilityFlags(
         dm_stable=dm_stable,

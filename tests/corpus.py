@@ -1,4 +1,5 @@
-"""Deterministic random curve-graph corpus for the property suites."""
+"""Curve graphs shared by the suites: a deterministic random corpus and
+the open rosary attached to two curves."""
 
 import random
 
@@ -9,6 +10,7 @@ from gitcurves.graphs import (
     CurveGraph,
     Intersection,
     arithmetic_genus,
+    open_rosary_graph,
 )
 
 
@@ -46,3 +48,14 @@ def random_curve_graph(rng: random.Random, max_components: int = 12) -> CurveGra
 def corpus(seed: int, size: int, max_components: int = 12) -> list[CurveGraph]:
     rng = random.Random(seed)
     return [random_curve_graph(rng, max_components) for _ in range(size)]
+
+
+def attached_open_rosary(length: int, g_left: int = 2, g_right: int = 2) -> CurveGraph:
+    """D1 - (rosary of `length` beads) - D2, nodal attachments."""
+    rosary = open_rosary_graph(length)
+    comps = rosary.components + (Component("D1", g_left), Component("D2", g_right))
+    xs = rosary.intersections + (
+        Intersection(NODE, (("D1", 0), ("L1", 0))),
+        Intersection(NODE, ((f"L{length}", 1), ("D2", 0))),
+    )
+    return CurveGraph(comps, xs)

@@ -10,6 +10,7 @@ against these functions.
 """
 
 import itertools
+from functools import lru_cache
 
 from gitcurves.graphs import (
     NODE,
@@ -22,10 +23,11 @@ from gitcurves.graphs import (
 )
 
 
+@lru_cache(maxsize=1)
 def connected_masks(g):
-    """All nonempty connected subset masks, ascending."""
+    """All nonempty connected subset masks, ascending, listed once per graph."""
     data = _graph_data(g)
-    return [mask for mask in range(1, data.all_mask + 1) if data.connected(mask)]
+    return tuple(mask for mask in range(1, data.all_mask + 1) if data.connected(mask))
 
 
 def pair_mask(data, i):

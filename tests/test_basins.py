@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import corpus
+from corpus import attached_open_rosary, corpus
 from gitcurves.basins import (
     BasinError,
     _Editor,
@@ -277,13 +277,14 @@ class TestClosedOrbitReps:
         assert is_c_closed_orbit(star)
         assert c_closed_orbit_rep(star) == star
 
-    def test_one_chain_search_per_graph(self):
-        graphs._find_chains.cache_clear()
-        c_closed_orbit_rep(bridge_chain_graph([1] * 9))
-        # one search on the input and one on its representative; the
-        # repeated classifications read the cache
-        info = graphs._find_chains.cache_info()
-        assert (info.misses, info.hits) == (2, 1)
+    def test_c_rep_lists_no_chains(self):
+        # classify asks only whether a chain exists, so the c-side never
+        # builds the chain records
+        for g in (bridge_chain_graph([1] * 9), attached_open_rosary(100)):
+            graphs._find_chains.cache_clear()
+            c_closed_orbit_rep(g)
+            info = graphs._find_chains.cache_info()
+            assert (info.misses, info.hits) == (0, 0)
 
     def test_c_stable_input_rejected(self):
         with pytest.raises(BasinError):

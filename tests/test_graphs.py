@@ -2,6 +2,8 @@
 
 import pytest
 
+from corpus import attached_open_rosary
+from gitcurves import graphs
 from gitcurves.graphs import (
     NODE,
     TACNODE,
@@ -28,17 +30,6 @@ from gitcurves.graphs import (
 
 def smooth_curve(genus):
     return CurveGraph((Component("C", genus),))
-
-
-def attached_open_rosary(length, g_left=2, g_right=2):
-    """D1 - (rosary of `length` beads) - D2, nodal attachments."""
-    rosary = open_rosary_graph(length)
-    comps = rosary.components + (Component("D1", g_left), Component("D2", g_right))
-    xs = rosary.intersections + (
-        Intersection(NODE, (("D1", 0), ("L1", 0))),
-        Intersection(NODE, ((f"L{length}", 1), ("D2", 0))),
-    )
-    return CurveGraph(comps, xs)
 
 
 def elliptic_chain_graph(length, g_left=2, g_right=2):
@@ -239,6 +230,30 @@ class TestClassify:
         assert (flags.dm_stable, flags.pseudostable) == (False, False)
         assert (flags.c_semistable, flags.c_stable, flags.h_semistable) == (True, False, True)
         assert flags.h_stable == (length % 2 == 1)
+
+    @pytest.mark.parametrize("length", [449, 1001])
+    def test_long_odd_closed_rosary_is_h_stable(self, length):
+        # even genus: no closing can close a chain, and no node starts an
+        # open one, so the chain search explores nothing
+        flags = classify(closed_rosary_graph(length))
+        assert (flags.c_semistable, flags.h_semistable, flags.h_stable) == (True, True, True)
+
+    def test_chain_listing_budget(self, monkeypatch):
+        # a 40-bead closed rosary: the table visits 120 sets; listing its
+        # closed weak chains explores 1,520 sequences, and classify, which
+        # stops at the first chain, 19
+        g = closed_rosary_graph(40)
+        graphs._subcurves.cache_clear()
+        graphs._find_chains.cache_clear()
+        graphs._has_chain.cache_clear()
+        monkeypatch.setattr(graphs, "SUBCURVE_BUDGET", 1_000)
+        flags = classify(g)
+        assert (flags.h_semistable, flags.h_stable) == (True, False)
+        with pytest.raises(
+            CurveGraphError,
+            match="chain search on 40 components explores more than 1000 block sequences",
+        ):
+            find_weak_elliptic_chains(g)
 
     def test_smooth_curve_all_flags(self):
         flags = classify(smooth_curve(5))

@@ -6,12 +6,14 @@ which rescans every component subset per predicate and per closing
 intersection.
 """
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import subcurve_oracle as oracle
-from corpus import corpus
+from corpus import attached_open_rosary, corpus
 from gitcurves.graphs import (
     NODE,
     TACNODE,
@@ -21,6 +23,7 @@ from gitcurves.graphs import (
     Intersection,
     _find_chains,
     _genus_contacts,
+    _has_chain,
     _subcurves,
     arithmetic_genus,
     bridge_chain_graph,
@@ -51,6 +54,19 @@ def assert_matches_oracle(g):
     assert sorted(one) == sorted(want_one)
     assert _find_chains(g) == oracle.find_chains(g)
     assert classify(g).as_dict() == oracle.classify_flags(g)
+    assert_chain_queries(g)
+
+
+def assert_chain_queries(g):
+    """The existence queries agree with the chain records, and a closed
+    chain of L blocks closed by `ci` has arithmetic genus 2L - 1 + delta(ci)."""
+    chains = _find_chains(g)
+    for weak in (False, True):
+        assert _has_chain(g, weak) == any(r.weak == weak for r in chains)
+    pa = arithmetic_genus(g)
+    for r in chains:
+        if r.closed:
+            assert pa == 2 * r.length - 1 + g.intersections[r.ends[0]].delta
 
 
 SELF_TACNODE = CurveGraph(
@@ -105,6 +121,38 @@ class TestNamedGraphs:
     def test_self_node_on_genus_two_gives_no_chain(self):
         assert arithmetic_genus(SELF_NODE) == 3
         assert _find_chains(SELF_NODE) == () == oracle.find_chains(SELF_NODE)
+
+
+def _least_of_its_class(length, broken):
+    """Whether `broken` is the least of its images under the rotations and
+    reflections of a cycle of `length` beads; those give isomorphic rosaries."""
+    return broken == min(
+        tuple(sorted((sign * b + shift) % length for b in broken))
+        for shift in range(length)
+        for sign in (1, -1)
+    )
+
+
+class TestChainSearchPrunes:
+    """The open search starts only at blocks that a node leaves, and a
+    closing `ci` is searched only when pa - delta(ci) is odd."""
+
+    @pytest.mark.parametrize("length", range(2, 10))
+    def test_closed_rosaries(self, length):
+        # every broken-bead subset against the records; one subset of each
+        # rotation and reflection class, up to 11 components, against the
+        # brute-force sweeps
+        for count in range(length + 1):
+            for broken in itertools.combinations(range(length), count):
+                g = closed_rosary_graph(length, broken)
+                assert_chain_queries(g)
+                if length + count <= 11 and _least_of_its_class(length, broken):
+                    assert _find_chains(g) == oracle.find_chains(g)
+                    assert classify(g).as_dict() == oracle.classify_flags(g)
+
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_attached_open_rosaries(self, length):
+        assert_matches_oracle(attached_open_rosary(length))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
