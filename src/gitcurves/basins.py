@@ -192,18 +192,30 @@ class _Editor:
             del self.components[cid]
 
     def build(self) -> CurveGraph:
-        # renumber slots per component for uniqueness
-        counter: dict[str, int] = {}
-        xs = []
-        for _i, x in self.live():
-            ends = []
-            for cid, _slot in x[1]:
-                counter[cid] = counter.get(cid, 0)
-                ends.append((cid, counter[cid]))
-                counter[cid] += 1
-            xs.append(Intersection(x[0], (ends[0], ends[1])))
+        rows = [(x[0], x[1][0][0], x[1][1][0]) for _i, x in self.live()]
         comps = tuple(sorted(self.components.values(), key=lambda c: c.id))
-        return CurveGraph(comps, tuple(xs))
+        return CurveGraph(comps, _numbered(rows, {}))
+
+
+def _numbered(
+    rows: Iterable[tuple[str, str, str]], shared: dict[tuple, Intersection]
+) -> tuple[Intersection, ...]:
+    """Intersections of (kind, component, component) rows, with each
+    component's slots numbered in row order; equal intersections are taken
+    from `shared`, or added to it."""
+    count: dict[str, int] = {}
+    xs = []
+    for kind, c0, c1 in rows:
+        s0 = count.get(c0, 0)
+        count[c0] = s0 + 1
+        s1 = count.get(c1, 0)
+        count[c1] = s1 + 1
+        key = (kind, c0, s0, c1, s1)
+        x = shared.get(key)
+        if x is None:
+            x = shared[key] = Intersection(kind, ((c0, s0), (c1, s1)))
+        xs.append(x)
+    return tuple(xs)
 
 
 def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
@@ -619,12 +631,13 @@ def enumerate_c_replacements(g: CurveGraph) -> list[CurveGraph]:
 
     One configuration per subset of the N bridge links: each chosen link is
     contracted to a tacnode, with a separating rational curve P<i> inserted
-    first at every node between two chosen links.  Each configuration is
-    edited in one scratch copy of `g` and built once.  Returns exactly 2^N
-    graphs, in the order of their subsets: by size, then lexicographically
-    over the links sorted by their sorted ids, so the first entry is `g`
-    itself.  More than `REPLACEMENT_BUDGET` of them raises BasinError before
-    any is built.
+    first at every node between two chosen links.  The input is analysed
+    once (the link owning each component, and each intersection's ends and
+    their owners); each configuration is then built in one pass over the
+    input's intersections.  Returns exactly 2^N graphs, in the order of
+    their subsets: by size, then lexicographically over the links sorted by
+    their sorted ids, so the first entry is `g` itself.  More than
+    `REPLACEMENT_BUDGET` of them raises BasinError before any is built.
     """
     flags = classify(g)
     if not flags.pseudostable:
@@ -635,28 +648,53 @@ def enumerate_c_replacements(g: CurveGraph) -> list[CurveGraph]:
             f"{len(links)} bridge links give {2 ** len(links)} replacements; "
             f"budget {REPLACEMENT_BUDGET}"
         )
+    owner = {cid: n for n, link in enumerate(links) for cid in link}
+    # (kind, end components, their owner links); a bridge link's crossings are nodes
+    info = []
+    crossings = [0] * len(links)
+    between = 0
+    for x in g.intersections:
+        c0, c1 = x.components()
+        a, b = owner.get(c0), owner.get(c1)
+        info.append((x.kind, c0, c1, a, b))
+        if a != b:
+            for n in (a, b):
+                if n is not None:
+                    crossings[n] += 1
+            between += a is not None and b is not None
+    if any(count != 2 for count in crossings):
+        raise BasinError("link must meet the rest in exactly two nodes")
+    # the s-th separator of a configuration takes the s-th free name P<i>
+    taken = set(g.ids())
+    fresh = (f"P{i}" for i in itertools.count() if f"P{i}" not in taken)
+    separators = [Component(pid, 0) for pid in itertools.islice(fresh, between)]
+    shared: dict[tuple, Intersection] = {}
     out = [g]
     for k in range(1, len(links) + 1):
         for chosen in itertools.combinations(range(len(links)), k):
-            owner = {cid: n for n in chosen for cid in links[n]}
-            ed = _Editor(g)
-            # separate adjacent chosen links with a rational curve
-            for i, x in list(ed.live()):
-                a, b = (owner.get(cid) for cid, _slot in x[1])
-                if x[0] == NODE and a is not None and b is not None and a != b:
-                    pid = ed.fresh_id("P")
-                    ed.add_component(pid)
-                    e0, e1 = x[1]
-                    ed.drop_intersection(i)
-                    ed.add_intersection(NODE, tuple(e0), (pid, 0))
-                    ed.add_intersection(NODE, (pid, 1), tuple(e1))
-            # contract each chosen link to a tacnode joining its outer branches
+            picked = set(chosen)
+            comps = [c for c in g.components if owner.get(c.id) not in picked]
+            # outer ends of each chosen link: original crossings, then separators
+            outer: dict[int, list[str]] = {n: [] for n in chosen}
+            after: dict[int, list[str]] = {n: [] for n in chosen}
+            kept = []
+            used = 0
+            for kind, c0, c1, a, b in info:
+                ina, inb = a in picked, b in picked
+                if not (ina or inb):
+                    kept.append((kind, c0, c1))
+                elif not inb:
+                    outer[a].append(c1)
+                elif not ina:
+                    outer[b].append(c0)
+                elif a != b:
+                    sep = separators[used]
+                    used += 1
+                    comps.append(sep)
+                    after[a].append(sep.id)
+                    after[b].append(sep.id)
             for n in chosen:
-                cross = ed.two_crossings(links[n], "link must meet the rest in exactly two nodes")
-                outer = [tuple(ed.intersections[i][1][1 - e]) for i, e in cross]
-                for i, _e in cross:
-                    ed.drop_intersection(i)
-                ed.remove_components(links[n])
-                ed.add_intersection(TACNODE, *outer)
-            out.append(ed.build())
+                kept.append((TACNODE, *outer[n], *after[n]))
+            comps.sort(key=lambda c: c.id)
+            out.append(CurveGraph(tuple(comps), _numbered(kept, shared)))
     return out

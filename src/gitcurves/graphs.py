@@ -156,6 +156,19 @@ class CurveGraph:
                     raise CurveGraphError(f"branch slot {end!r} used twice")
                 used_ends.add(end)
 
+    def __hash__(self) -> int:
+        # computed once: every cached graph query hashes its graph argument
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.components, self.intersections))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # a stored hash of str ids holds only in the process that computed it
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     # -- basic accessors -------------------------------------------------
 
     def ids(self) -> tuple[str, ...]:
@@ -168,8 +181,7 @@ class CurveGraph:
         raise CurveGraphError(f"no component {cid!r}")
 
     def is_connected(self) -> bool:
-        data = _graph_data(self)
-        return data.connected(data.all_mask)
+        return _graph_data(self).whole_connected
 
     def incident_ends(self, cid: str) -> list[tuple[int, int]]:
         """(intersection index, end index) pairs of branches on `cid`."""
@@ -262,6 +274,7 @@ class _GraphData:
         "deltas",
         "tacnodes",
         "all_mask",
+        "whole_connected",
     )
 
     def __init__(self, g: CurveGraph):
@@ -283,6 +296,7 @@ class _GraphData:
                 self.nbr[a] |= 1 << b
                 self.nbr[b] |= 1 << a
         self.all_mask = (1 << self.n) - 1
+        self.whole_connected = self.connected(self.all_mask)
 
     def mask_of(self, sub: Iterable[str]) -> int:
         mask = 0
@@ -727,20 +741,18 @@ class RosaryRecord:
 
 def _bead_candidates(g: CurveGraph) -> dict[str, list[tuple[int, int]]]:
     """Components usable as rosary beads: smooth rational, exactly two branches."""
-    beads = {}
-    for c in g.components:
-        if c.genus != 0 or c.cusps != 0:
-            continue
-        inc = g.incident_ends(c.id)
-        if len(inc) != 2:
-            continue
-        if any(
-            g.intersections[i].ends[0][0] == g.intersections[i].ends[1][0]
-            for i, _ in inc
-        ):
-            continue  # self-intersection disqualifies a bead
-        beads[c.id] = inc
-    return beads
+    inc: dict[str, list[tuple[int, int]]] = {
+        c.id: [] for c in g.components if c.genus == 0 and c.cusps == 0
+    }
+    selfs = set()
+    for i, x in enumerate(g.intersections):
+        a, b = x.components()
+        if a == b:
+            selfs.add(a)  # self-intersection disqualifies a bead
+        for j, cid in enumerate((a, b)):
+            if cid in inc:
+                inc[cid].append((i, j))
+    return {cid: ends for cid, ends in inc.items() if len(ends) == 2 and cid not in selfs}
 
 
 def _bead_cycle(g: CurveGraph) -> Optional[tuple[list[str], list[int]]]:
@@ -754,6 +766,7 @@ def _bead_cycle(g: CurveGraph) -> Optional[tuple[list[str], list[int]]]:
         return None
     start = min(beads)
     order = [start]
+    visited = {start}
     junctions: list[int] = []
     prev_x = None
     while True:
@@ -773,8 +786,9 @@ def _bead_cycle(g: CurveGraph) -> Optional[tuple[list[str], list[int]]]:
         prev_x = i
         if nb == start:
             break
-        if nb in order:
+        if nb in visited:
             return None
+        visited.add(nb)
         order.append(nb)
     if len(order) != len(g.components):
         return None

@@ -1,7 +1,7 @@
 """Per-link graph rebuilds of the bridge surgeries, kept as a test oracle.
 
 Both functions build an intermediate `CurveGraph` after every link, exactly
-as `basins` did before each output graph was edited in one scratch copy:
+as `basins` did before it built each output graph only once:
 `enumerate_c_replacements` builds the graph with its separators and then
 rebuilds it after each contracted link, and `c_closed_orbit_rep` rebuilds
 after each link it replaces by a length-two rosary, so the fresh bead names

@@ -55,6 +55,7 @@ from gitcurves.graphs import (
     open_rosary_graph,
 )
 from gitcurves.monomials import MonomialOrder
+from paths import ROOT, src_env
 from test_engine import broken_bead_initial_degree2
 
 
@@ -301,8 +302,8 @@ def test_criterion_9_divisor_identities():
 def test_criterion_10_manifest_determinism():
     with report(10, "paper-check determinism"):
         cmd = [sys.executable, "-m", "gitcurves.cli", "paper-check", "--json"]
-        run1 = subprocess.run(cmd, capture_output=True)
-        run2 = subprocess.run(cmd, capture_output=True)
+        run1 = subprocess.run(cmd, capture_output=True, cwd=ROOT, env=src_env())
+        run2 = subprocess.run(cmd, capture_output=True, cwd=ROOT, env=src_env())
         assert run1.returncode == 0 and run2.returncode == 0
         assert run1.stdout == run2.stdout
         assert run1.stdout  # nonempty manifest

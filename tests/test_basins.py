@@ -7,7 +7,6 @@ import pytest
 from corpus import attached_open_rosary, corpus
 from gitcurves.basins import (
     BasinError,
-    _Editor,
     basin_membership,
     c_closed_orbit_rep,
     cusp_versal_weights,
@@ -35,7 +34,7 @@ from gitcurves.families import (
     build_open_rosary_config,
     canonical_1ps,
 )
-from gitcurves import graphs
+from gitcurves import basins, graphs
 from gitcurves.graphs import (
     NODE,
     TACNODE,
@@ -482,19 +481,19 @@ class TestReplacements:
 
 
 def _count_builds(monkeypatch) -> list[int]:
+    """Count the graphs that `basins` constructs itself."""
     calls = [0]
-    build = _Editor.build
 
-    def counted(self):
+    def counted(*args):
         calls[0] += 1
-        return build(self)
+        return CurveGraph(*args)
 
-    monkeypatch.setattr(_Editor, "build", counted)
+    monkeypatch.setattr(basins, "CurveGraph", counted)
     return calls
 
 
 class TestSurgeryBuilds:
-    """Every link surgery happens in one editor per output graph."""
+    """Every output graph is constructed once, after all its link surgeries."""
 
     def test_one_build_per_replacement(self, monkeypatch):
         calls = _count_builds(monkeypatch)
@@ -533,10 +532,10 @@ class TestReplacementBudget:
         class Built(Exception):
             pass
 
-        def fail(self):
+        def fail(*args):
             raise Built
 
-        monkeypatch.setattr(_Editor, "build", fail)
+        monkeypatch.setattr(basins, "CurveGraph", fail)
         # twelve links pass the budget and reach the first build
         with pytest.raises(Built):
             enumerate_c_replacements(bridge_chain_graph([1] * 12))

@@ -1,4 +1,4 @@
-"""Bridge surgery in one editor per output graph against per-link rebuilds.
+"""Bridge surgery built once per output graph against per-link rebuilds.
 
 `enumerate_c_replacements` and `c_closed_orbit_rep` must give exactly the
 graphs (as `to_json()`), or exactly the error text, of `basins_oracle`,
@@ -38,9 +38,21 @@ def weak_chain(k):
     return CurveGraph(tuple(comps), tuple(xs))
 
 
+def ring(k):
+    """k genus-1 components in a cycle of nodes: every node joins two bridge links."""
+    names = [f"E{i}" for i in range(1, k + 1)]
+    return CurveGraph(
+        tuple(Component(n, 1) for n in names),
+        tuple(
+            Intersection(NODE, ((names[i], 1), (names[(i + 1) % k], 0))) for i in range(k)
+        ),
+    )
+
+
 def family_graphs():
     out = [bridge_chain_graph([1] * k) for k in range(1, 10)]
     out += [weak_chain(k) for k in range(1, 7)]
+    out += [ring(k) for k in range(2, 8)]
     out.append(bridge_chain_graph([1, 2, 1, 1, 3]))
     out.append(bridge_chain_graph([1] * 3, (2, 1)))
     out += [CurveGraph.from_json(path.read_text()) for path in FIXTURES]

@@ -1,5 +1,7 @@
 """Dual-graph model: genus arithmetic, subcurve searches, classification."""
 
+import pickle
+
 import pytest
 
 from corpus import attached_open_rosary
@@ -395,6 +397,41 @@ class TestSerialization:
                     Intersection(NODE, (("A", 0), ("B", 1))),
                 ),
             )
+
+
+class TestGraphHash:
+    def test_equal_graphs_hash_equal_and_share_graph_data(self):
+        a = attached_open_rosary(3)
+        b = CurveGraph.from_json(a.to_json())
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash((a.components, a.intersections))
+        assert graphs._graph_data(a) is graphs._graph_data(b)
+        assert repr(a) == repr(b)
+
+    def test_pickle_drops_the_stored_hash(self):
+        g = bridge_chain_graph([1, 1])
+        hash(g)
+        again = pickle.loads(pickle.dumps(g))
+        assert "_hash" not in vars(again)
+        assert again == g and hash(again) == hash(g)
+
+    def test_whole_graph_connectivity_found_once(self, monkeypatch):
+        graphs._graph_data.cache_clear()
+        calls = []
+        connected = graphs._GraphData.connected
+
+        def counted(self, mask, drop=None):
+            calls.append((mask == self.all_mask, drop))
+            return connected(self, mask, drop)
+
+        monkeypatch.setattr(graphs._GraphData, "connected", counted)
+        g = closed_rosary_graph(6, broken=(1,))
+        classify(g)
+        assert g.is_connected() and arithmetic_genus(g) == 7
+        assert calls.count((True, None)) == 1
+        apart = CurveGraph((Component("A", 2), Component("B", 2)))
+        assert not apart.is_connected() and not apart.is_connected()
+        assert calls.count((True, None)) == 2
 
 
 class TestIsomorphism:
