@@ -275,6 +275,7 @@ class _GraphData:
         "tacnodes",
         "all_mask",
         "whole_connected",
+        "incident",
     )
 
     def __init__(self, g: CurveGraph):
@@ -286,13 +287,18 @@ class _GraphData:
         self.end_bits = []
         self.deltas = []
         self.tacnodes = 0  # bit i: intersection i is a tacnode
+        # (pair mask, delta, intersection index) of each intersection on each component
+        self.incident: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
         for i, x in enumerate(g.intersections):
             a, b = (self.index[c] for c in x.components())
             self.end_bits.append((a, b))
             self.deltas.append(x.delta)
             if x.kind == TACNODE:
                 self.tacnodes |= 1 << i
+            entry = ((1 << a) | (1 << b), x.delta, i)
+            self.incident[a].append(entry)
             if a != b:
+                self.incident[b].append(entry)
                 self.nbr[a] |= 1 << b
                 self.nbr[b] |= 1 << a
         self.all_mask = (1 << self.n) - 1
@@ -341,16 +347,6 @@ class _GraphData:
                 out.append((i, 0 if ina else 1))
         return out
 
-    def incident(self) -> list[list[tuple[int, int, int]]]:
-        """(pair mask, delta, intersection index) of each intersection on each component."""
-        out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
-        for i, (a, b) in enumerate(self.end_bits):
-            entry = ((1 << a) | (1 << b), self.deltas[i], i)
-            out[a].append(entry)
-            if a != b:
-                out[b].append(entry)
-        return out
-
 
 @lru_cache(maxsize=256)
 def _graph_data(g: CurveGraph) -> _GraphData:
@@ -373,7 +369,7 @@ def _subcurves(g: CurveGraph) -> tuple[tuple[int, int, int], ...]:
     sets raises CurveGraphError.
     """
     data = _graph_data(g)
-    incident = data.incident()
+    incident = data.incident
     flips = [0] * data.n  # bit i of flips[k]: intersection i joins k to another component
     for i, (a, b) in enumerate(data.end_bits):
         if a != b:
@@ -509,7 +505,6 @@ class ChainRecord:
 
 def _chain_ample(
     data: _GraphData,
-    incident: list[list[tuple[int, int, int]]],
     blocks: Sequence[int],
     ends: Sequence[int],
     excl: int,
@@ -519,9 +514,8 @@ def _chain_ample(
     Combinatorial form: on every component of the chain, twice its local
     arithmetic genus, minus two, plus its branch-weighted contact inside the
     chain, plus the number of end points on it, must be positive.
-    `incident` is `data.incident()`, `blocks` are component masks, `ends`
-    the component indices of the end points, and the intersections in the
-    bitmask `excl` are left out.
+    `blocks` are component masks, `ends` the component indices of the end
+    points, and the intersections in the bitmask `excl` are left out.
     """
     union = 0
     for b in blocks:
@@ -532,7 +526,7 @@ def _chain_ample(
         m ^= bit
         k = bit.bit_length() - 1
         deg = 2 * data.contrib[k] - 2 + ends.count(k)
-        for pm, d, i in incident[k]:
+        for pm, d, i in data.incident[k]:
             if not excl >> i & 1 and pm & union == pm:
                 # a self-intersection has both branches on the component
                 deg += 2 * d if pm == bit else d
@@ -555,10 +549,9 @@ def _chain_hits(
     if not g.is_connected():
         raise CurveGraphError("disconnected")
     data = _graph_data(g)
-    incident = data.incident()
     tacnodes = data.tacnodes
     ones: dict[int, int] = {}  # block -> the intersections leaving it
-    leaving: dict[int, list[int]] = {}  # intersection bit -> blocks it leaves
+    leaving: dict[int, list[int]] = {}  # intersection index -> blocks it leaves
     for mask, genus, cross in _subcurves(g):
         if genus == 1:
             ones[mask] = cross
@@ -566,7 +559,7 @@ def _chain_hits(
             while m:
                 bit = m & -m
                 m ^= bit
-                leaving.setdefault(bit, []).append(mask)
+                leaving.setdefault(bit.bit_length() - 1, []).append(mask)
     explored = 0
 
     def sequences(first: int, excl: int) -> Iterator[tuple[list[int], int]]:
@@ -588,7 +581,7 @@ def _chain_hits(
             while m:
                 bit = m & -m
                 m ^= bit
-                for b in leaving[bit]:
+                for b in leaving[bit.bit_length() - 1]:
                     cb = ones[b]
                     if b & used or last & cb != bit or cb & before:
                         continue
@@ -626,7 +619,7 @@ def _chain_hits(
             if len(seq) > 1 and seq[0] >> c2 & 1 and seq[-1] >> c1 & 1:
                 placements.append(((i2, c2), (i1, c1)))
             for (ip, cp), (iq, cq) in placements:
-                if not _chain_ample(data, incident, seq, (cp, cq), 0):
+                if not _chain_ample(data, seq, (cp, cq), 0):
                     continue
                 if not tacnodal:
                     yield False, False, seq, (ip, iq)
@@ -650,20 +643,20 @@ def _chain_hits(
         if (
             pa - data.deltas[ci] == 1
             and data.connected(data.all_mask, drop=ci)
-            and _chain_ample(data, incident, [data.all_mask], (a, b), excl)
+            and _chain_ample(data, [data.all_mask], (a, b), excl)
         ):
             yield True, closing_weak, [data.all_mask], (ci,)
         # A longer chain starts with a block holding one end of `ci`, so
         # `ci` leaves it; every later block is disjoint from it and so holds
         # at most one end too, and its genus does not see `ci`.
-        for first in leaving.get(excl, ()):
+        for first in leaving.get(ci, ()):
             if not ones[first] & tacnodes & ~excl:
                 continue
             for seq, union in sequences(first, excl):
                 if (
                     union == data.all_mask
                     and seq[-1] >> (a if seq[0] >> b & 1 else b) & 1
-                    and _chain_ample(data, incident, seq, (a, b), excl)
+                    and _chain_ample(data, seq, (a, b), excl)
                 ):
                     yield True, closing_weak, seq, (ci,)
 

@@ -54,20 +54,12 @@ class MonomialOrder:
             lex = tuple(mono[i] for i in self.precedence)
         return (sum(mono), self.weight(mono), lex)
 
-    def sparse_key(self, mono: SparseMonomial) -> tuple:
-        """Sort key of a sparse monomial: among monomials of one degree it
-        orders as `key` does on their exponent vectors."""
-        w = self.weights.weights
-        weight = sum(w[c] * e for c, e in mono)
-        if self.precedence is None:
-            return (weight, tuple((-c, e) for c, e in mono))
-        rank = self._rank
-        return (weight, tuple(sorted(((-rank[c], e) for c, e in mono), reverse=True)))
-
     @cached_property
-    def _rank(self) -> list[int]:
-        """Position of each coordinate in the precedence."""
-        rank = [0] * len(self.precedence)
+    def rank(self) -> list[int]:
+        """Position of each coordinate in the precedence (x_0 first by default)."""
+        if self.precedence is None:
+            return list(range(self.nvars))
+        rank = [0] * self.nvars
         for p, c in enumerate(self.precedence):
             rank[c] = p
         return rank

@@ -1,5 +1,6 @@
 """Command-line interface: round trips, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -198,13 +199,13 @@ class TestFamilyAndIndex:
         # every `evaluate_slice` call enumerates once, whichever binding it is
         # called through
         calls = []
-        enumerate_slice = engine._sparse_monomials
+        enumerate_slice = engine._monomial_rows
 
-        def counted(par, m):
+        def counted(par, m, order):
             calls.append(m)
-            return enumerate_slice(par, m)
+            return enumerate_slice(par, m, order)
 
-        monkeypatch.setattr(engine, "_sparse_monomials", counted)
+        monkeypatch.setattr(engine, "_monomial_rows", counted)
         code, out, _ = run(
             capsys, "index", "--family", "closed-rosary", "--r", "4", "--m", "2,3,4,5",
             "--monomials",
@@ -268,6 +269,38 @@ class TestFamilyAndIndex:
         code, _, err = run(capsys, "family", "broken-bead", "--r", "4")
         assert code == 2
         assert "odd" in err
+
+
+class TestIndexGoldens:
+    """`index` output pinned byte for byte: a faster slice kernel must return
+    the same exact indices and the same monomial listing."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["--family", "closed-rosary", "--r", "6", "--m", "2,3,4,5", "--json"],
+                "cf6e6bbe6d9cad80ac9ad38ccb14402692a014fdf3b7d53f0faf07222625a920",
+            ),
+            (
+                ["--family", "broken-bead", "--r", "5", "--m", "2,3,4,5", "--json"],
+                "fb5c2007367439a9b5ba094c91b62ac11885d2c32a7fc34d632196898ccd6fa2",
+            ),
+            (
+                ["--family", "open-rosary", "--g", "9", "--r", "5", "--m", "2,3,4,5", "--json"],
+                "ced0ea1e551decdd6532e9b10dca3dcf60e760903ddebded41efc979908f1ba7",
+            ),
+            (
+                ["--family", "closed-rosary", "--r", "4", "--m", "3", "--monomials"],
+                "74aff953b01c69091f17637657e8dfbc6e700a53fe5450fd865c566b0665c4c2",
+            ),
+        ],
+        ids=["closed-6", "broken-5", "open-9-5", "closed-4-monomials"],
+    )
+    def test_index_output_digest(self, capsys, argv, digest):
+        code, out, err = run(capsys, "index", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOtherCommands:

@@ -127,10 +127,10 @@ class TestSlices:
         assert s2.standard_count + len(s2.initial_monomials()) == len(s2.monomials)
 
     def test_over_budget_slice_raises_before_enumeration(self, monkeypatch):
-        def enumerate_nothing(par, m):
+        def enumerate_nothing(par, m, order):
             raise AssertionError("over-budget slice was enumerated")
 
-        monkeypatch.setattr(engine, "_sparse_monomials", enumerate_nothing)
+        monkeypatch.setattr(engine, "_monomial_rows", enumerate_nothing)
         c = build_closed_rosary_config(3334)
         with pytest.raises(EngineError) as exc:
             evaluate_slice(c, 2, MonomialOrder(canonical_1ps(c)))
@@ -429,7 +429,7 @@ class TestFullEnumerationOracle:
         )
         assert sl.initial_monomials() == [mo for mo, s in zip(monos, standard) if not s]
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize(
         "spec", ORACLE_CONFIGS, ids=lambda spec: "-".join(map(str, spec))
     )
@@ -439,7 +439,15 @@ class TestFullEnumerationOracle:
     def test_matches_full_enumeration_degree_5(self):
         self._check(build_broken_bead_config(3), 5)
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "cfg",
+        [build_closed_rosary_config(3), build_broken_bead_config(3)],
+        ids=["closed-3", "broken-3"],
+    )
+    def test_matches_full_enumeration_degree_6(self, cfg):
+        self._check(cfg, 6)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
     @pytest.mark.parametrize(
         "maps",
         [
@@ -481,6 +489,47 @@ class TestFullEnumerationOracle:
         _, pivots = matrix.rref()
         assert list(pivots) == [j for j, s in enumerate(sl.standard) if s]
         assert matrix.rank() == sl.standard_count
+
+
+class TestSliceKeys:
+    """Each supported monomial is one int key: weight * n^m, then its rank
+    sequence descending."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "cfg",
+        [build_closed_rosary_config(5), build_broken_bead_config(3), build_open_rosary_config(9, 5)],
+        ids=["closed-5", "broken-3", "open-9-5"],
+    )
+    def test_keys_ascend_and_hold_the_weight(self, cfg, m):
+        for order in _block_orders(cfg):
+            sl = evaluate_slice(cfg, m, order)
+            base = order.nvars**m
+            assert list(sl.keys) == sorted(set(sl.keys))
+            assert [key // base for key in sl.keys] == [order.weight(mo) for mo in sl.supported]
+            assert list(sl.supported) == order.sorted_ascending(sl.supported)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_sparse_decodes_to_supported(self, m):
+        cfg = build_broken_bead_config(5)
+        for order in _block_orders(cfg):
+            sl = evaluate_slice(cfg, m, order)
+            dense = []
+            for mono in sl.sparse:
+                assert [c for c, _ in mono] == sorted({c for c, _ in mono})
+                assert sum(e for _, e in mono) == m and all(e > 0 for _, e in mono)
+                vec = [0] * order.nvars
+                for c, e in mono:
+                    vec[c] = e
+                dense.append(tuple(vec))
+            assert tuple(dense) == sl.supported
+
+    def test_index_builds_no_monomial(self):
+        cfg = build_closed_rosary_config(6)
+        rep = hilbert_index(cfg, canonical_1ps(cfg), 4)
+        assert rep.mu == 0
+        assert "sparse" not in rep.slice.__dict__
+        assert "supported" not in rep.slice.__dict__
 
 
 class TestExtrapolationBeyondDegreeFour:

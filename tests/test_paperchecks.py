@@ -6,13 +6,13 @@ from gitcurves.paperchecks import run_paper_check
 
 def test_each_distinct_slice_evaluated_once(monkeypatch):
     calls = []
-    sparse_monomials = engine._sparse_monomials
+    monomial_rows = engine._monomial_rows
 
-    def counted(par, m):
+    def counted(par, m, order):
         calls.append(m)
-        return sparse_monomials(par, m)
+        return monomial_rows(par, m, order)
 
-    monkeypatch.setattr(engine, "_sparse_monomials", counted)
+    monkeypatch.setattr(engine, "_monomial_rows", counted)
     manifest = run_paper_check()
     assert manifest["passed"] and manifest["checks"] == 41
     # open rosaries 5 x (m = 2, 3), closed r = 4, 6 and broken r = 3, 5
