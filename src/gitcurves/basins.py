@@ -96,12 +96,28 @@ def cusp_versal_weights(u: Fraction) -> tuple[Fraction, Fraction]:
     return (4 * u, 6 * u)
 
 
-def versal_weights(
-    config: Configuration, rho: OneParamSubgroup, intersection_index: int
-) -> VersalWeights:
-    """Induced torus weights at one intersection of a parametrized configuration."""
+def _st_weights(
+    config: Configuration, rho: OneParamSubgroup
+) -> dict[str, tuple[Fraction, Fraction]]:
+    """`component_st_weights`, its `FamilyError` raised as `BasinError`."""
     try:
-        st = component_st_weights(config, rho)
+        return component_st_weights(config, rho)
+    except FamilyError as exc:
+        raise BasinError(str(exc)) from exc
+
+
+def versal_weights(
+    config: Configuration,
+    rho: OneParamSubgroup,
+    intersection_index: int,
+    st_weights: Optional[dict[str, tuple[Fraction, Fraction]]] = None,
+) -> VersalWeights:
+    """Induced torus weights at one intersection of a parametrized configuration.
+
+    `st_weights` are the (s, t) weights of `component_st_weights`, solved
+    here when not given."""
+    st = _st_weights(config, rho) if st_weights is None else st_weights
+    try:
         w0 = branch_parameter_weight(config, rho, intersection_index, 0, st)
         w1 = branch_parameter_weight(config, rho, intersection_index, 1, st)
     except FamilyError as exc:
@@ -120,11 +136,7 @@ def cusp_versal_weights_at(
     config: Configuration, rho: OneParamSubgroup, component: str, point: str
 ) -> VersalWeights:
     """Weights on (a, b) for a cusp sitting at a chart point of a component."""
-    try:
-        st = component_st_weights(config, rho)
-    except FamilyError as exc:
-        raise BasinError(str(exc)) from exc
-    ws, wt = st[component]
+    ws, wt = _st_weights(config, rho)[component]
     if point == T_ZERO:
         u = wt - ws
     elif point == S_ZERO:
@@ -277,8 +289,9 @@ def basin_membership(config: Configuration, rho: OneParamSubgroup) -> BasinRepor
     """
     cls = []
     smoothable = []
+    st = _st_weights(config, rho)
     for i in range(len(config.graph.intersections)):
-        vw = versal_weights(config, rho, i)
+        vw = versal_weights(config, rho, i, st)
         status = SMOOTHABLE if vw.smoothable else FROZEN
         cls.append((i, vw.kind, status))
         if vw.smoothable:

@@ -18,18 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from math import comb
 from typing import Iterator, Optional, Sequence
 
 from . import GitcurvesError
-from .families import Configuration, OneParamSubgroup, Parametrization
+from .families import ComponentMap, Configuration, OneParamSubgroup, ParamTerm, Parametrization
 from .monomials import Monomial, MonomialOrder, SparseMonomial, degree_monomials
 
-#: most supported monomials a slice may enumerate.  A slice costs what it
-#: enumerates and sorts, not its degree: at the budget, closed rosary
-#: r = 3,333 at m = 2 takes 0.17 s and r = 396 at m = 5 takes 0.13 s
-#: (Python 3.11, one core of a 2-core Xeon host).
+#: most supported monomials a slice may have, by the closed-form bound.  The
+#: slice lists none of them; at the budget, closed rosary r = 3,333 at m = 2
+#: takes 0.18 s and r = 396 at m = 5 takes 0.055 s (default order, medians of
+#: five runs; Python 3.11, one core of a 2-core Xeon host).
 SLICE_BUDGET = 50_000
 
 #: most degree-m monomials `IdealSlice.monomials` may list.  That listing holds
@@ -48,15 +48,10 @@ class EngineError(GitcurvesError):
 class IdealSlice:
     """Standard monomials of the degree-m slice of a homogeneous ideal.
 
-    `keys` lists, in ascending order, the degree-m monomials supported on
-    some component's coordinates, each as one int sort key, and
-    `supported_standard` marks the ones outside the initial ideal.  Every
-    other degree-m monomial restricts to zero on every component, so it is
-    initial.
-
-    With n coordinates and S = n^m, a monomial whose coordinates, listed
-    with multiplicity in ascending precedence rank, have the ranks
-    q_0 <= ... <= q_{m-1} has the key
+    `standard_keys` lists, in ascending order, the standard degree-m
+    monomials, each as one int sort key.  With n coordinates and S = n^m, a
+    monomial whose coordinates, listed with multiplicity in ascending
+    precedence rank, have the ranks q_0 <= ... <= q_{m-1} has the key
 
         weight * S + (S - 1 - sum(q_p * n^(m-1-p))).
 
@@ -64,17 +59,21 @@ class IdealSlice:
     smaller rank sequence, so ascending keys are ascending monomials:
     weight first, then rank sequence descending.  `key // S` is the weight.
 
-    The monomial forms are decoded on first read: `supported` holds the
-    exponent vectors of `keys` and `sparse` their nonzero (coord, exp)
-    pairs, `monomials` lists all degree-m monomials in ascending order and
-    `standard` marks the standard ones.  `monomials` and `standard` raise
-    `EngineError` when there would be more than `LISTING_BUDGET`.
+    The rest is derived on first read from the parametrization: `keys`
+    lists the keys of the degree-m monomials supported on some component's
+    coordinates, and `supported_standard` marks the standard ones among
+    them; every other degree-m monomial restricts to zero on every
+    component, so it is initial.  `supported` holds the exponent vectors of
+    `keys` and `sparse` their nonzero (coord, exp) pairs, `monomials` lists
+    all degree-m monomials in ascending order and `standard` marks the
+    standard ones.  `monomials` and `standard` raise `EngineError` when
+    there would be more than `LISTING_BUDGET`.
     """
 
     degree: int
     order: MonomialOrder
-    keys: tuple[int, ...]
-    supported_standard: tuple[bool, ...]
+    standard_keys: tuple[int, ...]
+    parametrization: Parametrization
 
     @cached_property
     def _key_base(self) -> int:
@@ -93,7 +92,20 @@ class IdealSlice:
 
     @property
     def standard_count(self) -> int:
-        return sum(self.supported_standard)
+        return len(self.standard_keys)
+
+    @cached_property
+    def keys(self) -> tuple[int, ...]:
+        keys: set[int] = set()
+        for cm in self.parametrization.maps:
+            _, table = _key_table(cm, self.degree, self.order)
+            keys.update(_sequence_sums(table, self._key_base - 1))
+        return tuple(sorted(keys))
+
+    @cached_property
+    def supported_standard(self) -> tuple[bool, ...]:
+        std = set(self.standard_keys)
+        return tuple(key in std for key in self.keys)
 
     @cached_property
     def supported(self) -> tuple[Monomial, ...]:
@@ -120,14 +132,31 @@ class IdealSlice:
         return tuple(m in std for m in self.monomials)
 
     def standard_monomials(self) -> list[Monomial]:
-        return list(map(self._dense, compress(self.keys, self.supported_standard)))
+        return list(map(self._dense, self.standard_keys))
 
     def initial_monomials(self) -> list[Monomial]:
         return [m for m, s in zip(self.monomials, self.standard) if not s]
 
     def standard_weight_sum(self) -> int:
         base = self._key_base
-        return sum(key // base for key in compress(self.keys, self.supported_standard))
+        return sum(key // base for key in self.standard_keys)
+
+
+def _key_table(
+    cm: ComponentMap, m: int, order: MonomialOrder
+) -> tuple[list[ParamTerm], list[list[int]]]:
+    """A component's terms in ascending precedence rank, and the key table
+    T[p][j] = w_j * S - rank_j * n^(m-1-p) over them: a monomial whose
+    coordinates are the terms j_0 <= ... <= j_{m-1} has the key
+    S - 1 + sum(T[p][j_p] for p)."""
+    n = order.nvars
+    base = n**m
+    w = order.weights.weights
+    rank = order.rank
+    terms = sorted(cm.terms, key=lambda t: rank[t.coord])
+    parts = [(w[t.coord] * base, rank[t.coord]) for t in terms]
+    places = [n ** (m - 1 - p) for p in range(m)]
+    return terms, [[wt - q * place for wt, q in parts] for place in places]
 
 
 def _sequence_sums(table: list[list[int]], start: int) -> Iterator[int]:
@@ -143,38 +172,81 @@ def _sequence_sums(table: list[list[int]], start: int) -> Iterator[int]:
     return chain.from_iterable(chunks)
 
 
-def _monomial_rows(
-    par: Parametrization, m: int, order: MonomialOrder
-) -> tuple[dict[int, int], dict[int, int]]:
-    """The degree-m monomials in the coordinates of at least one component.
+def _candidates(
+    par: Parametrization, m: int, order: MonomialOrder, holders: dict[int, list[tuple[int, int]]]
+) -> list[tuple[int, int, int]]:
+    """(key, a, -1) for the least supported half-edge at each row a, and
+    (key, a, b) for the least edge on each pair of rows a < b.
 
-    Each is keyed by its `IdealSlice` sort key and mapped to its row on the
-    first component holding it; the second map holds, for the monomials on
-    two components, the row on the second.  A component's coordinates are
-    taken in ascending precedence rank, so each index sequence of
-    `combinations_with_replacement` is an ascending rank sequence, and its
-    key and row are two sums over per-position tables.
+    `holders` maps each coordinate to its (component, s exponent) pairs.  A
+    monomial whose coordinates all lie on component k and on one other
+    component c is an edge; any other monomial on k is a half-edge at row
+    offset_k + s-sum.  Only these candidates can be standard: a later
+    half-edge at the same row meets a class that already holds a half-edge,
+    and a later edge on the same rows finds both classes full or the rows in
+    one class with opposite parity; a dependent element changes nothing.
+
+    For each component a dynamic program over its terms in rank order, from
+    the last term and position back, keeps the least partial key (the sum of
+    T[p'][j_p'] over p' >= p) per state of the sequences at positions p..
+    with indices >= j: `free` maps the row on k to it for the half-edges, and
+    `pure[c]` maps (row on k) * span + (row on c), where span is the number
+    of rows, to it for the sequences whose coordinates all lie on c too.
+    Edges are read off their lower component.
     """
-    n = order.nvars
-    base = n**m
-    w = order.weights.weights
-    rank = order.rank
-    places = [n ** (m - 1 - p) for p in range(m)]
-    row_of: dict[int, int] = {}
-    second_row: dict[int, int] = {}
-    offset = 0
+    offsets = []
+    span = 0  # the number of rows
     for cm in par.maps:
-        terms = sorted(cm.terms, key=lambda t: rank[t.coord])
-        key_parts = [[w[t.coord] * base - rank[t.coord] * place for t in terms] for place in places]
-        s_exps = [t.s_exp for t in terms]
-        rows = dict(
-            zip(_sequence_sums(key_parts, base - 1), _sequence_sums([s_exps] * m, offset))
-        )
-        for key in row_of.keys() & rows.keys():
-            second_row[key] = rows.pop(key)
-        row_of.update(rows)
-        offset += m * cm.degree + 1
-    return row_of, second_row
+        offsets.append(span)
+        span += m * cm.degree + 1
+    top = order.nvars**m - 1
+    out: list[tuple[int, int, int]] = []
+    for k, cm in enumerate(par.maps):
+        terms, table = _key_table(cm, m, order)
+        # tables[p] covers the positions p.. with indices >= the current j
+        tables: list[tuple[dict, dict]] = [({}, {}) for _ in range(m)]
+        for j in range(len(terms) - 1, -1, -1):
+            te = terms[j].s_exp
+            held = holders[terms[j].coord]
+            c, ce = held[-1] if held[0][0] == k else held[0]  # c == k: on k only
+            shift = te * span + ce
+            t = table[m - 1][j]
+            free, pure = tables[m - 1]
+            if c == k:
+                dst, code = free, offsets[k] + te
+            else:
+                dst, code = pure.setdefault(c, {}), (offsets[k] + te) * span + offsets[c] + ce
+            if t < dst.get(code, t + 1):
+                dst[code] = t
+            for p in range(m - 2, -1, -1):
+                t = table[p][j]
+                free, pure = tables[p]
+                src_free, src_pure = tables[p + 1]
+                for a, v in src_free.items():
+                    a += te
+                    v += t
+                    if v < free.get(a, v + 1):
+                        free[a] = v
+                for cc, src in src_pure.items():
+                    if cc == c:
+                        dst = pure.setdefault(c, {})
+                        for code, v in src.items():
+                            code += shift
+                            v += t
+                            if v < dst.get(code, v + 1):
+                                dst[code] = v
+                    else:
+                        for code, v in src.items():
+                            a = code // span + te
+                            v += t
+                            if v < free.get(a, v + 1):
+                                free[a] = v
+        free, pure = tables[0]
+        out += [(top + v, a, -1) for a, v in free.items()]
+        for c, codes in pure.items():
+            if c > k:
+                out += [(top + v, code // span, code % span) for code, v in codes.items()]
+    return out
 
 
 def evaluate_slice(
@@ -186,12 +258,11 @@ def evaluate_slice(
 
     In split mode this is the slice of the rosary block: the kernel of
     evaluation on the parametrized components in the block coordinates.
-    Only monomials supported on some component are enumerated; the others
-    have zero columns and are initial by construction.  A slice whose count
-    of supported monomials may exceed `SLICE_BUDGET` is rejected before
-    anything is enumerated.  Each enumerated monomial is one int sort key
-    (weight, then rank sequence descending; see `IdealSlice`) and its rows,
-    and nothing per monomial is built beyond them.
+    Monomials not supported on some component have zero columns and are
+    initial by construction.  A slice whose count of supported monomials may
+    exceed `SLICE_BUDGET` is rejected before anything is computed.  Each
+    monomial is one int sort key (weight, then rank sequence descending; see
+    `IdealSlice`), and only the standard keys are kept.
 
     The rows of the substitution map are the pairs (component, exponent of
     s), and a monomial's column has one entry per component holding all its
@@ -201,8 +272,12 @@ def evaluate_slice(
     independence in the monomial order is then independence in the frame
     matroid of this signed graph (Zaslavsky): an edge or half-edge is
     independent of the earlier ones unless its class already holds an odd
-    cycle or a half-edge, or it closes an even cycle.  A union-find with
-    parity decides that.  Any other parametrization raises `EngineError`.
+    cycle or a half-edge, or it closes an even cycle.  So at most the least
+    half-edge at each row and the least edge on each pair of rows can be
+    independent; `_candidates` finds those by a dynamic program per
+    component, without listing the supported monomials, and a union-find
+    with parity decides them in ascending order.  Any other parametrization
+    raises `EngineError`.
     """
     if m < 1:
         raise EngineError("slice degree must be >= 1")
@@ -222,10 +297,10 @@ def evaluate_slice(
             f"order on {order.nvars} coordinates, parametrization has {nvars}"
         )
 
-    # rows of the substitution map, and per coordinate how many components hold it
+    # rows of the substitution map, and per coordinate the components holding it
     nrows = 0
-    holders: dict[int, int] = {}
-    for cm in par.maps:
+    holders: dict[int, list[tuple[int, int]]] = {}
+    for k, cm in enumerate(par.maps):
         nrows += m * cm.degree + 1
         for t in cm.terms:
             if t.coeff != 1:
@@ -233,11 +308,11 @@ def evaluate_slice(
                     f"coordinate x{t.coord} has coefficient {t.coeff}; "
                     "the slice kernel needs coefficient 1"
                 )
-            holders[t.coord] = holders.get(t.coord, 0) + 1
-    for c, count in holders.items():
-        if count > 2:
+            holders.setdefault(t.coord, []).append((k, t.s_exp))
+    for c, held in holders.items():
+        if len(held) > 2:
             raise EngineError(
-                f"coordinate x{c} lies on {count} components; "
+                f"coordinate x{c} lies on {len(held)} components; "
                 "the slice kernel admits at most 2"
             )
 
@@ -257,13 +332,10 @@ def evaluate_slice(
             parent[x], parity[x] = a, p
         return a, p
 
-    row_of, second_row = _monomial_rows(par, m, order)
-    keys = sorted(row_of)
-    standard: list[bool] = []
-    for key in keys:
-        ra, pa = find(row_of[key])
-        b = second_row.get(key)
-        if b is None:  # a half-edge
+    standard: list[int] = []
+    for key, a, b in sorted(_candidates(par, m, order, holders)):
+        ra, pa = find(a)
+        if b < 0:  # a half-edge
             new = not full[ra]
             full[ra] = True
         else:
@@ -276,14 +348,10 @@ def evaluate_slice(
             else:  # closes a cycle, odd when both ends have the same parity
                 new = not full[ra] and pa == pb
                 full[ra] = full[ra] or new
-        standard.append(new)
+        if new:
+            standard.append(key)
 
-    return IdealSlice(
-        degree=m,
-        order=order,
-        keys=tuple(keys),
-        supported_standard=tuple(standard),
-    )
+    return IdealSlice(degree=m, order=order, standard_keys=tuple(standard), parametrization=par)
 
 
 # ---------------------------------------------------------------------------

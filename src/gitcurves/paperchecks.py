@@ -46,6 +46,7 @@ from .families import (
     build_closed_rosary_config,
     build_open_rosary_config,
     canonical_1ps,
+    component_st_weights,
 )
 from .graphs import (
     Component,
@@ -297,8 +298,9 @@ def build_items() -> list[CheckItem]:
     # --- basin weights ----------------------------------------------------------
     def _versal_row(cfg, rho):
         rows = []
+        st = component_st_weights(cfg, rho)
         for i in range(len(cfg.graph.intersections)):
-            vw = versal_weights(cfg, rho, i)
+            vw = versal_weights(cfg, rho, i, st)
             rows.append(fmt(vw.parameter_weights))
         return "; ".join(rows)
 

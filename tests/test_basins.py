@@ -205,6 +205,31 @@ class TestBasinMembership:
         assert rep.generic == cfg.graph
         assert rep.partial_smoothings == (cfg.graph,)
 
+    def test_solves_the_torus_weights_once(self, monkeypatch):
+        calls = []
+        solve = basins.component_st_weights
+
+        def counted(config, rho):
+            calls.append(config.family)
+            return solve(config, rho)
+
+        monkeypatch.setattr(basins, "component_st_weights", counted)
+        cfg = build_closed_rosary_config(6)
+        rep = basin_membership(cfg, canonical_1ps(cfg))
+        assert len(rep.classifications) == len(cfg.graph.intersections) == 6
+        assert calls == ["closed-rosary"]
+
+    def test_failed_solve_keeps_the_versal_error(self):
+        cfg = build_closed_rosary_config(4)
+        rho = OneParamSubgroup(tuple(range(12)))
+        with pytest.raises(BasinError) as direct:
+            versal_weights(cfg, rho, 0)
+        with pytest.raises(BasinError) as basin:
+            basin_membership(cfg, rho)
+        assert str(basin.value) == str(direct.value) == (
+            "weights do not act via automorphisms on 'L1'"
+        )
+
 
 class TestClosedOrbitPredicates:
     def test_two_rosary_curve(self):

@@ -196,16 +196,16 @@ class TestFamilyAndIndex:
         assert "x0^2" in out
 
     def test_index_monomials_evaluate_each_slice_once(self, capsys, monkeypatch):
-        # every `evaluate_slice` call enumerates once, whichever binding it is
-        # called through
+        # every `evaluate_slice` call searches its candidates once, whichever
+        # binding it is called through
         calls = []
-        enumerate_slice = engine._monomial_rows
+        candidates = engine._candidates
 
-        def counted(par, m, order):
+        def counted(par, m, order, holders):
             calls.append(m)
-            return enumerate_slice(par, m, order)
+            return candidates(par, m, order, holders)
 
-        monkeypatch.setattr(engine, "_monomial_rows", counted)
+        monkeypatch.setattr(engine, "_candidates", counted)
         code, out, _ = run(
             capsys, "index", "--family", "closed-rosary", "--r", "4", "--m", "2,3,4,5",
             "--monomials",

@@ -6,6 +6,7 @@ spot values were recomputed independently from the closed formulas
 asserted here.
 """
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -127,10 +128,10 @@ class TestSlices:
         assert s2.standard_count + len(s2.initial_monomials()) == len(s2.monomials)
 
     def test_over_budget_slice_raises_before_enumeration(self, monkeypatch):
-        def enumerate_nothing(par, m, order):
+        def enumerate_nothing(par, m, order, holders):
             raise AssertionError("over-budget slice was enumerated")
 
-        monkeypatch.setattr(engine, "_monomial_rows", enumerate_nothing)
+        monkeypatch.setattr(engine, "_candidates", enumerate_nothing)
         c = build_closed_rosary_config(3334)
         with pytest.raises(EngineError) as exc:
             evaluate_slice(c, 2, MonomialOrder(canonical_1ps(c)))
@@ -409,6 +410,18 @@ def _block_orders(cfg):
     return orders
 
 
+def _random_orders(n, seed):
+    """Two seeded random weight vectors in [-4, 6], whose many ties leave the
+    order to the precedence, each under the default and a shuffled
+    precedence."""
+    rng = random.Random(seed)
+    orders = []
+    for _ in range(2):
+        weights = OneParamSubgroup(tuple(rng.randint(-4, 6) for _ in range(n)))
+        orders += [MonomialOrder(weights), MonomialOrder(weights, tuple(rng.sample(range(n), n)))]
+    return orders
+
+
 class TestFullEnumerationOracle:
     """The supported-only elimination against the full-enumeration one."""
 
@@ -435,6 +448,17 @@ class TestFullEnumerationOracle:
     )
     def test_matches_full_enumeration(self, spec, m):
         self._check(ORACLE_BUILDERS[spec[0]](*spec[1:]), m)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize(
+        "spec", [("closed", 3), ("closed", 4), ("broken", 3), ("open", 5, 2)],
+        ids=lambda spec: "-".join(map(str, spec)),
+    )
+    def test_matches_full_enumeration_random_orders(self, spec, m):
+        cfg = ORACLE_BUILDERS[spec[0]](*spec[1:])
+        n = cfg.parametrization.num_coordinates
+        for order in _random_orders(n, "-".join(map(str, spec)) + f"/{m}"):
+            self._check_order(cfg, m, order)
 
     def test_matches_full_enumeration_degree_5(self):
         self._check(build_broken_bead_config(3), 5)
@@ -472,7 +496,10 @@ class TestFullEnumerationOracle:
                 for k, (d, terms) in enumerate(maps)
             ),
         )
-        self._check(replace(build_closed_rosary_config(3), parametrization=par), m)
+        cfg = replace(build_closed_rosary_config(3), parametrization=par)
+        self._check(cfg, m)
+        for order in _random_orders(5, f"{maps}/{m}"):
+            self._check_order(cfg, m, order)
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize(
@@ -530,6 +557,8 @@ class TestSliceKeys:
         assert rep.mu == 0
         assert "sparse" not in rep.slice.__dict__
         assert "supported" not in rep.slice.__dict__
+        assert "keys" not in rep.slice.__dict__
+        assert "supported_standard" not in rep.slice.__dict__
 
 
 class TestExtrapolationBeyondDegreeFour:

@@ -6,13 +6,13 @@ from gitcurves.paperchecks import run_paper_check
 
 def test_each_distinct_slice_evaluated_once(monkeypatch):
     calls = []
-    monomial_rows = engine._monomial_rows
+    candidates = engine._candidates
 
-    def counted(par, m, order):
+    def counted(par, m, order, holders):
         calls.append(m)
-        return monomial_rows(par, m, order)
+        return candidates(par, m, order, holders)
 
-    monkeypatch.setattr(engine, "_monomial_rows", counted)
+    monkeypatch.setattr(engine, "_candidates", counted)
     manifest = run_paper_check()
     assert manifest["passed"] and manifest["checks"] == 41
     # open rosaries 5 x (m = 2, 3), closed r = 4, 6 and broken r = 3, 5
