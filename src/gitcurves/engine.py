@@ -283,8 +283,8 @@ def evaluate_slice(
         raise EngineError("slice degree must be >= 1")
     par = config.parametrization
     # counts a monomial once per component it is supported on: never below the
-    # exact count, and closed-form
-    size = sum(comb(len(cm.coords()) + m - 1, m) for cm in par.maps)
+    # exact count, and closed-form; a component map repeats no coordinate
+    size = sum(comb(len(cm.terms) + m - 1, m) for cm in par.maps)
     if size > SLICE_BUDGET:
         raise EngineError(
             f"degree-{m} slice has up to {size} supported monomials; budget {SLICE_BUDGET}"

@@ -98,9 +98,6 @@ class ComponentMap:
     def degree(self) -> int:
         return self.terms[0].degree
 
-    def coords(self) -> frozenset[int]:
-        return frozenset(t.coord for t in self.terms)
-
 
 @dataclass(frozen=True)
 class Parametrization:

@@ -262,45 +262,56 @@ class CurveGraph:
 
 
 class _GraphData:
-    """Bitmask tables for the subcurve searches."""
+    """Bitmask tables for the subcurve searches, built in one plain pass over
+    the components and one over the intersections.
+
+    Bit i of an intersection mask is intersection i.  `flips[k]` holds the
+    intersections joining component k to another component, `loops[k]` its
+    self-intersections, and `base[k]` is contrib(k) - 1 plus their deltas.
+    `genus` is the arithmetic genus of the whole curve.
+    """
 
     __slots__ = (
-        "ids",
-        "index",
-        "n",
-        "contrib",
-        "nbr",
-        "end_bits",
-        "deltas",
-        "tacnodes",
-        "all_mask",
-        "whole_connected",
-        "incident",
+        "ids", "index", "n", "contrib", "cusped", "nbr", "end_bits", "deltas", "tacnodes",
+        "flips", "loops", "base", "genus", "all_mask", "whole_connected",
     )
 
     def __init__(self, g: CurveGraph):
-        self.ids = g.ids()
-        self.index = {cid: i for i, cid in enumerate(self.ids)}
-        self.n = len(self.ids)
-        self.contrib = [c.genus + c.cusps for c in g.components]
-        self.nbr = [0] * self.n
-        self.end_bits = []
-        self.deltas = []
-        self.tacnodes = 0  # bit i: intersection i is a tacnode
-        # (pair mask, delta, intersection index) of each intersection on each component
-        self.incident: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
-        for i, x in enumerate(g.intersections):
-            a, b = (self.index[c] for c in x.components())
-            self.end_bits.append((a, b))
-            self.deltas.append(x.delta)
+        ids = []
+        self.contrib = contrib = []
+        cusped = False
+        for c in g.components:
+            ids.append(c.id)
+            contrib.append(c.genus + c.cusps)
+            cusped = cusped or c.cusps > 0
+        self.ids, self.cusped, self.n = tuple(ids), cusped, len(ids)
+        self.index = index = {cid: i for i, cid in enumerate(ids)}
+        self.nbr = nbr = [0] * self.n
+        self.flips = flips = [0] * self.n
+        self.loops = loops = [0] * self.n
+        self.base = base = [h - 1 for h in contrib]
+        self.end_bits = end_bits = []
+        self.deltas = deltas = []
+        tacnodes = 0
+        bit = 1
+        for x in g.intersections:
+            (ca, _), (cb, _) = x.ends
+            a, b, d = index[ca], index[cb], DELTA[x.kind]
+            end_bits.append((a, b))
+            deltas.append(d)
             if x.kind == TACNODE:
-                self.tacnodes |= 1 << i
-            entry = ((1 << a) | (1 << b), x.delta, i)
-            self.incident[a].append(entry)
-            if a != b:
-                self.incident[b].append(entry)
-                self.nbr[a] |= 1 << b
-                self.nbr[b] |= 1 << a
+                tacnodes |= bit
+            if a == b:
+                loops[a] |= bit
+                base[a] += d
+            else:
+                flips[a] |= bit
+                flips[b] |= bit
+                nbr[a] |= 1 << b
+                nbr[b] |= 1 << a
+            bit <<= 1
+        self.tacnodes = tacnodes
+        self.genus = sum(contrib) + sum(deltas) - self.n + 1
         self.all_mask = (1 << self.n) - 1
         self.whole_connected = self.connected(self.all_mask)
 
@@ -361,20 +372,16 @@ def _subcurves(g: CurveGraph) -> tuple[tuple[int, int, int], ...]:
     the subcurve to its complement.  Every stability predicate reads this
     table.  Connected sets grow one adjacent component at a time from each
     seed, in Wernicke's ESU order, which reaches every connected set exactly
-    once.  Growth never lowers the genus: adding v to a connected S adds
-    contrib(v) - 1 plus the deltas of the intersections v gains, at least
-    one of which joins v to S.  So a set of genus above 1 is never extended.
-    Growth keeps the crossings too: adding v toggles every intersection
-    joining v to another component.  Visiting more than `SUBCURVE_BUDGET`
-    sets raises CurveGraphError.
+    once.  Each step is mask arithmetic: adding k to S, the intersections
+    joining k to S are j = crossings(S) & flips[k], so the genus grows by
+    base[k] + |j| + |j & tacnodes|, and the crossings of S + k are
+    crossings(S) ^ flips[k].  Growth never lowers the genus, since j is not
+    empty and base[k] >= -1; so a set of genus above 1 is never extended.
+    Visiting more than `SUBCURVE_BUDGET` sets raises CurveGraphError.
     """
     data = _graph_data(g)
-    incident = data.incident
-    flips = [0] * data.n  # bit i of flips[k]: intersection i joins k to another component
-    for i, (a, b) in enumerate(data.end_bits):
-        if a != b:
-            flips[a] ^= 1 << i
-            flips[b] ^= 1 << i
+    flips, base, nbrs, tacnodes = data.flips, data.base, data.nbr, data.tacnodes
+    all_mask = data.all_mask
     out = []
     visited = 0
     for v in range(data.n):
@@ -395,16 +402,16 @@ def _subcurves(g: CurveGraph) -> tuple[tuple[int, int, int], ...]:
                         f"subcurve search on {data.n} components visits more than "
                         f"{SUBCURVE_BUDGET} subsets"
                     )
-                grown = mask | w
                 k = w.bit_length() - 1
-                h = genus + data.contrib[k] - 1
-                h += sum(d for pm, d, _ in incident[k] if pm & grown == pm)
+                j = cross & flips[k]
+                h = genus + base[k] + j.bit_count() + (j & tacnodes).bit_count()
                 if h > 1:
                     continue
+                grown = mask | w
                 gcross = cross ^ flips[k]
-                if grown != data.all_mask:
+                if grown != all_mask:
                     out.append((grown, h, gcross))
-                nbr = data.nbr[k]
+                nbr = nbrs[k]
                 stack.append((grown, h, gcross, ext | nbr & ~closed & above, closed | nbr | w))
     out.sort()
     return tuple(out)
@@ -417,18 +424,10 @@ def _subcurves(g: CurveGraph) -> tuple[tuple[int, int, int], ...]:
 
 def arithmetic_genus(g: CurveGraph) -> int:
     """Arithmetic genus: sum of (genus + cusps) and deltas, minus (#comps - 1)."""
-    if not g.is_connected():
-        raise CurveGraphError("disconnected")
-    total = sum(c.genus + c.cusps for c in g.components)
-    total += sum(x.delta for x in g.intersections)
-    return total - (len(g.components) - 1)
-
-
-def _subset_connected(g: CurveGraph, sub: frozenset[str]) -> bool:
-    if not sub:
-        return False
     data = _graph_data(g)
-    return data.connected(data.mask_of(sub))
+    if not data.whole_connected:
+        raise CurveGraphError("disconnected")
+    return data.genus
 
 
 def crossing_intersections(g: CurveGraph, sub: frozenset[str]) -> list[tuple[int, int]]:
@@ -445,9 +444,11 @@ def contact_multiplicity(g: CurveGraph, sub: Iterable[str]) -> int:
     sub = frozenset(sub)
     if not sub or sub == frozenset(g.ids()):
         raise CurveGraphError("subcurve must be a nonempty proper subset")
-    if not _subset_connected(g, sub):
+    data = _graph_data(g)
+    mask = data.mask_of(sub)
+    if not data.connected(mask):
         raise CurveGraphError("subcurve is not connected")
-    return sum(g.intersections[i].delta for i, _ in crossing_intersections(g, sub))
+    return sum(data.deltas[i] for i, _ in data.crossings(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -503,36 +504,38 @@ class ChainRecord:
     ends: tuple[int, ...]
 
 
-def _chain_ample(
-    data: _GraphData,
-    blocks: Sequence[int],
-    ends: Sequence[int],
-    excl: int,
-) -> bool:
+def _chain_ample(data: _GraphData, union: int, cross: int, ends: tuple, excl: int) -> bool:
     """Check ampleness of the dualizing sheaf twisted by the two end points.
 
     Combinatorial form: on every component of the chain, twice its local
     arithmetic genus, minus two, plus its branch-weighted contact inside the
-    chain, plus the number of end points on it, must be positive.
-    `blocks` are component masks, `ends` the component indices of the end
-    points, and the intersections in the bitmask `excl` are left out.
+    chain, plus the number of end points on it, must be positive.  `union`
+    is the chain's component mask, `cross` the intersections leaving it and
+    `ends` the component indices of the end points; the intersections in
+    the bitmask `excl` are left out.
     """
-    union = 0
-    for b in blocks:
-        union |= b
+    tacnodes = data.tacnodes
+    inside = ~(cross | excl)
     m = union
     while m:
-        bit = m & -m
-        m ^= bit
-        k = bit.bit_length() - 1
-        deg = 2 * data.contrib[k] - 2 + ends.count(k)
-        for pm, d, i in data.incident[k]:
-            if not excl >> i & 1 and pm & union == pm:
-                # a self-intersection has both branches on the component
-                deg += 2 * d if pm == bit else d
+        k = m.bit_length() - 1
+        m ^= 1 << k
+        loops = data.loops[k] & ~excl  # both branches on k: each counts twice
+        joins = data.flips[k] & inside
+        deg = 2 * (data.contrib[k] - 1 + loops.bit_count() + (loops & tacnodes).bit_count())
+        deg += joins.bit_count() + (joins & tacnodes).bit_count() + ends.count(k)
         if deg <= 0:
             return False
     return True
+
+
+def _blocks(chain: tuple) -> list[int]:
+    """The blocks of a linked chain (last block, chain before it or None), in order."""
+    out = []
+    while chain:
+        block, chain = chain
+        out.append(block)
+    return out[::-1]
 
 
 def _chain_hits(
@@ -546,9 +549,9 @@ def _chain_hits(
     come once from each end.  Exploring more than `SUBCURVE_BUDGET`
     sequences of two or more blocks raises CurveGraphError.
     """
-    if not g.is_connected():
-        raise CurveGraphError("disconnected")
     data = _graph_data(g)
+    if not data.whole_connected:
+        raise CurveGraphError("disconnected")
     tacnodes = data.tacnodes
     ones: dict[int, int] = {}  # block -> the intersections leaving it
     leaving: dict[int, list[int]] = {}  # intersection index -> blocks it leaves
@@ -557,26 +560,27 @@ def _chain_hits(
             ones[mask] = cross
             m = cross
             while m:
-                bit = m & -m
-                m ^= bit
-                leaving.setdefault(bit.bit_length() - 1, []).append(mask)
+                i = m.bit_length() - 1
+                m ^= 1 << i
+                leaving.setdefault(i, []).append(mask)
     explored = 0
 
-    def sequences(first: int, excl: int) -> Iterator[tuple[list[int], int]]:
-        """(blocks, union) of `first` and of each sequence of disjoint blocks
-        after it, every block joined to the one before by exactly one tacnode
-        and to no earlier block; the intersections in `excl` join nothing.
+    def sequences(first: int, keep: int) -> Iterator[tuple[tuple, int, int]]:
+        """(chain, union, crossings) of `first` and of each sequence of
+        disjoint blocks after it, every block joined to the one before by
+        exactly one tacnode and to no earlier block; only the intersections
+        in `keep` join.  `chain` is (last block, chain before it).
 
         Two disjoint blocks are joined by exactly the intersections that
         leave both, and `before` holds those leaving the blocks before the
-        last.
+        last; the crossings of the union are the XOR of the blocks'.
         """
         nonlocal explored
-        stack = [([first], first, 0)]
+        stack = [((first, None), first, 0, ones[first])]
         while stack:
-            seq, used, before = stack.pop()
-            yield seq, used
-            last = ones[seq[-1]] & ~excl
+            chain, used, before, cross = stack.pop()
+            yield chain, used, cross
+            last = ones[chain[0]] & keep
             m = last & tacnodes
             while m:
                 bit = m & -m
@@ -591,19 +595,16 @@ def _chain_hits(
                             f"chain search on {data.n} components explores more than "
                             f"{SUBCURVE_BUDGET} block sequences"
                         )
-                    stack.append((seq + [b], used | b, before | last))
+                    stack.append(((b, chain), used | b, before | last, cross ^ cb))
 
     # Open chains: a chain meets the rest of the curve, so its blocks are
     # proper.  Two tacnodal attachments make no chain, so one attachment is
     # a node, and it leaves an end block: the search starts only at blocks
     # that a node leaves.
     for first, leaves in ones.items():
-        if not leaves & ~tacnodes:
+        if leaves & tacnodes == leaves:
             continue
-        for seq, union in sequences(first, 0):
-            cross = 0
-            for blk in seq:
-                cross ^= ones[blk]  # the blocks are disjoint: what leaves the union
+        for chain, union, cross in sequences(first, -1):
             if cross.bit_count() != 2:
                 continue
             tacnodal = cross & tacnodes
@@ -613,37 +614,38 @@ def _chain_hits(
             (a1, b1), (a2, b2) = data.end_bits[i1], data.end_bits[i2]
             c1 = a1 if union >> a1 & 1 else b1
             c2 = a2 if union >> a2 & 1 else b2
+            last = chain[0]
             placements = []
-            if seq[0] >> c1 & 1 and seq[-1] >> c2 & 1:
+            if first >> c1 & 1 and last >> c2 & 1:
                 placements.append(((i1, c1), (i2, c2)))
-            if len(seq) > 1 and seq[0] >> c2 & 1 and seq[-1] >> c1 & 1:
+            if chain[1] and first >> c2 & 1 and last >> c1 & 1:
                 placements.append(((i2, c2), (i1, c1)))
             for (ip, cp), (iq, cq) in placements:
-                if not _chain_ample(data, seq, (cp, cq), 0):
+                if not _chain_ample(data, union, cross, (cp, cq), 0):
                     continue
                 if not tacnodal:
-                    yield False, False, seq, (ip, iq)
+                    yield False, False, _blocks(chain), (ip, iq)
                 elif tacnodes >> ip & 1:
-                    yield False, True, seq, (ip, iq)
+                    yield False, True, _blocks(chain), (ip, iq)
                 else:
                     # orient the tacnodal attachment onto the first block
-                    yield False, True, seq[::-1], (iq, ip)
+                    yield False, True, _blocks(chain)[::-1], (iq, ip)
 
     # Closed chains: the whole curve, cut at a closing node (a chain) or
     # tacnode (a weak chain).  L genus-one blocks joined in a row by L - 1
     # tacnodes have arithmetic genus 2L - 1, so a closing `ci` can close a
     # chain only if pa - delta(ci) is odd.
-    pa = arithmetic_genus(g)
+    pa = data.genus
     for ci, (a, b) in enumerate(data.end_bits):
-        excl = 1 << ci
-        closing_weak = excl & tacnodes != 0
+        closing_weak = data.deltas[ci] == DELTA[TACNODE]
         if (pa - data.deltas[ci]) % 2 == 0 or (weak is not None and weak != closing_weak):
             continue
+        excl = 1 << ci
         # a chain of length 1 is the whole curve cut at `ci`
         if (
             pa - data.deltas[ci] == 1
             and data.connected(data.all_mask, drop=ci)
-            and _chain_ample(data, [data.all_mask], (a, b), excl)
+            and _chain_ample(data, data.all_mask, 0, (a, b), excl)
         ):
             yield True, closing_weak, [data.all_mask], (ci,)
         # A longer chain starts with a block holding one end of `ci`, so
@@ -652,13 +654,13 @@ def _chain_hits(
         for first in leaving.get(ci, ()):
             if not ones[first] & tacnodes & ~excl:
                 continue
-            for seq, union in sequences(first, excl):
+            for chain, union, _cross in sequences(first, ~excl):
                 if (
                     union == data.all_mask
-                    and seq[-1] >> (a if seq[0] >> b & 1 else b) & 1
-                    and _chain_ample(data, seq, (a, b), excl)
+                    and chain[0] >> (a if first >> b & 1 else b) & 1
+                    and _chain_ample(data, union, 0, (a, b), excl)
                 ):
-                    yield True, closing_weak, seq, (ci,)
+                    yield True, closing_weak, _blocks(chain), (ci,)
 
 
 # A graph's chains are read again within one basins operation; the records
@@ -901,42 +903,42 @@ def open_rosaries(g: CurveGraph) -> list[RosaryRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _genus_contacts(g: CurveGraph) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(points, multiplicity) contact pairs of all proper genus-0 / genus-1 subcurves.
-
-    A node counts once in the multiplicity and a tacnode twice.
-    """
-    tacnodes = _graph_data(g).tacnodes
-    zero, one = [], []
-    for _mask, genus, cross in _subcurves(g):
-        points = cross.bit_count()
-        pair = (points, points + (cross & tacnodes).bit_count())
-        (zero if genus == 0 else one).append(pair)
-    return zero, one
-
-
+@lru_cache(maxsize=256)
 def classify(g: CurveGraph) -> StabilityFlags:
-    """Evaluate every stability notion on a connected curve of genus >= 2."""
-    if not g.is_connected():
+    """Evaluate every stability notion on a connected curve of genus >= 2.
+
+    One loop over `_subcurves` reads every contact condition (a tacnode
+    counts twice in the multiplicity) and whether an elliptic bridge exists:
+    a genus-1 entry with two crossing points, no tacnode among them.  The
+    flags of the last 256 graphs are kept, so a repeated query is free.
+    """
+    data = _graph_data(g)
+    if not data.whole_connected:
         raise CurveGraphError("disconnected")
-    genus = arithmetic_genus(g)
+    genus = data.genus
     if genus < 2:
         raise CurveGraphError("stability notions require arithmetic genus >= 2")
 
-    has_cusp = any(c.cusps > 0 for c in g.components)
-    has_tacnode = any(x.kind == TACNODE for x in g.intersections)
-    zero, one = _genus_contacts(g)
+    tacnodes = data.tacnodes
+    genus0_plain = genus0_mult = genus1_two_points = genus1_three_mult = True
+    bridge = False
+    for _mask, h, cross in _subcurves(g):
+        points = cross.bit_count()
+        tac = cross & tacnodes
+        mult = points + tac.bit_count()
+        if h == 0:
+            genus0_plain = genus0_plain and points >= 3
+            genus0_mult = genus0_mult and mult >= 3
+        else:
+            genus1_two_points = genus1_two_points and points >= 2
+            genus1_three_mult = genus1_three_mult and mult >= 3
+            bridge = bridge or (points == 2 and not tac)
 
-    genus0_plain = all(pts >= 3 for pts, _ in zero)
-    genus0_mult = all(mult >= 3 for _, mult in zero)
-    genus1_two_points = all(pts >= 2 for pts, _ in one)
-    genus1_three_mult = all(mult >= 3 for _, mult in one)
-
-    dm_stable = (not has_cusp) and (not has_tacnode) and genus0_plain
+    has_tacnode = tacnodes != 0
+    dm_stable = (not data.cusped) and (not has_tacnode) and genus0_plain
     pseudostable = (not has_tacnode) and genus0_plain and genus1_two_points
     c_semistable = genus0_mult and genus1_two_points
-    bridges = find_elliptic_bridges(g)
-    c_stable = c_semistable and not has_tacnode and not bridges
+    c_stable = c_semistable and not has_tacnode and not bridge
 
     # h-semistable adds "no elliptic chain", h-stable "no weak one either";
     # curves of genus 2 have no chains
@@ -946,12 +948,7 @@ def classify(g: CurveGraph) -> StabilityFlags:
         h_stable = h_semistable and not _has_chain(g, True)
 
     return StabilityFlags(
-        dm_stable=dm_stable,
-        pseudostable=pseudostable,
-        c_semistable=c_semistable,
-        c_stable=c_stable,
-        h_semistable=h_semistable,
-        h_stable=h_stable,
+        dm_stable, pseudostable, c_semistable, c_stable, h_semistable, h_stable
     )
 
 

@@ -305,10 +305,16 @@ class TestClosedOrbitReps:
         # classify asks only whether a chain exists, so the c-side never
         # builds the chain records
         for g in (bridge_chain_graph([1] * 9), attached_open_rosary(100)):
-            graphs._find_chains.cache_clear()
             c_closed_orbit_rep(g)
-            info = graphs._find_chains.cache_info()
-            assert (info.misses, info.hits) == (0, 0)
+        info = graphs._find_chains.cache_info()
+        assert (info.misses, info.hits) == (0, 0)
+
+    def test_classifies_each_graph_once(self):
+        # c_closed_orbit_rep and is_c_closed_orbit both read the input's
+        # flags, and is_c_closed_orbit the representative's: two graphs
+        c_closed_orbit_rep(bridge_chain_graph([1, 1, 1]))
+        info = classify.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
 
     def test_c_stable_input_rejected(self):
         with pytest.raises(BasinError):

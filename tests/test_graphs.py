@@ -245,9 +245,6 @@ class TestClassify:
         # closed weak chains explores 1,520 sequences, and classify, which
         # stops at the first chain, 19
         g = closed_rosary_graph(40)
-        graphs._subcurves.cache_clear()
-        graphs._find_chains.cache_clear()
-        graphs._has_chain.cache_clear()
         monkeypatch.setattr(graphs, "SUBCURVE_BUDGET", 1_000)
         flags = classify(g)
         assert (flags.h_semistable, flags.h_stable) == (True, False)
@@ -416,7 +413,6 @@ class TestGraphHash:
         assert again == g and hash(again) == hash(g)
 
     def test_whole_graph_connectivity_found_once(self, monkeypatch):
-        graphs._graph_data.cache_clear()
         calls = []
         connected = graphs._GraphData.connected
 

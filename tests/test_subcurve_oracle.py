@@ -22,7 +22,6 @@ from gitcurves.graphs import (
     CurveGraphError,
     Intersection,
     _find_chains,
-    _genus_contacts,
     _has_chain,
     _subcurves,
     arithmetic_genus,
@@ -48,7 +47,11 @@ def assert_matches_oracle(g):
     assert find_elliptic_tails(g) == oracle.elliptic_tails(g)
     assert find_elliptic_bridges(g) == oracle.elliptic_bridges(g)
     assert _links(bridge_links, g) == _links(oracle.bridge_links, g)
-    zero, one = _genus_contacts(g)
+    tacnodes = sum(1 << i for i, x in enumerate(g.intersections) if x.kind == TACNODE)
+    zero, one = [], []
+    for _mask, genus, cross in _subcurves(g):
+        points = cross.bit_count()
+        (zero if genus == 0 else one).append((points, points + (cross & tacnodes).bit_count()))
     want_zero, want_one = oracle.genus_contacts(g)
     assert sorted(zero) == sorted(want_zero)
     assert sorted(one) == sorted(want_one)
@@ -88,6 +91,27 @@ TRIANGLE = CurveGraph(
     ),
 )
 
+# a rational curve with a self-node, on a genus-2 curve by one node: an
+# elliptic tail whose genus comes from the self-intersection term alone
+NODAL_TAIL = CurveGraph(
+    (Component("C", 2), Component("R", 0)),
+    (
+        Intersection(NODE, (("R", 0), ("R", 1))),
+        Intersection(NODE, (("C", 0), ("R", 2))),
+    ),
+)
+# a rational curve with a self-tacnode, bridged by nodes between two
+# genus-2 curves: the self-tacnode gives it genus 2, so the table step
+# prunes it, where a step blind to it would list a genus-0 subcurve
+TACNODAL_BRIDGE = CurveGraph(
+    (Component("C1", 2), Component("R", 0), Component("C2", 2)),
+    (
+        Intersection(TACNODE, (("R", 0), ("R", 1))),
+        Intersection(NODE, (("C1", 0), ("R", 2))),
+        Intersection(NODE, (("R", 3), ("C2", 0))),
+    ),
+)
+
 NAMED = {
     "closed-rosary-2": closed_rosary_graph(2),
     "closed-rosary-5": closed_rosary_graph(5),
@@ -97,6 +121,8 @@ NAMED = {
     "open-rosary-4": open_rosary_graph(4),
     "self-tacnode": SELF_TACNODE,
     "self-node": SELF_NODE,
+    "nodal-elliptic-tail": NODAL_TAIL,
+    "rational-self-tacnode-bridge": TACNODAL_BRIDGE,
     "elliptic-triangle": TRIANGLE,
 }
 
