@@ -39,8 +39,8 @@ from .graphs import (
     TACNODE,
     Component,
     CurveGraph,
-    End,
     Intersection,
+    RosaryRecord,
     arithmetic_genus,
     bridge_links,
     classify,
@@ -48,7 +48,7 @@ from .graphs import (
     find_elliptic_bridges,
     find_weak_elliptic_chains,
     open_rosaries,
-    _bead_cycle,
+    _bead_walk,
 )
 
 SMOOTHABLE = "smoothable"
@@ -152,13 +152,21 @@ def cusp_versal_weights_at(
 
 
 class _Editor:
-    """Mutable scratch copy of a curve graph with deterministic fresh names."""
+    """Mutable scratch copy of a curve graph with deterministic fresh names.
+
+    Each intersection is a `[kind, [component, component]]` row (None once
+    dropped); slots are not kept, since `build` numbers each component's
+    slots in row order.  `incident` maps every component to its live
+    (intersection index, end) pairs.  Ends change only through the methods
+    below, which keep that map, so no step scans every intersection.
+    """
 
     def __init__(self, g: CurveGraph):
         self.components: dict[str, Component] = {c.id: c for c in g.components}
-        self.intersections: list[Optional[list]] = [
-            [x.kind, [list(x.ends[0]), list(x.ends[1])]] for x in g.intersections
-        ]
+        self.incident: dict[str, set[tuple[int, int]]] = {c.id: set() for c in g.components}
+        self.intersections: list[Optional[list]] = []
+        for x in g.intersections:
+            self.add_intersection(x.kind, *x.components())
         self._fresh = 0
 
     def fresh_id(self, stem: str = "Q") -> str:
@@ -170,41 +178,52 @@ class _Editor:
 
     def add_component(self, cid: str, genus: int = 0, cusps: int = 0) -> None:
         self.components[cid] = Component(cid, genus, cusps)
+        self.incident[cid] = set()
 
-    def add_intersection(self, kind: str, a: End, b: End) -> int:
-        self.intersections.append([kind, [list(a), list(b)]])
-        return len(self.intersections) - 1
+    def add_intersection(self, kind: str, a: str, b: str) -> int:
+        idx = len(self.intersections)
+        self.intersections.append([kind, [a, b]])
+        self.incident[a].add((idx, 0))
+        self.incident[b].add((idx, 1))
+        return idx
 
     def drop_intersection(self, idx: int) -> None:
+        for j, cid in enumerate(self.intersections[idx][1]):
+            self.incident[cid].discard((idx, j))
         self.intersections[idx] = None
 
-    def live(self) -> list[tuple[int, list]]:
-        return [(i, x) for i, x in enumerate(self.intersections) if x is not None]
+    def move_end(self, idx: int, j: int, cid: str) -> None:
+        """Put end `j` of intersection `idx` on component `cid`."""
+        ends = self.intersections[idx][1]
+        self.incident[ends[j]].discard((idx, j))
+        ends[j] = cid
+        self.incident[cid].add((idx, j))
 
     def two_crossings(self, sub: frozenset[str], error: str) -> list[tuple[int, int]]:
         """(index, end inside `sub`) of the live intersections leaving `sub`,
         in index order; BasinError(`error`) unless there are exactly two."""
-        out = []
-        for i, x in self.live():
-            inside = (x[1][0][0] in sub, x[1][1][0] in sub)
-            if inside[0] != inside[1]:
-                out.append((i, 0 if inside[0] else 1))
+        out = sorted(
+            (i, j)
+            for cid in sub
+            for i, j in self.incident[cid]
+            if self.intersections[i][1][1 - j] not in sub
+        )
         if len(out) != 2:
             raise BasinError(error)
         return out
 
     def remove_components(self, cids: Iterable[str]) -> None:
         cids = set(cids)
-        for i, x in self.live():
-            if x[1][0][0] in cids and x[1][1][0] in cids:
-                self.drop_intersection(i)
-            elif x[1][0][0] in cids or x[1][1][0] in cids:
-                raise BasinError("removing components with live outward branches")
+        pairs = [p for cid in cids for p in self.incident[cid]]
+        if any(self.intersections[i][1][1 - j] not in cids for i, j in pairs):
+            raise BasinError("removing components with live outward branches")
+        for i in {i for i, _j in pairs}:
+            self.drop_intersection(i)
         for cid in cids:
-            del self.components[cid]
+            del self.components[cid], self.incident[cid]
 
     def build(self) -> CurveGraph:
-        rows = [(x[0], x[1][0][0], x[1][1][0]) for _i, x in self.live()]
+        rows = [(x[0], *x[1]) for x in self.intersections if x is not None]
         comps = tuple(sorted(self.components.values(), key=lambda c: c.id))
         return CurveGraph(comps, _numbered(rows, {}))
 
@@ -248,20 +267,14 @@ def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
             a = parent[a]
         return a
 
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
     for i in indices:
-        a, b = g.intersections[i].components()
-        union(a, b)
+        ra, rb = (find(c) for c in g.intersections[i].components())
+        parent[max(ra, rb)] = min(ra, rb)
     classes: dict[str, list[str]] = {}
     for c in g.components:
         classes.setdefault(find(c.id), []).append(c.id)
 
-    ed = _Editor(g)
-    ed.components = {}
+    comps = []
     for root, members in classes.items():
         genus = sum(g.component(m).genus for m in members)
         cusps = sum(g.component(m).cusps for m in members)
@@ -270,13 +283,13 @@ def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
             for i in indices
             if find(g.intersections[i].components()[0]) == root
         )
-        ed.add_component(root, genus + internal - (len(members) - 1), cusps)
-    for i in indices:
-        ed.drop_intersection(i)
-    for _i, x in ed.live():
-        for end in x[1]:
-            end[0] = find(end[0])
-    return ed.build()
+        comps.append(Component(root, genus + internal - (len(members) - 1), cusps))
+    rows = [
+        (x.kind, find(x.ends[0][0]), find(x.ends[1][0]))
+        for i, x in enumerate(g.intersections)
+        if i not in indices
+    ]
+    return CurveGraph(tuple(sorted(comps, key=lambda c: c.id)), _numbered(rows, {}))
 
 
 def basin_membership(config: Configuration, rho: OneParamSubgroup) -> BasinReport:
@@ -326,10 +339,7 @@ def rosary_product_weights(
         raise BasinError(
             f"{len(rosaries)} length-two rosaries but {len(exponents)} exponents"
         )
-    bead_owner: dict[str, int] = {}
-    for i, r in enumerate(rosaries):
-        for b in r.beads:
-            bead_owner[b] = i
+    bead_owner = {b: i for i, r in enumerate(rosaries) for b in r.beads}
     out = []
     for idx, x in enumerate(g.intersections):
         a, b = x.components()
@@ -359,10 +369,7 @@ def product_basin_generic(g: CurveGraph, signs: Sequence[int]) -> CurveGraph:
         raise BasinError("one sign per length-two rosary required")
     if any(s == 0 for s in signs):
         raise BasinError("signs must be nonzero")
-    bead_owner: dict[str, int] = {}
-    for i, r in enumerate(rosaries):
-        for b in r.beads:
-            bead_owner[b] = i
+    bead_owner = {b: i for i, r in enumerate(rosaries) for b in r.beads}
     smooth = []
     for idx, x in enumerate(g.intersections):
         owners = [bead_owner.get(c) for c in x.components()]
@@ -380,10 +387,11 @@ def product_basin_generic(g: CurveGraph, signs: Sequence[int]) -> CurveGraph:
 # ---------------------------------------------------------------------------
 
 
-def _rosary_chains(g: CurveGraph, length: int) -> list[frozenset[str]]:
-    """Component sets of maximal chains of open rosaries of the given length,
-    where consecutive rosaries share an end intersection (a node)."""
-    runs = [r for r in open_rosaries(g) if r.length == length]
+def _rosary_chains(runs: Iterable[RosaryRecord], length: int) -> list[frozenset[str]]:
+    """Component sets of maximal chains of the open rosaries of the given
+    length among `runs`, where consecutive rosaries share an end
+    intersection (a node); runs are joined through a map from end to run."""
+    runs = [r for r in runs if r.length == length]
     parent = list(range(len(runs)))
 
     def find(i: int) -> int:
@@ -392,9 +400,11 @@ def _rosary_chains(g: CurveGraph, length: int) -> list[frozenset[str]]:
             i = parent[i]
         return i
 
-    for i, j in itertools.combinations(range(len(runs)), 2):
-        if set(runs[i].ends) & set(runs[j].ends):
-            parent[max(find(i), find(j))] = min(find(i), find(j))
+    first: dict[int, int] = {}
+    for i, r in enumerate(runs):
+        for end in r.ends:
+            j = find(first.setdefault(end, i))
+            parent[max(find(i), j)] = min(find(i), j)
     chains: dict[int, set[str]] = {}
     for i, r in enumerate(runs):
         chains.setdefault(find(i), set()).update(r.beads)
@@ -414,17 +424,12 @@ def is_c_closed_orbit(g: CurveGraph) -> bool:
     rosaries = [r for r in open_rosaries(g) if r.length >= 2]
     if any(r.length != 2 for r in rosaries):
         return False
-    rosary_comps = [frozenset(r.beads) for r in rosaries]
-    covered = frozenset().union(*rosary_comps) if rosary_comps else frozenset()
-    for x in g.intersections:
-        if x.kind == TACNODE:
-            a, b = x.components()
-            if not any(a in rc and b in rc for rc in rosary_comps):
-                return False
-    for bridge in find_elliptic_bridges(g):
-        if bridge not in rosary_comps:
-            return False
-    return True
+    owner = {b: k for k, r in enumerate(rosaries) for b in r.beads}
+    tacnodes = [x.components() for x in g.intersections if x.kind == TACNODE]
+    if any(a not in owner or owner[a] != owner.get(b) for a, b in tacnodes):
+        return False
+    beads = {frozenset(r.beads) for r in rosaries}
+    return all(bridge in beads for bridge in find_elliptic_bridges(g))
 
 
 def is_h_closed_orbit(g: CurveGraph) -> bool:
@@ -432,22 +437,20 @@ def is_h_closed_orbit(g: CurveGraph) -> bool:
 
     True for h-semistable curves that are an unbroken closed rosary of odd
     genus, or in which every weak elliptic chain is contained in a chain of
-    length-three open rosaries.  h-stable curves qualify vacuously.
+    length-three open rosaries.  h-stable curves qualify vacuously.  Reads
+    one `_bead_walk`.
     """
     flags = classify(g)
     if not flags.h_semistable:
         return False
-    cycle = _bead_cycle(g)
-    if cycle is not None:
-        _order, junctions = cycle
-        if all(g.intersections[i].kind == TACNODE for i in junctions):
-            if arithmetic_genus(g) % 2 == 1:
-                return True
-            # even genus: the unbroken closed rosary admits no weak chains at
-            # all (it is h-stable), so fall through to the vacuous test
+    closed, runs = _bead_walk(g)
+    # even genus: the unbroken closed rosary admits no weak chains at all (it
+    # is h-stable), so it falls through to the vacuous test
+    if closed is not None and not closed.broken_beads and arithmetic_genus(g) % 2 == 1:
+        return True
     if arithmetic_genus(g) < 3:
         return True
-    chains = _rosary_chains(g, 3)
+    chains = _rosary_chains(runs, 3)
     for w in find_weak_elliptic_chains(g):
         comps = frozenset(itertools.chain.from_iterable(w.blocks))
         if not any(comps <= chain for chain in chains):
@@ -455,37 +458,26 @@ def is_h_closed_orbit(g: CurveGraph) -> bool:
     return True
 
 
-def _contract_two_node_rationals(g: CurveGraph) -> CurveGraph:
-    """Repeatedly contract smooth rational components meeting exactly two nodes."""
-    while True:
-        target = None
-        for c in sorted(g.components, key=lambda c: c.id):
-            if c.genus != 0 or c.cusps != 0:
-                continue
-            inc = g.incident_ends(c.id)
-            if len(inc) != 2:
-                continue
-            if any(g.intersections[i].kind != NODE for i, _ in inc):
-                continue
-            if any(
-                g.intersections[i].ends[0][0] == g.intersections[i].ends[1][0]
-                for i, _ in inc
-            ):
-                continue
-            target = (c.id, inc)
-            break
-        if target is None:
-            return g
-        cid, inc = target
-        ed = _Editor(g)
+def _contract_two_node_rationals(ed: _Editor) -> None:
+    """Contract, least id first, every smooth rational component whose two
+    branches are nodes on distinct intersections, appending one node that
+    joins its neighbours.  A contraction keeps each neighbour's branch count
+    and kinds, so no component starts to qualify (one stops when the new
+    node joins it to itself): one pass in id order, testing each component
+    at its turn, contracts the least qualifying id at every step."""
+    for cid in sorted(ed.components):
+        c = ed.components[cid]
+        inc = sorted(ed.incident[cid])
+        if c.genus or c.cusps or len(inc) != 2 or inc[0][0] == inc[1][0]:
+            continue
         (i1, j1), (i2, j2) = inc
-        outer1 = ed.intersections[i1][1][1 - j1]
-        outer2 = ed.intersections[i2][1][1 - j2]
+        x1, x2 = ed.intersections[i1], ed.intersections[i2]
+        if x1[0] != NODE or x2[0] != NODE:
+            continue
         ed.drop_intersection(i1)
         ed.drop_intersection(i2)
         ed.remove_components((cid,))
-        ed.add_intersection(NODE, tuple(outer1), tuple(outer2))
-        g = ed.build()
+        ed.add_intersection(NODE, x1[1][1 - j1], x2[1][1 - j2])
 
 
 def pseudostable_reduction(g: CurveGraph) -> CurveGraph:
@@ -493,18 +485,20 @@ def pseudostable_reduction(g: CurveGraph) -> CurveGraph:
 
     The inserted genus-one component meets each former branch in a node;
     rational components left with only two nodal contacts are contracted.
+    Every step edits one `_Editor`, so the result is built once.
     """
     ed = _Editor(g)
-    for i, x in list(ed.live()):
-        if x[0] != TACNODE:
+    for i, x in enumerate(g.intersections):
+        if x.kind != TACNODE:
             continue
-        e0, e1 = x[1]
+        e0, e1 = x.components()
         eid = ed.fresh_id("E")
         ed.add_component(eid, genus=1)
         ed.drop_intersection(i)
-        ed.add_intersection(NODE, tuple(e0), (eid, 0))
-        ed.add_intersection(NODE, (eid, 1), tuple(e1))
-    return _contract_two_node_rationals(ed.build())
+        ed.add_intersection(NODE, e0, eid)
+        ed.add_intersection(NODE, eid, e1)
+    _contract_two_node_rationals(ed)
+    return ed.build()
 
 
 def _replace_link_with_rosary(ed: _Editor, link: frozenset[str]) -> None:
@@ -518,18 +512,20 @@ def _replace_link_with_rosary(ed: _Editor, link: frozenset[str]) -> None:
     ed.add_component(b1)
     ed.add_component(b2)
     for (idx, inside_end), bead in zip(cross, (b1, b2)):
-        ed.intersections[idx][1][inside_end] = [bead, 9]
+        ed.move_end(idx, inside_end, bead)
     ed.remove_components(link)
-    ed.add_intersection(TACNODE, (b1, 8), (b2, 8))
+    ed.add_intersection(TACNODE, b1, b2)
 
 
 def c_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
     """The closed-orbit curve equivalent to a strictly c-semistable curve.
 
-    Tacnodal input is first reduced to its pseudostable model; every bridge
-    link, in order of its sorted ids, is then replaced by a length-two open
-    rosary with beads named by the first free ids R0, R1, ..., all inside one
-    editor, so the representative is built once.  Idempotent.
+    Tacnodal input is first reduced to its pseudostable model (one build);
+    every bridge link, in order of its sorted ids, is then replaced by a
+    length-two open rosary with beads named by the first free ids R0, R1,
+    ..., all inside one editor, so the representative is built once.  A
+    model with no bridge link (a genus-2 curve whose model is one elliptic
+    component with a self-node) raises BasinError.  Idempotent.
     """
     flags = classify(g)
     if not flags.c_semistable or flags.c_stable:
@@ -541,7 +537,10 @@ def c_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
         base = pseudostable_reduction(g)
     links = bridge_links(base)
     if not links:
-        raise BasinError("no elliptic bridges after pseudostable reduction")
+        raise BasinError(
+            f"genus-{arithmetic_genus(g)} curve: its pseudostable model has no "
+            "elliptic bridge to replace"
+        )
     ed = _Editor(base)
     for link in sorted(links, key=lambda s: sorted(s)):
         _replace_link_with_rosary(ed, link)
@@ -593,15 +592,14 @@ def _apply_weak_chain_replacement(ed: _Editor, record) -> None:
         beads.append(bid)
     for k in range(record.length):
         base = 3 * k
-        ed.add_intersection(TACNODE, (beads[base], 1), (beads[base + 1], 0))
-        ed.add_intersection(TACNODE, (beads[base + 1], 1), (beads[base + 2], 0))
+        ed.add_intersection(TACNODE, beads[base], beads[base + 1])
+        ed.add_intersection(TACNODE, beads[base + 1], beads[base + 2])
         if k + 1 < record.length:
-            ed.add_intersection(NODE, (beads[base + 2], 2), (beads[base + 3], 2))
+            ed.add_intersection(NODE, beads[base + 2], beads[base + 3])
     # the nodal attachment keeps its kind; the tacnodal attachment becomes a node
     for idx, bead in ((node_end, beads[0]), (tac_end, beads[-1])):
         x = ed.intersections[idx]
-        inside = 0 if x[1][0][0] in comps else 1
-        x[1][inside] = [bead, 7]
+        ed.move_end(idx, 0 if x[1][0] in comps else 1, bead)
         x[0] = NODE
     ed.remove_components(comps)
 
@@ -612,8 +610,8 @@ def h_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
     A closed weak elliptic chain of length r becomes the closed rosary of
     length 2r; otherwise each maximal weak elliptic chain of length l is
     replaced by a chain of l length-three open rosaries glued in at nodes,
-    and rational components left with two nodal contacts are contracted.
-    Idempotent.
+    and rational components left with two nodal contacts are contracted,
+    all inside one editor, so the representative is built once.  Idempotent.
     """
     flags = classify(g)
     if not flags.h_semistable or flags.h_stable:
@@ -628,7 +626,8 @@ def h_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
     ed = _Editor(g)
     for record in _maximal_weak_chains(g):
         _apply_weak_chain_replacement(ed, record)
-    out = _contract_two_node_rationals(ed.build())
+    _contract_two_node_rationals(ed)
+    out = ed.build()
     if not is_h_closed_orbit(out):
         raise BasinError("replacement did not reach a closed-orbit curve")
     return out

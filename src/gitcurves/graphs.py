@@ -750,152 +750,87 @@ def _bead_candidates(g: CurveGraph) -> dict[str, list[tuple[int, int]]]:
     return {cid: ends for cid, ends in inc.items() if len(ends) == 2 and cid not in selfs}
 
 
-def _bead_cycle(g: CurveGraph) -> Optional[tuple[list[str], list[int]]]:
-    """If the whole curve is a cycle of beads, return (beads in order, junctions)."""
-    beads = _bead_candidates(g)
-    if len(beads) != len(g.components) or len(g.components) < 2:
-        return None
-    if not g.is_connected():
-        return None
-    if len(g.intersections) != len(g.components):
-        return None
-    start = min(beads)
-    order = [start]
-    visited = {start}
-    junctions: list[int] = []
-    prev_x = None
-    while True:
-        cid = order[-1]
-        nxt = None
-        for i, _j in beads[cid]:
-            if i == prev_x:
-                continue
-            other = [c for c in g.intersections[i].components() if c != cid]
-            if not other:
-                return None
-            nxt = (i, other[0])
-        if nxt is None:
-            return None
-        i, nb = nxt
-        junctions.append(i)
-        prev_x = i
-        if nb == start:
-            break
-        if nb in visited:
-            return None
-        visited.add(nb)
-        order.append(nb)
-    if len(order) != len(g.components):
-        return None
-    return order, junctions
+@lru_cache(maxsize=32)
+def _bead_walk(g: CurveGraph) -> tuple[Optional[RosaryRecord], tuple[RosaryRecord, ...]]:
+    """The bead cycle, when the whole curve is one, and the maximal
+    tacnode-linked runs of beads that have a node at both ends.
 
-
-def _open_runs(g: CurveGraph) -> list[RosaryRecord]:
-    """Maximal tacnode-linked bead chains with nodal end attachments."""
+    One walk over the strands of `_bead_candidates`, each a maximal sequence
+    of beads that meet in turn, with the intersection entering each bead; a
+    cyclic strand is walked from its least id, leaving that bead through its
+    later intersection.  The nodes cut each strand into runs.  When one
+    cyclic strand is the whole curve, every run counts, in the walk's
+    direction and with sorted ends; otherwise a run needs two beads and
+    starts at its end bead that comes first in component order.  Runs are
+    sorted by their beads.  The result of the last 32 graphs is kept.
+    """
     beads = _bead_candidates(g)
-    runs: list[RosaryRecord] = []
-    seen: set[frozenset[str]] = set()
+    xs = g.intersections
+    node = [x.kind == NODE for x in xs]
+    seen: set[str] = set()
+
+    def strand(cid: str, back: int) -> tuple[list[str], list[int]]:
+        # links[k] enters order[k]; the last link leaves the last bead
+        order, links = [], [back]
+        while cid in beads and cid not in seen:
+            seen.add(cid)
+            order.append(cid)
+            p, q = beads[cid]
+            i, j = q if p[0] == links[-1] else p
+            links.append(i)
+            cid = xs[i].ends[1 - j][0]
+        return order, links
+
+    strands = []
     for cid, inc in beads.items():
-        # start only from beads that are chain ends: at most one tacnode link to a bead
-        links = []
         for i, j in inc:
-            other = g.intersections[i].ends[1 - j][0]
-            if g.intersections[i].kind == TACNODE and other in beads:
-                links.append((i, other))
-        if len(links) != 1:
+            if cid not in seen and xs[i].ends[1 - j][0] not in beads:
+                strands.append(strand(cid, i))
+    closed = None
+    for cid in sorted(beads):
+        if cid in seen:
             continue
-        chain = [cid]
-        xs: list[int] = []
-        nxt = links[0]
-        while True:
-            i, other = nxt
-            xs.append(i)
-            chain.append(other)
-            cont = [
-                (k, g.intersections[k].ends[1 - j][0])
-                for k, j in beads[other]
-                if k != i
-                and g.intersections[k].kind == TACNODE
-                and g.intersections[k].ends[1 - j][0] in beads
-            ]
-            if not cont:
-                break
-            nxt = cont[0]
-        if frozenset(chain) in seen:
-            continue
-        # end attachments must be single nodes
-        end_nodes = []
-        valid = True
-        for end_bead in (chain[0], chain[-1]):
-            outward = [
-                (i, j) for i, j in beads[end_bead] if i not in xs
-            ]
-            if len(outward) != 1 or g.intersections[outward[0][0]].kind != NODE:
-                valid = False
-                break
-            end_nodes.append(outward[0][0])
-        if not valid:
-            continue
-        seen.add(frozenset(chain))
-        runs.append(
-            RosaryRecord(
-                closed=False,
-                beads=tuple(chain),
-                length=len(chain),
-                ends=tuple(end_nodes),
-            )
-        )
-    return sorted(runs, key=lambda r: r.beads)
+        order, links = strand(cid, beads[cid][0][0])
+        n = len(order)
+        cuts = [t for t in range(n) if node[links[t]]]
+        if n == len(g.components):
+            closed = RosaryRecord(True, tuple(order), n - len(cuts), len(cuts))
+        if cuts:  # as a path from its first node round to that node again
+            t = cuts[0]
+            strands.append((order[t:] + order[:t], links[t:n] + links[: t + 1]))
 
-
-def _cycle_runs(g: CurveGraph, order: list[str], junctions: list[int]) -> list[RosaryRecord]:
-    """Open rosaries inside a broken bead cycle: maximal runs between nodes."""
-    n = len(order)
-    node_pos = [k for k in range(n) if g.intersections[junctions[k]].kind == NODE]
-    if not node_pos:
-        return []
+    rank = {cid: k for k, cid in enumerate(beads)}
     runs = []
-    for idx, k in enumerate(node_pos):
-        nxt = node_pos[(idx + 1) % len(node_pos)]
-        beads = []
-        pos = (k + 1) % n
-        while True:
-            beads.append(order[pos])
-            if pos == nxt:
-                break
-            pos = (pos + 1) % n
-        ends = (junctions[k], junctions[nxt])
-        runs.append(
-            RosaryRecord(False, tuple(beads), len(beads), ends=tuple(sorted(ends)))
-        )
-    return sorted(runs, key=lambda r: r.beads)
+    for order, links in strands:
+        cuts = [0] + [t for t in range(1, len(order)) if node[links[t]]] + [len(order)]
+        for t, u in zip(cuts, cuts[1:]):
+            run, ends = order[t:u], (links[t], links[u])
+            if not (node[ends[0]] and node[ends[1]]):
+                continue
+            if closed is not None:
+                ends = tuple(sorted(ends))
+            elif len(run) < 2:
+                continue
+            elif rank[run[-1]] < rank[run[0]]:
+                run, ends = run[::-1], ends[::-1]
+            runs.append(RosaryRecord(False, tuple(run), len(run), ends=ends))
+    runs.sort(key=lambda r: r.beads)
+    return closed, tuple(runs)
 
 
 def find_rosaries(g: CurveGraph) -> list[RosaryRecord]:
-    """Maximal open rosaries (length >= 2), or the whole curve as a bead cycle."""
+    """Maximal open rosaries (length >= 2), or the whole curve as a bead
+    cycle: one `_bead_walk`."""
     if not g.is_connected():
         raise CurveGraphError("disconnected")
-    cycle = _bead_cycle(g)
-    if cycle is not None:
-        order, junctions = cycle
-        broken = sum(1 for i in junctions if g.intersections[i].kind == NODE)
-        return [
-            RosaryRecord(
-                closed=True,
-                beads=tuple(order),
-                length=len(order) - broken,
-                broken_beads=broken,
-            )
-        ]
-    return [r for r in _open_runs(g) if r.length >= 2]
+    closed, runs = _bead_walk(g)
+    return [closed] if closed is not None else list(runs)
 
 
 def open_rosaries(g: CurveGraph) -> list[RosaryRecord]:
-    """All maximal open rosaries, including runs inside a broken bead cycle."""
-    cycle = _bead_cycle(g)
-    if cycle is not None:
-        return _cycle_runs(g, *cycle)
-    return _open_runs(g)
+    """All maximal open rosaries, including the runs of one bead inside a
+    broken bead cycle: the runs of one `_bead_walk`."""
+    return list(_bead_walk(g)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -965,18 +900,11 @@ def has_infinite_automorphisms(g: CurveGraph) -> tuple[bool, Optional[RosaryReco
         raise CurveGraphError("automorphism classification requires a c-semistable curve")
     if arithmetic_genus(g) < 4:
         raise CurveGraphError("automorphism classification requires genus >= 4")
-    cycle = _bead_cycle(g)
-    if cycle is not None:
-        order, junctions = cycle
-        broken = sum(1 for i in junctions if g.intersections[i].kind == NODE)
-        if broken == 0:
-            rec = RosaryRecord(True, tuple(order), len(order))
-            return (arithmetic_genus(g) % 2 == 1, rec)
-        runs = _cycle_runs(g, order, junctions)
-        long = [r for r in runs if r.length >= 2]
-        return (bool(long), long[0] if long else None)
-    runs = [r for r in _open_runs(g) if r.length >= 2]
-    return (bool(runs), runs[0] if runs else None)
+    closed, runs = _bead_walk(g)
+    if closed is not None and not closed.broken_beads:
+        return (arithmetic_genus(g) % 2 == 1, closed)
+    long = [r for r in runs if r.length >= 2]
+    return (bool(long), long[0] if long else None)
 
 
 def aut_torus_rank(g: CurveGraph) -> int:
@@ -988,16 +916,13 @@ def aut_torus_rank(g: CurveGraph) -> int:
     """
     from . import basins  # deferred: basins builds on this module
 
-    cycle = _bead_cycle(g)
-    if cycle is not None:
-        order, junctions = cycle
-        broken = sum(1 for i in junctions if g.intersections[i].kind == NODE)
-        if broken == 0:
-            return 1 if arithmetic_genus(g) % 2 == 1 else 0
+    closed, runs = _bead_walk(g)
+    if closed is not None and not closed.broken_beads:
+        return 1 if arithmetic_genus(g) % 2 == 1 else 0
     if basins.is_c_closed_orbit(g):
-        return sum(1 for r in open_rosaries(g) if r.length == 2)
+        return sum(1 for r in runs if r.length == 2)
     if basins.is_h_closed_orbit(g):
-        return sum(1 for r in open_rosaries(g) if r.length == 3)
+        return sum(1 for r in runs if r.length == 3)
     raise CurveGraphError("not a closed-orbit curve")
 
 

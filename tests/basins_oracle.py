@@ -1,13 +1,22 @@
-"""Per-link graph rebuilds of the bridge surgeries, kept as a test oracle.
+"""Per-step rebuilds of the basins surgeries and the separate bead walks,
+kept as test oracles.
 
-Both functions build an intermediate `CurveGraph` after every link, exactly
-as `basins` did before it built each output graph only once:
+The bridge surgeries build an intermediate `CurveGraph` after every link,
+exactly as `basins` did before it built each output graph only once:
 `enumerate_c_replacements` builds the graph with its separators and then
 rebuilds it after each contracted link, and `c_closed_orbit_rep` rebuilds
 after each link it replaces by a length-two rosary, so the fresh bead names
 are drawn from a new editor every time.  Crossings come from
 `graphs.crossing_intersections` on each intermediate graph.  There is no
 replacement budget here.
+
+`contract_two_node_rationals` tests every component again after each
+contraction, as `basins` did when it rebuilt the graph after every one;
+`pseudostable_reduction` and `h_closed_orbit_rep` rest on it.  The rosary queries read three walks: the
+whole-curve bead cycle, the tacnode-linked bead chains of an open curve,
+and the runs between nodes of a broken cycle; the closed-orbit predicates
+join rosaries by comparing every pair and test each tacnode and bridge
+against a list of bead sets.
 """
 
 import itertools
@@ -15,16 +24,319 @@ import itertools
 from gitcurves.basins import (
     BasinError,
     _Editor,
-    is_c_closed_orbit,
-    pseudostable_reduction,
+    _apply_weak_chain_replacement,
+    _maximal_weak_chains,
+    _numbered,
 )
 from gitcurves.graphs import (
     NODE,
     TACNODE,
+    Component,
+    CurveGraph,
+    CurveGraphError,
+    RosaryRecord,
+    arithmetic_genus,
     bridge_links,
     classify,
+    closed_rosary_graph,
     crossing_intersections,
+    find_elliptic_bridges,
+    find_weak_elliptic_chains,
+    _bead_candidates,
 )
+
+
+def bead_cycle(g):
+    """If the whole curve is a cycle of beads, return (beads in order, junctions)."""
+    beads = _bead_candidates(g)
+    if len(beads) != len(g.components) or len(g.components) < 2:
+        return None
+    if not g.is_connected():
+        return None
+    if len(g.intersections) != len(g.components):
+        return None
+    start = min(beads)
+    order = [start]
+    visited = {start}
+    junctions = []
+    prev_x = None
+    while True:
+        cid = order[-1]
+        nxt = None
+        for i, _j in beads[cid]:
+            if i == prev_x:
+                continue
+            other = [c for c in g.intersections[i].components() if c != cid]
+            if not other:
+                return None
+            nxt = (i, other[0])
+        if nxt is None:
+            return None
+        i, nb = nxt
+        junctions.append(i)
+        prev_x = i
+        if nb == start:
+            break
+        if nb in visited:
+            return None
+        visited.add(nb)
+        order.append(nb)
+    if len(order) != len(g.components):
+        return None
+    return order, junctions
+
+
+def open_runs(g):
+    """Maximal tacnode-linked bead chains with nodal end attachments."""
+    beads = _bead_candidates(g)
+    runs = []
+    seen = set()
+    for cid, inc in beads.items():
+        # start only from beads that are chain ends: at most one tacnode link to a bead
+        links = []
+        for i, j in inc:
+            other = g.intersections[i].ends[1 - j][0]
+            if g.intersections[i].kind == TACNODE and other in beads:
+                links.append((i, other))
+        if len(links) != 1:
+            continue
+        chain = [cid]
+        xs = []
+        nxt = links[0]
+        while True:
+            i, other = nxt
+            xs.append(i)
+            chain.append(other)
+            cont = [
+                (k, g.intersections[k].ends[1 - j][0])
+                for k, j in beads[other]
+                if k != i
+                and g.intersections[k].kind == TACNODE
+                and g.intersections[k].ends[1 - j][0] in beads
+            ]
+            if not cont:
+                break
+            nxt = cont[0]
+        if frozenset(chain) in seen:
+            continue
+        # end attachments must be single nodes
+        end_nodes = []
+        valid = True
+        for end_bead in (chain[0], chain[-1]):
+            outward = [(i, j) for i, j in beads[end_bead] if i not in xs]
+            if len(outward) != 1 or g.intersections[outward[0][0]].kind != NODE:
+                valid = False
+                break
+            end_nodes.append(outward[0][0])
+        if not valid:
+            continue
+        seen.add(frozenset(chain))
+        runs.append(
+            RosaryRecord(closed=False, beads=tuple(chain), length=len(chain), ends=tuple(end_nodes))
+        )
+    return sorted(runs, key=lambda r: r.beads)
+
+
+def cycle_runs(g, order, junctions):
+    """Open rosaries inside a broken bead cycle: maximal runs between nodes."""
+    n = len(order)
+    node_pos = [k for k in range(n) if g.intersections[junctions[k]].kind == NODE]
+    if not node_pos:
+        return []
+    runs = []
+    for idx, k in enumerate(node_pos):
+        nxt = node_pos[(idx + 1) % len(node_pos)]
+        beads = []
+        pos = (k + 1) % n
+        while True:
+            beads.append(order[pos])
+            if pos == nxt:
+                break
+            pos = (pos + 1) % n
+        ends = (junctions[k], junctions[nxt])
+        runs.append(RosaryRecord(False, tuple(beads), len(beads), ends=tuple(sorted(ends))))
+    return sorted(runs, key=lambda r: r.beads)
+
+
+def find_rosaries(g):
+    if not g.is_connected():
+        raise CurveGraphError("disconnected")
+    cycle = bead_cycle(g)
+    if cycle is not None:
+        order, junctions = cycle
+        broken = sum(1 for i in junctions if g.intersections[i].kind == NODE)
+        return [
+            RosaryRecord(
+                closed=True, beads=tuple(order), length=len(order) - broken, broken_beads=broken
+            )
+        ]
+    return [r for r in open_runs(g) if r.length >= 2]
+
+
+def open_rosaries(g):
+    cycle = bead_cycle(g)
+    if cycle is not None:
+        return cycle_runs(g, *cycle)
+    return open_runs(g)
+
+
+def has_infinite_automorphisms(g):
+    flags = classify(g)
+    if not flags.c_semistable:
+        raise CurveGraphError("automorphism classification requires a c-semistable curve")
+    if arithmetic_genus(g) < 4:
+        raise CurveGraphError("automorphism classification requires genus >= 4")
+    cycle = bead_cycle(g)
+    if cycle is not None:
+        order, junctions = cycle
+        broken = sum(1 for i in junctions if g.intersections[i].kind == NODE)
+        if broken == 0:
+            rec = RosaryRecord(True, tuple(order), len(order))
+            return (arithmetic_genus(g) % 2 == 1, rec)
+        runs = cycle_runs(g, order, junctions)
+        long = [r for r in runs if r.length >= 2]
+        return (bool(long), long[0] if long else None)
+    runs = [r for r in open_runs(g) if r.length >= 2]
+    return (bool(runs), runs[0] if runs else None)
+
+
+def aut_torus_rank(g):
+    cycle = bead_cycle(g)
+    if cycle is not None:
+        order, junctions = cycle
+        broken = sum(1 for i in junctions if g.intersections[i].kind == NODE)
+        if broken == 0:
+            return 1 if arithmetic_genus(g) % 2 == 1 else 0
+    if is_c_closed_orbit(g):
+        return sum(1 for r in open_rosaries(g) if r.length == 2)
+    if is_h_closed_orbit(g):
+        return sum(1 for r in open_rosaries(g) if r.length == 3)
+    raise CurveGraphError("not a closed-orbit curve")
+
+
+def rosary_chains(g, length):
+    runs = [r for r in open_rosaries(g) if r.length == length]
+    parent = list(range(len(runs)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(runs)), 2):
+        if set(runs[i].ends) & set(runs[j].ends):
+            parent[max(find(i), find(j))] = min(find(i), find(j))
+    chains = {}
+    for i, r in enumerate(runs):
+        chains.setdefault(find(i), set()).update(r.beads)
+    return [frozenset(v) for v in chains.values()]
+
+
+def is_c_closed_orbit(g):
+    flags = classify(g)
+    if not flags.c_semistable:
+        return False
+    rosaries = [r for r in open_rosaries(g) if r.length >= 2]
+    if any(r.length != 2 for r in rosaries):
+        return False
+    rosary_comps = [frozenset(r.beads) for r in rosaries]
+    for x in g.intersections:
+        if x.kind == TACNODE:
+            a, b = x.components()
+            if not any(a in rc and b in rc for rc in rosary_comps):
+                return False
+    for bridge in find_elliptic_bridges(g):
+        if bridge not in rosary_comps:
+            return False
+    return True
+
+
+def is_h_closed_orbit(g):
+    flags = classify(g)
+    if not flags.h_semistable:
+        return False
+    cycle = bead_cycle(g)
+    if cycle is not None:
+        _order, junctions = cycle
+        if all(g.intersections[i].kind == TACNODE for i in junctions):
+            if arithmetic_genus(g) % 2 == 1:
+                return True
+    if arithmetic_genus(g) < 3:
+        return True
+    chains = rosary_chains(g, 3)
+    for w in find_weak_elliptic_chains(g):
+        comps = frozenset(itertools.chain.from_iterable(w.blocks))
+        if not any(comps <= chain for chain in chains):
+            return False
+    return True
+
+
+def contract_two_node_rationals(g):
+    """Repeatedly contract the least id among the smooth rational components
+    meeting exactly two nodes, on distinct intersections, testing every
+    component again after each contraction: its two nodes are dropped and
+    a node joining their outer branches is appended."""
+    comps = {c.id: c for c in g.components}
+    rows = [(x.kind, x.ends[0][0], x.ends[1][0]) for x in g.intersections]
+    return _contract(comps, rows)
+
+
+def _contract(comps, rows):
+    while True:
+        inc = {cid: [] for cid in comps}
+        for i, (_kind, c0, c1) in enumerate(rows):
+            inc[c0].append((i, 1))
+            inc[c1].append((i, 2))
+        target = None
+        for cid in sorted(comps):
+            c, pairs = comps[cid], inc[cid]
+            if c.genus != 0 or c.cusps != 0 or len(pairs) != 2:
+                continue
+            if any(rows[i][0] != NODE or rows[i][1] == rows[i][2] for i, _ in pairs):
+                continue
+            target = cid
+            break
+        if target is None:
+            break
+        (i1, k1), (i2, k2) = inc[target]
+        new = (NODE, rows[i1][3 - k1], rows[i2][3 - k2])
+        rows = [r for i, r in enumerate(rows) if i not in (i1, i2)] + [new]
+        del comps[target]
+    return CurveGraph(tuple(sorted(comps.values(), key=lambda c: c.id)), _numbered(rows, {}))
+
+
+def pseudostable_reduction(g):
+    """Each tacnode, in order, is dropped and its branches are joined by
+    nodes to a new genus-1 component E<k>, k the least free; then the
+    contraction above."""
+    comps = {c.id: c for c in g.components}
+    fresh = (f"E{k}" for k in itertools.count() if f"E{k}" not in comps)
+    rows = [(x.kind, x.ends[0][0], x.ends[1][0]) for x in g.intersections if x.kind != TACNODE]
+    for x in g.intersections:
+        if x.kind == TACNODE:
+            eid = next(fresh)
+            comps[eid] = Component(eid, 1)
+            rows += [(NODE, x.ends[0][0], eid), (NODE, eid, x.ends[1][0])]
+    return _contract(comps, rows)
+
+
+def h_closed_orbit_rep(g):
+    flags = classify(g)
+    if not flags.h_semistable or flags.h_stable:
+        raise BasinError("input is not strictly h-semistable")
+    if is_h_closed_orbit(g):
+        return g
+    closed = [w for w in find_weak_elliptic_chains(g) if w.closed]
+    if closed:
+        return closed_rosary_graph(2 * closed[0].length)
+    ed = _Editor(g)
+    for record in _maximal_weak_chains(g):
+        _apply_weak_chain_replacement(ed, record)
+    out = contract_two_node_rationals(ed.build())
+    if not is_h_closed_orbit(out):
+        raise BasinError("replacement did not reach a closed-orbit curve")
+    return out
 
 
 def _replace_link_with_rosary(g, link):
@@ -36,9 +348,9 @@ def _replace_link_with_rosary(g, link):
     ed.add_component(b1)
     ed.add_component(b2)
     for (idx, inside_end), bead in zip(cross, (b1, b2)):
-        ed.intersections[idx][1][inside_end] = [bead, 9]
+        ed.move_end(idx, inside_end, bead)
     ed.remove_components(link)
-    ed.add_intersection(TACNODE, (b1, 8), (b2, 8))
+    ed.add_intersection(TACNODE, b1, b2)
     return ed.build()
 
 
@@ -53,7 +365,10 @@ def c_closed_orbit_rep(g):
         base = pseudostable_reduction(g)
     links = bridge_links(base)
     if not links:
-        raise BasinError("no elliptic bridges after pseudostable reduction")
+        raise BasinError(
+            f"genus-{arithmetic_genus(g)} curve: its pseudostable model has no "
+            "elliptic bridge to replace"
+        )
     out = base
     for link in sorted(links, key=lambda s: sorted(s)):
         out = _replace_link_with_rosary(out, link)
@@ -73,7 +388,7 @@ def _contract_link_to_tacnode(g, link):
     ed.drop_intersection(i1)
     ed.drop_intersection(i2)
     ed.remove_components(link)
-    ed.add_intersection(TACNODE, tuple(outer1), tuple(outer2))
+    ed.add_intersection(TACNODE, outer1, outer2)
     return ed.build()
 
 
@@ -91,10 +406,10 @@ def enumerate_c_replacements(g):
                 continue
             ed = _Editor(g)
             # separate adjacent chosen links with a rational curve
-            for i, x in list(ed.live()):
+            for i, x in enumerate(list(ed.intersections)):
                 if x[0] != NODE:
                     continue
-                a, b = x[1][0][0], x[1][1][0]
+                a, b = x[1]
                 owners = []
                 for s in chosen_sets:
                     if a in s:
@@ -108,8 +423,8 @@ def enumerate_c_replacements(g):
                     ed.add_component(pid)
                     e0, e1 = x[1]
                     ed.drop_intersection(i)
-                    ed.add_intersection(NODE, tuple(e0), (pid, 0))
-                    ed.add_intersection(NODE, (pid, 1), tuple(e1))
+                    ed.add_intersection(NODE, e0, pid)
+                    ed.add_intersection(NODE, pid, e1)
             cur = ed.build()
             for s in chosen_sets:
                 cur = _contract_link_to_tacnode(cur, s)

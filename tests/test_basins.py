@@ -49,6 +49,7 @@ from gitcurves.graphs import (
     closed_rosary_graph,
     find_weak_elliptic_chains,
     isomorphic,
+    open_rosary_graph,
 )
 from paths import ROOT
 
@@ -539,6 +540,31 @@ class TestSurgeryBuilds:
         star = c_closed_orbit_rep(bridge_chain_graph([1] * 9))
         assert star.tacnode_count() == 9
         assert calls[0] == 1  # was one per link
+
+    def test_one_build_per_pseudostable_reduction(self, monkeypatch):
+        calls = _count_builds(monkeypatch)
+        model = pseudostable_reduction(open_rosary_graph(400))
+        # L1 - E - E - ... - E - L400: all 398 inner beads are contracted
+        assert len(model.components) == 401
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize(
+        "name", ["closed-rosary-6", "broken-rosary-5", "open-rosary-config-6-3"]
+    )
+    def test_tacnodal_c_representative_builds_twice(self, monkeypatch, name):
+        # the pseudostable model, then the representative
+        g = CurveGraph.from_json((ROOT / "fixtures" / f"{name}.json").read_text())
+        calls = _count_builds(monkeypatch)
+        c_closed_orbit_rep(g)
+        assert calls[0] <= 2
+
+    def test_one_build_per_h_representative(self, monkeypatch):
+        g = CurveGraph.from_json(
+            (ROOT / "fixtures" / "weak-chains-rational-bridge.json").read_text()
+        )
+        calls = _count_builds(monkeypatch)
+        h_closed_orbit_rep(g)
+        assert calls[0] == 1
 
     def test_beads_reuse_names_freed_by_earlier_links(self):
         # R0 - R1 - R2 - R3 with links R1, R2: the first link's beads are R4,

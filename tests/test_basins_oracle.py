@@ -1,19 +1,24 @@
-"""Bridge surgery built once per output graph against per-link rebuilds.
+"""Basins surgery and the bead walk against their per-step oracles.
 
-`enumerate_c_replacements` and `c_closed_orbit_rep` must give exactly the
-graphs (as `to_json()`), or exactly the error text, of `basins_oracle`,
-which builds an intermediate graph after every link.  Each input is also
-tried with its components renamed R<i>, P<i>, E<i> and Q<i>, numbered
-forward and backward: those are the stems the surgeries draw fresh names
-from, so a fresh name that drifts from the per-link rebuilds shows up there.
+`enumerate_c_replacements`, both closed-orbit representatives and
+`pseudostable_reduction` must give exactly the graphs (equal components and
+intersections, so equal `to_json()`), or exactly the error text, of
+`basins_oracle`, which rebuilds after every link or contraction; the
+rosary queries and closed-orbit predicates must give exactly the records
+and answers of its separate walks.  Each input is also tried with its components renamed R<i>, P<i>,
+E<i> and Q<i>, numbered forward and backward: those are the stems the
+surgeries draw fresh names from, so a fresh name that drifts from the
+per-link rebuilds shows up there.
 """
+
+import itertools
 
 import pytest
 
 import basins_oracle as oracle
 from corpus import corpus
 from gitcurves import GitcurvesError
-from gitcurves.basins import c_closed_orbit_rep, enumerate_c_replacements
+from gitcurves import basins, graphs
 from gitcurves.graphs import (
     NODE,
     TACNODE,
@@ -21,6 +26,8 @@ from gitcurves.graphs import (
     CurveGraph,
     Intersection,
     bridge_chain_graph,
+    closed_rosary_graph,
+    open_rosary_graph,
 )
 from paths import ROOT
 
@@ -56,6 +63,11 @@ def family_graphs():
     out.append(bridge_chain_graph([1, 2, 1, 1, 3]))
     out.append(bridge_chain_graph([1] * 3, (2, 1)))
     out += [CurveGraph.from_json(path.read_text()) for path in FIXTURES]
+    out += [open_rosary_graph(n) for n in range(1, 61)]
+    out += [closed_rosary_graph(n) for n in range(2, 10)]
+    for n in range(2, 8):
+        broken = {(0,), tuple(range(n)), tuple(range(0, n, 2)), tuple(range(1, n, 2))}
+        out += [closed_rosary_graph(n, b) for b in sorted(broken)]
     return out
 
 
@@ -83,23 +95,31 @@ def variants(g):
 
 def outcome(fn, g):
     try:
-        out = fn(g)
+        return fn(g)
     except GitcurvesError as exc:
         return (type(exc).__name__, str(exc))
-    if isinstance(out, list):
-        return [r.to_json() for r in out]
-    return out.to_json()
 
 
-def assert_matches_oracle(graphs):
+#: (new, oracle) pairs compared on every input besides the replacements
+PAIRS = [
+    (getattr(mod, name), getattr(oracle, name))
+    for mod, names in (
+        (basins, "c_closed_orbit_rep h_closed_orbit_rep pseudostable_reduction"),
+        (basins, "is_c_closed_orbit is_h_closed_orbit"),
+        (graphs, "find_rosaries open_rosaries has_infinite_automorphisms aut_torus_rank"),
+    )
+    for name in names.split()
+]
+
+
+def assert_matches_oracle(inputs):
     compared = 0
-    for base in graphs:
+    for base in inputs:
         for g in variants(base):
-            got = outcome(enumerate_c_replacements, g)
+            got = outcome(basins.enumerate_c_replacements, g)
             assert got == outcome(oracle.enumerate_c_replacements, g), g.to_json()
-            assert outcome(c_closed_orbit_rep, g) == outcome(oracle.c_closed_orbit_rep, g), (
-                g.to_json()
-            )
+            for fn, ref in PAIRS:
+                assert outcome(fn, g) == outcome(ref, g), (fn.__name__, g.to_json())
             compared += 1 if isinstance(got, tuple) else len(got)
     return compared
 
@@ -113,3 +133,19 @@ def test_families_and_fixtures_match_oracle():
 def test_corpus_matches_oracle(seed):
     assert_matches_oracle(corpus(seed, 400))
 
+
+
+def test_rosaries_of_disconnected_curves_match_oracle():
+    # strands of two curves side by side: cycles that are not the whole curve
+    parts = [closed_rosary_graph(n, broken) for n, broken in ((2, ()), (3, (1,)), (5, (0, 2)))]
+    parts += [open_rosary_graph(3), weak_chain(2)]
+    runs = 0
+    for a, b in itertools.combinations(parts, 2):
+        g = CurveGraph(
+            renamed(a, "x", False).components + renamed(b, "y", True).components,
+            renamed(a, "x", False).intersections + renamed(b, "y", True).intersections,
+        )
+        for fn, ref in PAIRS:
+            assert outcome(fn, g) == outcome(ref, g), (fn.__name__, g.to_json())
+        runs += len(graphs.open_rosaries(g))
+    assert runs > 0

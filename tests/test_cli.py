@@ -356,6 +356,22 @@ class TestOtherCommands:
         assert out == ""
         assert err == f"error: {path}: marked points are not supported\n"
 
+    def test_closed_orbit_genus_two_without_bridge(self, capsys, tmp_path):
+        # a rational curve with a self-tacnode is strictly c-semistable; its
+        # pseudostable model is one elliptic component with a self-node
+        doc = {
+            "components": [{"id": "c0", "genus": 0}],
+            "intersections": [{"kind": "tacnode", "ends": [["c0", 0], ["c0", 1]]}],
+        }
+        path = tmp_path / "self-tacnode.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "closed-orbit", "--mode", "c", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: genus-2 curve: its pseudostable model has no elliptic bridge to replace\n"
+        )
+
     def test_replacements(self, capsys, tmp_path):
         path = tmp_path / "two.json"
         path.write_text(bridge_chain_graph([1, 1]).to_json())
