@@ -267,9 +267,14 @@ def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
             a = parent[a]
         return a
 
+    def union(a: str, b: str) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
     for i in indices:
-        ra, rb = (find(c) for c in g.intersections[i].components())
-        parent[max(ra, rb)] = min(ra, rb)
+        a, b = g.intersections[i].components()
+        union(a, b)
     classes: dict[str, list[str]] = {}
     for c in g.components:
         classes.setdefault(find(c.id), []).append(c.id)
@@ -284,11 +289,8 @@ def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
             if find(g.intersections[i].components()[0]) == root
         )
         comps.append(Component(root, genus + internal - (len(members) - 1), cusps))
-    rows = [
-        (x.kind, find(x.ends[0][0]), find(x.ends[1][0]))
-        for i, x in enumerate(g.intersections)
-        if i not in indices
-    ]
+    xs = enumerate(g.intersections)
+    rows = [(x.kind, *map(find, x.components())) for i, x in xs if i not in indices]
     return CurveGraph(tuple(sorted(comps, key=lambda c: c.id)), _numbered(rows, {}))
 
 
@@ -339,7 +341,10 @@ def rosary_product_weights(
         raise BasinError(
             f"{len(rosaries)} length-two rosaries but {len(exponents)} exponents"
         )
-    bead_owner = {b: i for i, r in enumerate(rosaries) for b in r.beads}
+    bead_owner: dict[str, int] = {}
+    for i, r in enumerate(rosaries):
+        for b in r.beads:
+            bead_owner[b] = i
     out = []
     for idx, x in enumerate(g.intersections):
         a, b = x.components()
@@ -369,7 +374,10 @@ def product_basin_generic(g: CurveGraph, signs: Sequence[int]) -> CurveGraph:
         raise BasinError("one sign per length-two rosary required")
     if any(s == 0 for s in signs):
         raise BasinError("signs must be nonzero")
-    bead_owner = {b: i for i, r in enumerate(rosaries) for b in r.beads}
+    bead_owner: dict[str, int] = {}
+    for i, r in enumerate(rosaries):
+        for b in r.beads:
+            bead_owner[b] = i
     smooth = []
     for idx, x in enumerate(g.intersections):
         owners = [bead_owner.get(c) for c in x.components()]
@@ -437,8 +445,7 @@ def is_h_closed_orbit(g: CurveGraph) -> bool:
 
     True for h-semistable curves that are an unbroken closed rosary of odd
     genus, or in which every weak elliptic chain is contained in a chain of
-    length-three open rosaries.  h-stable curves qualify vacuously.  Reads
-    one `_bead_walk`.
+    length-three open rosaries.  h-stable curves qualify vacuously.
     """
     flags = classify(g)
     if not flags.h_semistable:
@@ -460,11 +467,9 @@ def is_h_closed_orbit(g: CurveGraph) -> bool:
 
 def _contract_two_node_rationals(ed: _Editor) -> None:
     """Contract, least id first, every smooth rational component whose two
-    branches are nodes on distinct intersections, appending one node that
-    joins its neighbours.  A contraction keeps each neighbour's branch count
-    and kinds, so no component starts to qualify (one stops when the new
-    node joins it to itself): one pass in id order, testing each component
-    at its turn, contracts the least qualifying id at every step."""
+    branches are nodes on distinct intersections, joining its neighbours by
+    a new node.  A contraction never makes another component qualify, so one
+    pass in id order takes the least qualifying id at every step."""
     for cid in sorted(ed.components):
         c = ed.components[cid]
         inc = sorted(ed.incident[cid])

@@ -750,7 +750,6 @@ def _bead_candidates(g: CurveGraph) -> dict[str, list[tuple[int, int]]]:
     return {cid: ends for cid, ends in inc.items() if len(ends) == 2 and cid not in selfs}
 
 
-@lru_cache(maxsize=32)
 def _bead_walk(g: CurveGraph) -> tuple[Optional[RosaryRecord], tuple[RosaryRecord, ...]]:
     """The bead cycle, when the whole curve is one, and the maximal
     tacnode-linked runs of beads that have a node at both ends.
@@ -762,7 +761,7 @@ def _bead_walk(g: CurveGraph) -> tuple[Optional[RosaryRecord], tuple[RosaryRecor
     cyclic strand is the whole curve, every run counts, in the walk's
     direction and with sorted ends; otherwise a run needs two beads and
     starts at its end bead that comes first in component order.  Runs are
-    sorted by their beads.  The result of the last 32 graphs is kept.
+    sorted by their beads.
     """
     beads = _bead_candidates(g)
     xs = g.intersections

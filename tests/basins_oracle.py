@@ -1,18 +1,20 @@
 """Per-step rebuilds of the basins surgeries and the separate bead walks,
 kept as test oracles.
 
-The bridge surgeries build an intermediate `CurveGraph` after every link,
-exactly as `basins` did before it built each output graph only once:
-`enumerate_c_replacements` builds the graph with its separators and then
-rebuilds it after each contracted link, and `c_closed_orbit_rep` rebuilds
-after each link it replaces by a length-two rosary, so the fresh bead names
-are drawn from a new editor every time.  Crossings come from
-`graphs.crossing_intersections` on each intermediate graph.  There is no
-replacement budget here.
+`Editor` is the scratch copy `basins` used before its editor kept an
+incidence map; every surgery here goes through it, so a bookkeeping fault
+in `basins._Editor` cannot show on both sides.  The bridge surgeries build
+an intermediate `CurveGraph` after every link, exactly as `basins` did
+before it built each output graph only once: `enumerate_c_replacements`
+builds the graph with its separators and then rebuilds it after each
+contracted link, and `c_closed_orbit_rep` rebuilds after each link it
+replaces by a length-two rosary, so the fresh bead names are drawn from a
+new editor every time.  Crossings come from `graphs.crossing_intersections`
+on each intermediate graph.  There is no replacement budget here.
 
-`contract_two_node_rationals` tests every component again after each
-contraction, as `basins` did when it rebuilt the graph after every one;
-`pseudostable_reduction` and `h_closed_orbit_rep` rest on it.  The rosary queries read three walks: the
+`contract_two_node_rationals` rebuilds the graph after every contraction
+and tests every component again; `pseudostable_reduction` and
+`h_closed_orbit_rep` rest on it.  The rosary queries read three walks: the
 whole-curve bead cycle, the tacnode-linked bead chains of an open curve,
 and the runs between nodes of a broken cycle; the closed-orbit predicates
 join rosaries by comparing every pair and test each tacnode and bridge
@@ -21,13 +23,7 @@ against a list of bead sets.
 
 import itertools
 
-from gitcurves.basins import (
-    BasinError,
-    _Editor,
-    _apply_weak_chain_replacement,
-    _maximal_weak_chains,
-    _numbered,
-)
+from gitcurves.basins import BasinError, _maximal_weak_chains, _numbered
 from gitcurves.graphs import (
     NODE,
     TACNODE,
@@ -272,53 +268,125 @@ def is_h_closed_orbit(g):
     return True
 
 
+class Editor:
+    """The scratch copy `basins` edited before it kept an incidence map:
+    each intersection is a `[kind, [[component, slot], [component, slot]]]`
+    row that callers may rewrite, and `two_crossings` and
+    `remove_components` scan every live row."""
+
+    def __init__(self, g):
+        self.components = {c.id: c for c in g.components}
+        self.intersections = [
+            [x.kind, [list(x.ends[0]), list(x.ends[1])]] for x in g.intersections
+        ]
+        self._fresh = 0
+
+    def fresh_id(self, stem="Q"):
+        while True:
+            cid = f"{stem}{self._fresh}"
+            self._fresh += 1
+            if cid not in self.components:
+                return cid
+
+    def add_component(self, cid, genus=0, cusps=0):
+        self.components[cid] = Component(cid, genus, cusps)
+
+    def add_intersection(self, kind, a, b):
+        self.intersections.append([kind, [list(a), list(b)]])
+        return len(self.intersections) - 1
+
+    def drop_intersection(self, idx):
+        self.intersections[idx] = None
+
+    def live(self):
+        return [(i, x) for i, x in enumerate(self.intersections) if x is not None]
+
+    def remove_components(self, cids):
+        cids = set(cids)
+        for i, x in self.live():
+            if x[1][0][0] in cids and x[1][1][0] in cids:
+                self.drop_intersection(i)
+            elif x[1][0][0] in cids or x[1][1][0] in cids:
+                raise BasinError("removing components with live outward branches")
+        for cid in cids:
+            del self.components[cid]
+
+    def build(self):
+        rows = [(x[0], x[1][0][0], x[1][1][0]) for _i, x in self.live()]
+        comps = tuple(sorted(self.components.values(), key=lambda c: c.id))
+        return CurveGraph(comps, _numbered(rows, {}))
+
+
+def apply_weak_chain_replacement(ed, record):
+    comps = frozenset(itertools.chain.from_iterable(record.blocks))
+    tac_end, node_end = record.ends
+    beads = []
+    for _ in range(3 * record.length):
+        bid = ed.fresh_id("R")
+        ed.add_component(bid)
+        beads.append(bid)
+    for k in range(record.length):
+        base = 3 * k
+        ed.add_intersection(TACNODE, (beads[base], 1), (beads[base + 1], 0))
+        ed.add_intersection(TACNODE, (beads[base + 1], 1), (beads[base + 2], 0))
+        if k + 1 < record.length:
+            ed.add_intersection(NODE, (beads[base + 2], 2), (beads[base + 3], 2))
+    # the nodal attachment keeps its kind; the tacnodal attachment becomes a node
+    for idx, bead in ((node_end, beads[0]), (tac_end, beads[-1])):
+        x = ed.intersections[idx]
+        inside = 0 if x[1][0][0] in comps else 1
+        x[1][inside] = [bead, 7]
+        x[0] = NODE
+    ed.remove_components(comps)
+
+
 def contract_two_node_rationals(g):
-    """Repeatedly contract the least id among the smooth rational components
-    meeting exactly two nodes, on distinct intersections, testing every
-    component again after each contraction: its two nodes are dropped and
-    a node joining their outer branches is appended."""
-    comps = {c.id: c for c in g.components}
-    rows = [(x.kind, x.ends[0][0], x.ends[1][0]) for x in g.intersections]
-    return _contract(comps, rows)
-
-
-def _contract(comps, rows):
+    """Contract the least id among the smooth rational components meeting
+    exactly two nodes, on distinct intersections, and rebuild the graph;
+    repeat until none is left."""
     while True:
-        inc = {cid: [] for cid in comps}
-        for i, (_kind, c0, c1) in enumerate(rows):
-            inc[c0].append((i, 1))
-            inc[c1].append((i, 2))
         target = None
-        for cid in sorted(comps):
-            c, pairs = comps[cid], inc[cid]
-            if c.genus != 0 or c.cusps != 0 or len(pairs) != 2:
+        for c in sorted(g.components, key=lambda c: c.id):
+            if c.genus != 0 or c.cusps != 0:
                 continue
-            if any(rows[i][0] != NODE or rows[i][1] == rows[i][2] for i, _ in pairs):
+            inc = g.incident_ends(c.id)
+            if len(inc) != 2:
                 continue
-            target = cid
+            if any(g.intersections[i].kind != NODE for i, _ in inc):
+                continue
+            if any(
+                g.intersections[i].ends[0][0] == g.intersections[i].ends[1][0]
+                for i, _ in inc
+            ):
+                continue
+            target = (c.id, inc)
             break
         if target is None:
-            break
-        (i1, k1), (i2, k2) = inc[target]
-        new = (NODE, rows[i1][3 - k1], rows[i2][3 - k2])
-        rows = [r for i, r in enumerate(rows) if i not in (i1, i2)] + [new]
-        del comps[target]
-    return CurveGraph(tuple(sorted(comps.values(), key=lambda c: c.id)), _numbered(rows, {}))
+            return g
+        cid, inc = target
+        ed = Editor(g)
+        (i1, j1), (i2, j2) = inc
+        outer1 = ed.intersections[i1][1][1 - j1]
+        outer2 = ed.intersections[i2][1][1 - j2]
+        ed.drop_intersection(i1)
+        ed.drop_intersection(i2)
+        ed.remove_components((cid,))
+        ed.add_intersection(NODE, tuple(outer1), tuple(outer2))
+        g = ed.build()
 
 
 def pseudostable_reduction(g):
-    """Each tacnode, in order, is dropped and its branches are joined by
-    nodes to a new genus-1 component E<k>, k the least free; then the
-    contraction above."""
-    comps = {c.id: c for c in g.components}
-    fresh = (f"E{k}" for k in itertools.count() if f"E{k}" not in comps)
-    rows = [(x.kind, x.ends[0][0], x.ends[1][0]) for x in g.intersections if x.kind != TACNODE]
-    for x in g.intersections:
-        if x.kind == TACNODE:
-            eid = next(fresh)
-            comps[eid] = Component(eid, 1)
-            rows += [(NODE, x.ends[0][0], eid), (NODE, eid, x.ends[1][0])]
-    return _contract(comps, rows)
+    ed = Editor(g)
+    for i, x in list(ed.live()):
+        if x[0] != TACNODE:
+            continue
+        e0, e1 = x[1]
+        eid = ed.fresh_id("E")
+        ed.add_component(eid, genus=1)
+        ed.drop_intersection(i)
+        ed.add_intersection(NODE, tuple(e0), (eid, 0))
+        ed.add_intersection(NODE, (eid, 1), tuple(e1))
+    return contract_two_node_rationals(ed.build())
 
 
 def h_closed_orbit_rep(g):
@@ -330,9 +398,9 @@ def h_closed_orbit_rep(g):
     closed = [w for w in find_weak_elliptic_chains(g) if w.closed]
     if closed:
         return closed_rosary_graph(2 * closed[0].length)
-    ed = _Editor(g)
+    ed = Editor(g)
     for record in _maximal_weak_chains(g):
-        _apply_weak_chain_replacement(ed, record)
+        apply_weak_chain_replacement(ed, record)
     out = contract_two_node_rationals(ed.build())
     if not is_h_closed_orbit(out):
         raise BasinError("replacement did not reach a closed-orbit curve")
@@ -343,14 +411,14 @@ def _replace_link_with_rosary(g, link):
     cross = sorted(crossing_intersections(g, link))
     if len(cross) != 2:
         raise BasinError("bridge link must meet the rest in exactly two nodes")
-    ed = _Editor(g)
+    ed = Editor(g)
     b1, b2 = ed.fresh_id("R"), ed.fresh_id("R")
     ed.add_component(b1)
     ed.add_component(b2)
     for (idx, inside_end), bead in zip(cross, (b1, b2)):
-        ed.move_end(idx, inside_end, bead)
+        ed.intersections[idx][1][inside_end] = [bead, 9]
     ed.remove_components(link)
-    ed.add_intersection(TACNODE, b1, b2)
+    ed.add_intersection(TACNODE, (b1, 8), (b2, 8))
     return ed.build()
 
 
@@ -382,13 +450,13 @@ def _contract_link_to_tacnode(g, link):
     if len(cross) != 2:
         raise BasinError("link must meet the rest in exactly two nodes")
     (i1, e1), (i2, e2) = cross
-    ed = _Editor(g)
+    ed = Editor(g)
     outer1 = ed.intersections[i1][1][1 - e1]
     outer2 = ed.intersections[i2][1][1 - e2]
     ed.drop_intersection(i1)
     ed.drop_intersection(i2)
     ed.remove_components(link)
-    ed.add_intersection(TACNODE, outer1, outer2)
+    ed.add_intersection(TACNODE, tuple(outer1), tuple(outer2))
     return ed.build()
 
 
@@ -404,12 +472,12 @@ def enumerate_c_replacements(g):
             if not chosen_sets:
                 out.append(g)
                 continue
-            ed = _Editor(g)
+            ed = Editor(g)
             # separate adjacent chosen links with a rational curve
-            for i, x in enumerate(list(ed.intersections)):
+            for i, x in list(ed.live()):
                 if x[0] != NODE:
                     continue
-                a, b = x[1]
+                a, b = x[1][0][0], x[1][1][0]
                 owners = []
                 for s in chosen_sets:
                     if a in s:
@@ -423,8 +491,8 @@ def enumerate_c_replacements(g):
                     ed.add_component(pid)
                     e0, e1 = x[1]
                     ed.drop_intersection(i)
-                    ed.add_intersection(NODE, e0, pid)
-                    ed.add_intersection(NODE, pid, e1)
+                    ed.add_intersection(NODE, tuple(e0), (pid, 0))
+                    ed.add_intersection(NODE, (pid, 1), tuple(e1))
             cur = ed.build()
             for s in chosen_sets:
                 cur = _contract_link_to_tacnode(cur, s)
