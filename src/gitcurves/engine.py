@@ -18,18 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import GitcurvesError
-from .families import ComponentMap, Configuration, OneParamSubgroup, ParamTerm, Parametrization
-from .monomials import Monomial, MonomialOrder, SparseMonomial, degree_monomials
+from .families import Configuration, OneParamSubgroup, ParamTerm, Parametrization
+from .monomials import Monomial, MonomialOrder, degree_monomials
 
 #: most supported monomials a slice may have, by the closed-form bound.  The
 #: slice lists none of them; at the budget, closed rosary r = 3,333 at m = 2
-#: takes 0.18 s and r = 396 at m = 5 takes 0.055 s (default order, medians of
-#: five runs; Python 3.11, one core of a 2-core Xeon host).
+#: takes 0.04-0.07 s and r = 396 at m = 5 takes 0.009-0.013 s (default order,
+#: medians of five runs in the fast and the slow state of the host; Python
+#: 3.11, one core of a 2-core Xeon host).
 SLICE_BUDGET = 50_000
 
 #: most degree-m monomials `IdealSlice.monomials` may list.  That listing holds
@@ -59,15 +59,9 @@ class IdealSlice:
     smaller rank sequence, so ascending keys are ascending monomials:
     weight first, then rank sequence descending.  `key // S` is the weight.
 
-    The rest is derived on first read from the parametrization: `keys`
-    lists the keys of the degree-m monomials supported on some component's
-    coordinates, and `supported_standard` marks the standard ones among
-    them; every other degree-m monomial restricts to zero on every
-    component, so it is initial.  `supported` holds the exponent vectors of
-    `keys` and `sparse` their nonzero (coord, exp) pairs, `monomials` lists
-    all degree-m monomials in ascending order and `standard` marks the
-    standard ones.  `monomials` and `standard` raise `EngineError` when
-    there would be more than `LISTING_BUDGET`.
+    The listing is derived on first read: `monomials` lists all degree-m
+    monomials in ascending order and `standard` marks the standard ones.
+    Both raise `EngineError` when there would be more than `LISTING_BUDGET`.
     """
 
     degree: int
@@ -93,27 +87,6 @@ class IdealSlice:
     @property
     def standard_count(self) -> int:
         return len(self.standard_keys)
-
-    @cached_property
-    def keys(self) -> tuple[int, ...]:
-        keys: set[int] = set()
-        for cm in self.parametrization.maps:
-            _, table = _key_table(cm, self.degree, self.order)
-            keys.update(_sequence_sums(table, self._key_base - 1))
-        return tuple(sorted(keys))
-
-    @cached_property
-    def supported_standard(self) -> tuple[bool, ...]:
-        std = set(self.standard_keys)
-        return tuple(key in std for key in self.keys)
-
-    @cached_property
-    def supported(self) -> tuple[Monomial, ...]:
-        return tuple(map(self._dense, self.keys))
-
-    @cached_property
-    def sparse(self) -> tuple[SparseMonomial, ...]:
-        return tuple(tuple((c, e) for c, e in enumerate(mono) if e) for mono in self.supported)
 
     @cached_property
     def monomials(self) -> tuple[Monomial, ...]:
@@ -142,34 +115,60 @@ class IdealSlice:
         return sum(key // base for key in self.standard_keys)
 
 
-def _key_table(
-    cm: ComponentMap, m: int, order: MonomialOrder
-) -> tuple[list[ParamTerm], list[list[int]]]:
-    """A component's terms in ascending precedence rank, and the key table
-    T[p][j] = w_j * S - rank_j * n^(m-1-p) over them: a monomial whose
-    coordinates are the terms j_0 <= ... <= j_{m-1} has the key
-    S - 1 + sum(T[p][j_p] for p)."""
-    n = order.nvars
+def _shape_tables(
+    shape: tuple[tuple[int, int, int, int, int], ...], m: int, n: int, span: int
+) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
+    """The least partial keys of one component shape, as `free` and `pure`.
+
+    `shape` lists the component's terms in ascending rank as (weight, rank,
+    s exponent, partner, partner's s exponent), the partner being -1 for a
+    term on this component only.  With S = n^m, a term at position p adds
+    weight * S - rank * n^(m-1-p) to the partial key.  A dynamic program over
+    the terms, from the last term and position back, keeps the least partial
+    key (the sum over positions p' >= p) per state of the sequences at
+    positions p.. with indices >= j: `free` maps the s-exponent sum a of the
+    half-edges to it, and `pure[c]` maps a * span + b, b the s-exponent sum
+    on partner c, to it for the sequences whose terms all lie on c too.
+    """
     base = n**m
-    w = order.weights.weights
-    rank = order.rank
-    terms = sorted(cm.terms, key=lambda t: rank[t.coord])
-    parts = [(w[t.coord] * base, rank[t.coord]) for t in terms]
     places = [n ** (m - 1 - p) for p in range(m)]
-    return terms, [[wt - q * place for wt, q in parts] for place in places]
-
-
-def _sequence_sums(table: list[list[int]], start: int) -> Iterator[int]:
-    """start + sum(table[p][j_p] for p) for every j_0 <= ... <= j_{m-1}, where
-    m = len(table), in the order `combinations_with_replacement` yields them.
-
-    Built from the last position back: chunk j of a position holds the sums
-    of the sequences that start there with index j, so each sum costs one
-    addition."""
-    chunks = [[start + t] for t in table[-1]]
-    for row in reversed(table[:-1]):
-        chunks = [[t + s for s in chain.from_iterable(chunks[j:])] for j, t in enumerate(row)]
-    return chain.from_iterable(chunks)
+    # tables[p] covers the positions p.. with indices >= the current j
+    tables: list[tuple[dict, dict]] = [({}, {}) for _ in range(m)]
+    for wt, q, te, c, ce in reversed(shape):
+        wt *= base
+        shift = te * span + ce
+        t = wt - q * places[m - 1]
+        free, pure = tables[m - 1]
+        if c < 0:
+            dst, code = free, te
+        else:
+            dst, code = pure.setdefault(c, {}), shift
+        if t < dst.get(code, t + 1):
+            dst[code] = t
+        for p in range(m - 2, -1, -1):
+            t = wt - q * places[p]
+            free, pure = tables[p]
+            src_free, src_pure = tables[p + 1]
+            for a, v in src_free.items():
+                a += te
+                v += t
+                if v < free.get(a, v + 1):
+                    free[a] = v
+            for cc, src in src_pure.items():
+                if cc == c:
+                    dst = pure.setdefault(c, {})
+                    for code, v in src.items():
+                        code += shift
+                        v += t
+                        if v < dst.get(code, v + 1):
+                            dst[code] = v
+                else:
+                    for code, v in src.items():
+                        a = code // span + te
+                        v += t
+                        if v < free.get(a, v + 1):
+                            free[a] = v
+    return tables[0]
 
 
 def _candidates(
@@ -186,66 +185,65 @@ def _candidates(
     and a later edge on the same rows finds both classes full or the rows in
     one class with opposite parity; a dependent element changes nothing.
 
-    For each component a dynamic program over its terms in rank order, from
-    the last term and position back, keeps the least partial key (the sum of
-    T[p'][j_p'] over p' >= p) per state of the sequences at positions p..
-    with indices >= j: `free` maps the row on k to it for the half-edges, and
-    `pure[c]` maps (row on k) * span + (row on c), where span is the number
-    of rows, to it for the sequences whose coordinates all lie on c too.
-    Edges are read off their lower component.
+    `_shape_tables` runs once per component shape.  Every partial sequence in
+    one of its states has the same number u of positions and the same
+    s-exponent sum a, so replacing each weight w by w + A + beta * e (e the
+    term's s exponent) adds (u * A + beta * a) * S to every entry of the
+    state, and adding q0 to every rank subtracts q0 * sum(n^(m-1-p)); neither
+    moves a minimiser.  A component's shape is therefore taken with q0 its
+    least rank, beta = (w_j - w_0) // (e_j - e_0) for the first term j whose
+    s exponent differs from that of term 0 (0 if none does), A = w_0 - beta *
+    e_0, and its partners numbered in order of appearance; the floor division
+    gives every weight vector of one class {w + alpha + gamma * e} the same
+    shape.  Each component of a shape gets the tables translated by its own
+    A, beta, q0, row offsets and partners.  Edges are read off their lower
+    component.
     """
     offsets = []
     span = 0  # the number of rows
     for cm in par.maps:
         offsets.append(span)
         span += m * cm.degree + 1
-    top = order.nvars**m - 1
-    out: list[tuple[int, int, int]] = []
+    n = order.nvars
+    base = n**m
+    rank_sum = sum(n**p for p in range(m))
+    w = order.weights.weights
+    rank = order.rank
+    # shape -> (component, A, beta, q0, components by partner number)
+    shapes: dict[tuple, list[tuple[int, int, int, int, list[int]]]] = {}
     for k, cm in enumerate(par.maps):
-        terms, table = _key_table(cm, m, order)
-        # tables[p] covers the positions p.. with indices >= the current j
-        tables: list[tuple[dict, dict]] = [({}, {}) for _ in range(m)]
-        for j in range(len(terms) - 1, -1, -1):
-            te = terms[j].s_exp
-            held = holders[terms[j].coord]
+        terms = sorted(cm.terms, key=lambda t: rank[t.coord])
+        e0, w0, q0 = terms[0].s_exp, w[terms[0].coord], rank[terms[0].coord]
+        beta = next(((w[t.coord] - w0) // (t.s_exp - e0) for t in terms if t.s_exp != e0), 0)
+        lift = w0 - beta * e0
+        partners: dict[int, int] = {}
+        shape = []
+        for t in terms:
+            held = holders[t.coord]
             c, ce = held[-1] if held[0][0] == k else held[0]  # c == k: on k only
-            shift = te * span + ce
-            t = table[m - 1][j]
-            free, pure = tables[m - 1]
-            if c == k:
-                dst, code = free, offsets[k] + te
-            else:
-                dst, code = pure.setdefault(c, {}), (offsets[k] + te) * span + offsets[c] + ce
-            if t < dst.get(code, t + 1):
-                dst[code] = t
-            for p in range(m - 2, -1, -1):
-                t = table[p][j]
-                free, pure = tables[p]
-                src_free, src_pure = tables[p + 1]
-                for a, v in src_free.items():
-                    a += te
-                    v += t
-                    if v < free.get(a, v + 1):
-                        free[a] = v
-                for cc, src in src_pure.items():
-                    if cc == c:
-                        dst = pure.setdefault(c, {})
-                        for code, v in src.items():
-                            code += shift
-                            v += t
-                            if v < dst.get(code, v + 1):
-                                dst[code] = v
-                    else:
-                        for code, v in src.items():
-                            a = code // span + te
-                            v += t
-                            if v < free.get(a, v + 1):
-                                free[a] = v
-        free, pure = tables[0]
-        out += [(top + v, a, -1) for a, v in free.items()]
-        for c, codes in pure.items():
-            if c > k:
-                out += [(top + v, code // span, code % span) for code, v in codes.items()]
+            shape.append((
+                w[t.coord] - lift - beta * t.s_exp,
+                rank[t.coord] - q0,
+                t.s_exp,
+                -1 if c == k else partners.setdefault(c, len(partners)),
+                ce,
+            ))
+        shapes.setdefault(tuple(shape), []).append((k, lift, beta, q0, list(partners)))
+    out: list[tuple[int, int, int]] = []
+    for shape, members in shapes.items():
+        free, pure = _shape_tables(shape, m, n, span)
+        for k, lift, beta, q0, partners in members:
+            top = base - 1 + m * lift * base - q0 * rank_sum
+            step = beta * base
+            off = offsets[k]
+            out += [(top + v + step * a, off + a, -1) for a, v in free.items()]
+            for label, codes in pure.items():
+                c = partners[label]
+                if c > k:
+                    off_c = offsets[c]
+                    for code, v in codes.items():
+                        a, b = divmod(code, span)
+                        out.append((top + v + step * a, off + a, off_c + b))
     return out
 
 
@@ -274,10 +272,11 @@ def evaluate_slice(
     independent of the earlier ones unless its class already holds an odd
     cycle or a half-edge, or it closes an even cycle.  So at most the least
     half-edge at each row and the least edge on each pair of rows can be
-    independent; `_candidates` finds those by a dynamic program per
-    component, without listing the supported monomials, and a union-find
-    with parity decides them in ascending order.  Any other parametrization
-    raises `EngineError`.
+    independent; `_candidates` finds those without listing the supported
+    monomials, by one dynamic program per component shape (components whose
+    weights and ranks agree up to the shifts w -> w + A + beta * e and
+    rank -> rank + q0 share one), and a union-find with parity decides them
+    in ascending order.  Any other parametrization raises `EngineError`.
     """
     if m < 1:
         raise EngineError("slice degree must be >= 1")
@@ -300,10 +299,11 @@ def evaluate_slice(
     # rows of the substitution map, and per coordinate the components holding it
     nrows = 0
     holders: dict[int, list[tuple[int, int]]] = {}
+    unit = ParamTerm.coeff  # the default Fraction(1), shared by the family builds
     for k, cm in enumerate(par.maps):
         nrows += m * cm.degree + 1
         for t in cm.terms:
-            if t.coeff != 1:
+            if t.coeff is not unit and t.coeff != 1:
                 raise EngineError(
                     f"coordinate x{t.coord} has coefficient {t.coeff}; "
                     "the slice kernel needs coefficient 1"

@@ -3,8 +3,7 @@
 Monomials of a fixed degree are compared by weight first (the weight vector
 of a one-parameter subgroup), ties broken lexicographically with
 x_0 > x_1 > ... > x_N unless another variable precedence is supplied.  A
-monomial is a dense exponent vector, or in sparse form its nonzero
-`(coord, exp)` pairs in ascending coordinate order.
+monomial is a dense exponent vector.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import Iterator, Optional, Sequence
 from .families import OneParamSubgroup
 
 Monomial = tuple[int, ...]
-SparseMonomial = tuple[tuple[int, int], ...]
 
 
 class OrderError(ValueError):

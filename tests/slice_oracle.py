@@ -1,4 +1,5 @@
-"""Full-enumeration slice elimination, kept as a test oracle.
+"""Full-enumeration slice elimination and per-component candidates, kept as
+test oracles.
 
 `full_slice` echelonizes every degree-m monomial, supported on a component
 or not, against the weighted order by exact `Fraction` elimination, for any
@@ -6,9 +7,15 @@ monomial parametrization; the engine decides the same standard monomials by
 a union-find on the supported ones.  `substitution_matrix`
 builds the substitution matrix from the parametrization terms, for rank
 and pivot checks by an independent linear-algebra package.
+
+`candidates` runs the candidate dynamic program once per component, where
+`engine._candidates` runs it once per component shape.  `supported_keys`,
+`supported_monomials` and `sparse_monomials` list the supported monomials
+of a slice, which the engine never lists.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 from gitcurves.monomials import degree_monomials
 
@@ -117,3 +124,138 @@ def substitution_matrix(config, m, monos):
                 row.append(coeff if s_exp == a else Fraction(0))
             rows.append(row)
     return rows
+
+
+def holders(par):
+    """Each coordinate's (component, s exponent) pairs, as `evaluate_slice`
+    hands them to `engine._candidates`."""
+    held = {}
+    for k, cm in enumerate(par.maps):
+        for t in cm.terms:
+            held.setdefault(t.coord, []).append((k, t.s_exp))
+    return held
+
+
+def _key_table(cm, m, order):
+    """A component's terms in ascending precedence rank, and the key table
+    T[p][j] = w_j * S - rank_j * n^(m-1-p) over them: a monomial whose
+    coordinates are the terms j_0 <= ... <= j_{m-1} has the key
+    S - 1 + sum(T[p][j_p] for p)."""
+    n = order.nvars
+    base = n**m
+    w = order.weights.weights
+    rank = order.rank
+    terms = sorted(cm.terms, key=lambda t: rank[t.coord])
+    parts = [(w[t.coord] * base, rank[t.coord]) for t in terms]
+    places = [n ** (m - 1 - p) for p in range(m)]
+    return terms, [[wt - q * place for wt, q in parts] for place in places]
+
+
+def sequence_sums(table, start):
+    """start + sum(table[p][j_p] for p) for every j_0 <= ... <= j_{m-1}, where
+    m = len(table), in the order `combinations_with_replacement` yields them.
+
+    Built from the last position back: chunk j of a position holds the sums
+    of the sequences that start there with index j, so each sum costs one
+    addition."""
+    chunks = [[start + t] for t in table[-1]]
+    for row in reversed(table[:-1]):
+        chunks = [[t + s for s in chain.from_iterable(chunks[j:])] for j, t in enumerate(row)]
+    return chain.from_iterable(chunks)
+
+
+def supported_keys(sl):
+    """Ascending keys of the degree-m monomials supported on some component
+    of the slice's parametrization; every other monomial is initial."""
+    keys = set()
+    for cm in sl.parametrization.maps:
+        _, table = _key_table(cm, sl.degree, sl.order)
+        keys.update(sequence_sums(table, sl.order.nvars**sl.degree - 1))
+    return tuple(sorted(keys))
+
+
+def supported_monomials(sl):
+    """Exponent vectors of `supported_keys`."""
+    return tuple(map(sl._dense, supported_keys(sl)))
+
+
+def sparse_monomials(sl):
+    """The nonzero (coord, exp) pairs of each of `supported_monomials`."""
+    return tuple(
+        tuple((c, e) for c, e in enumerate(mono) if e) for mono in supported_monomials(sl)
+    )
+
+
+def candidates(par, m, order, holders):
+    """(key, a, -1) for the least supported half-edge at each row a, and
+    (key, a, b) for the least edge on each pair of rows a < b.
+
+    `holders` maps each coordinate to its (component, s exponent) pairs.  A
+    monomial whose coordinates all lie on component k and on one other
+    component c is an edge; any other monomial on k is a half-edge at row
+    offset_k + s-sum.  Only these candidates can be standard: a later
+    half-edge at the same row meets a class that already holds a half-edge,
+    and a later edge on the same rows finds both classes full or the rows in
+    one class with opposite parity; a dependent element changes nothing.
+
+    For each component a dynamic program over its terms in rank order, from
+    the last term and position back, keeps the least partial key (the sum of
+    T[p'][j_p'] over p' >= p) per state of the sequences at positions p..
+    with indices >= j: `free` maps the row on k to it for the half-edges, and
+    `pure[c]` maps (row on k) * span + (row on c), where span is the number
+    of rows, to it for the sequences whose coordinates all lie on c too.
+    Edges are read off their lower component.
+    """
+    offsets = []
+    span = 0  # the number of rows
+    for cm in par.maps:
+        offsets.append(span)
+        span += m * cm.degree + 1
+    top = order.nvars**m - 1
+    out = []
+    for k, cm in enumerate(par.maps):
+        terms, table = _key_table(cm, m, order)
+        # tables[p] covers the positions p.. with indices >= the current j
+        tables = [({}, {}) for _ in range(m)]
+        for j in range(len(terms) - 1, -1, -1):
+            te = terms[j].s_exp
+            held = holders[terms[j].coord]
+            c, ce = held[-1] if held[0][0] == k else held[0]  # c == k: on k only
+            shift = te * span + ce
+            t = table[m - 1][j]
+            free, pure = tables[m - 1]
+            if c == k:
+                dst, code = free, offsets[k] + te
+            else:
+                dst, code = pure.setdefault(c, {}), (offsets[k] + te) * span + offsets[c] + ce
+            if t < dst.get(code, t + 1):
+                dst[code] = t
+            for p in range(m - 2, -1, -1):
+                t = table[p][j]
+                free, pure = tables[p]
+                src_free, src_pure = tables[p + 1]
+                for a, v in src_free.items():
+                    a += te
+                    v += t
+                    if v < free.get(a, v + 1):
+                        free[a] = v
+                for cc, src in src_pure.items():
+                    if cc == c:
+                        dst = pure.setdefault(c, {})
+                        for code, v in src.items():
+                            code += shift
+                            v += t
+                            if v < dst.get(code, v + 1):
+                                dst[code] = v
+                    else:
+                        for code, v in src.items():
+                            a = code // span + te
+                            v += t
+                            if v < free.get(a, v + 1):
+                                free[a] = v
+        free, pure = tables[0]
+        out += [(top + v, a, -1) for a, v in free.items()]
+        for c, codes in pure.items():
+            if c > k:
+                out += [(top + v, code // span, code % span) for code, v in codes.items()]
+    return out

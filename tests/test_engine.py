@@ -35,7 +35,15 @@ from gitcurves.families import (
     canonical_1ps,
 )
 from gitcurves.monomials import MonomialOrder, monomial_count, pair_monomial
-from slice_oracle import full_slice, substitution_matrix
+from slice_oracle import (
+    candidates,
+    full_slice,
+    holders,
+    sparse_monomials,
+    substitution_matrix,
+    supported_keys,
+    supported_monomials,
+)
 
 
 def closed_rosary_initial_degree2(r):
@@ -145,7 +153,7 @@ class TestSlices:
         c = build_closed_rosary_config(4)
         order = MonomialOrder(canonical_1ps(c))
         s20 = evaluate_slice(c, 20, order)
-        assert len(s20.supported) <= engine.SLICE_BUDGET
+        assert len(supported_keys(s20)) <= engine.SLICE_BUDGET
         assert s20.standard_count == hilbert_polynomial(c.genus, 20)
         with pytest.raises(EngineError, match="degree-21 slice has up to 50600"):
             evaluate_slice(c, 21, order)
@@ -433,8 +441,9 @@ class TestFullEnumerationOracle:
         monos, standard, _ = full_slice(cfg, m, order)
         sl = evaluate_slice(cfg, m, order)
         assert sl.monomials == monos
-        supported = set(sl.supported)
-        assert sl.supported == tuple(mo for mo in monos if mo in supported)
+        listed = supported_monomials(sl)
+        supported = set(listed)
+        assert listed == tuple(mo for mo in monos if mo in supported)
         assert sl.standard == standard
         assert sl.standard_count == sum(standard)
         assert sl.standard_weight_sum() == sum(
@@ -532,9 +541,11 @@ class TestSliceKeys:
         for order in _block_orders(cfg):
             sl = evaluate_slice(cfg, m, order)
             base = order.nvars**m
-            assert list(sl.keys) == sorted(set(sl.keys))
-            assert [key // base for key in sl.keys] == [order.weight(mo) for mo in sl.supported]
-            assert list(sl.supported) == order.sorted_ascending(sl.supported)
+            keys, supported = supported_keys(sl), supported_monomials(sl)
+            assert list(keys) == sorted(set(keys))
+            assert set(sl.standard_keys) <= set(keys)
+            assert [key // base for key in keys] == [order.weight(mo) for mo in supported]
+            assert list(supported) == order.sorted_ascending(supported)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_sparse_decodes_to_supported(self, m):
@@ -542,23 +553,137 @@ class TestSliceKeys:
         for order in _block_orders(cfg):
             sl = evaluate_slice(cfg, m, order)
             dense = []
-            for mono in sl.sparse:
+            for mono in sparse_monomials(sl):
                 assert [c for c, _ in mono] == sorted({c for c, _ in mono})
                 assert sum(e for _, e in mono) == m and all(e > 0 for _, e in mono)
                 vec = [0] * order.nvars
                 for c, e in mono:
                     vec[c] = e
                 dense.append(tuple(vec))
-            assert tuple(dense) == sl.supported
+            assert tuple(dense) == supported_monomials(sl)
 
     def test_index_builds_no_monomial(self):
         cfg = build_closed_rosary_config(6)
         rep = hilbert_index(cfg, canonical_1ps(cfg), 4)
         assert rep.mu == 0
-        assert "sparse" not in rep.slice.__dict__
-        assert "supported" not in rep.slice.__dict__
-        assert "keys" not in rep.slice.__dict__
-        assert "supported_standard" not in rep.slice.__dict__
+        assert "monomials" not in rep.slice.__dict__
+        assert "standard" not in rep.slice.__dict__
+
+
+SHAPE_CONFIGS = (
+    [("closed", r) for r in (3, 4, 5, 6, 8, 9, 12, 40)]
+    + [("broken", r) for r in (3, 5, 7, 9, 11)]
+    + [("open", g, r) for g, r in ((6, 3), (7, 4), (9, 5), (12, 6), (20, 8))]
+)
+
+
+def _affine_orders(par, seed):
+    """Three weight vectors that are affine in the s exponent on each
+    component in turn (w = a_k + b_k * e, a later component overwriting the
+    coordinates it shares), each under the default and a shuffled
+    precedence.  Each vector draws (a_k, b_k) from two random pairs, so that
+    components of one shape often carry different weights."""
+    rng = random.Random(seed)
+    n = par.num_coordinates
+    orders = []
+    for _ in range(3):
+        w = [0] * n
+        pairs = [(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(2)]
+        for cm in par.maps:
+            a, b = rng.choice(pairs)
+            for t in cm.terms:
+                w[t.coord] = a + b * t.s_exp
+        weights = OneParamSubgroup(tuple(w))
+        orders += [MonomialOrder(weights), MonomialOrder(weights, tuple(rng.sample(range(n), n)))]
+    return orders
+
+
+class TestShapeCandidates:
+    """`engine._candidates` runs one dynamic program per component shape and
+    translates it to the other components of that shape; the oracle runs one
+    per component."""
+
+    @staticmethod
+    def _count_runs(monkeypatch):
+        runs = []
+        tables = engine._shape_tables
+
+        def counted(shape, m, n, span):
+            runs.append(shape)
+            return tables(shape, m, n, span)
+
+        monkeypatch.setattr(engine, "_shape_tables", counted)
+        return runs
+
+    @pytest.mark.parametrize("spec", SHAPE_CONFIGS, ids=lambda spec: "-".join(map(str, spec)))
+    def test_matches_per_component_oracle(self, monkeypatch, spec):
+        runs = self._count_runs(monkeypatch)
+        cfg = ORACLE_BUILDERS[spec[0]](*spec[1:])
+        par = cfg.parametrization
+        n = par.num_coordinates
+        held = holders(par)
+        for m in range(1, 7):
+            tag = "-".join(map(str, spec)) + f"/{m}"
+            orders = _random_orders(n, tag) + _affine_orders(par, tag)
+            try:
+                orders.append(MonomialOrder(canonical_1ps(cfg).restrict(n)))
+            except FamilyError:
+                pass  # closed rosaries of odd length have no canonical subgroup
+            for order in orders:
+                runs.clear()
+                assert sorted(engine._candidates(par, m, order, held)) == sorted(
+                    candidates(par, m, order, held)
+                )
+                assert 1 <= len(runs) <= len(par.maps)
+
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [
+            (("closed", 6), 2),
+            (("closed", 8), 2),
+            (("broken", 5), 4),
+            (("broken", 7), 4),
+            (("open", 9, 5), 4),
+            (("open", 12, 6), 4),
+        ],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_one_run_per_shape_and_call(self, monkeypatch, spec, expected):
+        runs = self._count_runs(monkeypatch)
+        cfg = ORACLE_BUILDERS[spec[0]](*spec[1:])
+        rho = canonical_1ps(cfg)
+        first = hilbert_index(cfg, rho, 5)
+        assert len(runs) == len(set(runs)) == expected
+        # no table outlives a call: the same index runs the same programs again
+        assert hilbert_index(cfg, rho, 5) == first
+        assert len(runs) == 2 * expected
+
+    @pytest.mark.parametrize("alpha,gamma", [(0, 0), (3, 1), (-2, -1), (5, -3), (-1, 4)])
+    def test_affine_weight_class_is_one_shape(self, monkeypatch, alpha, gamma):
+        """Two conics on their own coordinates, with s exponents 0, 2, 1 in
+        rank order, and weights w and w + alpha + gamma * e: the first step
+        of e is 2, so only a floor division gives both the same shape."""
+        runs = self._count_runs(monkeypatch)
+        exps = (0, 2, 1)
+        par = Parametrization(
+            6,
+            tuple(
+                ComponentMap(
+                    f"C{k}", tuple(ParamTerm(3 * k + j, a, 2 - a) for j, a in enumerate(exps))
+                )
+                for k in range(2)
+            ),
+        )
+        w = (0, -1, 4)
+        weights = w + tuple(x + alpha + gamma * a for x, a in zip(w, exps))
+        order = MonomialOrder(OneParamSubgroup(weights))
+        held = holders(par)
+        for m in range(1, 5):
+            runs.clear()
+            assert sorted(engine._candidates(par, m, order, held)) == sorted(
+                candidates(par, m, order, held)
+            )
+            assert len(runs) == 1
 
 
 class TestExtrapolationBeyondDegreeFour:

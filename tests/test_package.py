@@ -1,10 +1,12 @@
-"""The package root: lazy exports and the one error base.
+"""The package root: lazy exports, the one error base, and exact arithmetic.
 
 `import gitcurves` loads no submodule; each exported name is imported from
 its submodule on first use.  The CLI reports every `GitcurvesError` as an
-`error:` line, so the set of its subclasses is part of the contract.
+`error:` line, so the set of its subclasses is part of the contract.  No
+module computes in floating point.
 """
 
+import ast
 import subprocess
 import sys
 
@@ -152,3 +154,34 @@ def test_error_base_has_exactly_the_six_input_errors():
     }
     assert issubclass(monomials.OrderError, ValueError)
     assert not issubclass(monomials.OrderError, GitcurvesError)
+
+
+def _float_uses(tree):
+    """(line, what) for each float literal, `float(` call and `math` name
+    other than `comb` in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, repr(node.value)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            yield node.lineno, "float("
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "math" and node.attr != "comb":
+                yield node.lineno, "math." + node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            yield from ((node.lineno, "math." + a.name) for a in node.names if a.name != "comb")
+
+
+def test_library_is_float_free():
+    modules = sorted((ROOT / "src" / "gitcurves").glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in modules
+        for line, what in _float_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+    # the guard sees each kind it refuses
+    probe = "from math import sqrt\nimport math\nx = 0.5 + float(2) + math.log(3) + math.comb(2, 1)"
+    assert sorted(what for _, what in _float_uses(ast.parse(probe))) == [
+        "0.5", "float(", "math.log", "math.sqrt"
+    ]
