@@ -257,13 +257,14 @@ class CurveGraph:
 
 
 # ---------------------------------------------------------------------------
-# cached bitmask view of a graph
+# the one cached record of a graph
 # ---------------------------------------------------------------------------
 
 
 class _GraphData:
-    """Bitmask tables for the subcurve searches, built in one plain pass over
-    the components and one over the intersections.
+    """The one cached record of a graph: the bitmask tables, built in one plain
+    pass over the components and one over the intersections, and the per-graph
+    results `table`, `blocks` and `flags` (of `classify`), filled on first use.
 
     Bit i of an intersection mask is intersection i.  `flips[k]` holds the
     intersections joining component k to another component, `loops[k]` its
@@ -274,6 +275,7 @@ class _GraphData:
     __slots__ = (
         "ids", "index", "n", "contrib", "cusped", "nbr", "end_bits", "deltas", "tacnodes",
         "flips", "loops", "base", "genus", "all_mask", "whole_connected",
+        "_table", "_blocks", "flags",
     )
 
     def __init__(self, g: CurveGraph):
@@ -314,10 +316,13 @@ class _GraphData:
         self.genus = sum(contrib) + sum(deltas) - self.n + 1
         self.all_mask = (1 << self.n) - 1
         self.whole_connected = self.connected(self.all_mask)
+        self._table = self._blocks = self.flags = None
 
     def mask_of(self, sub: Iterable[str]) -> int:
         mask = 0
         for cid in sub:
+            if cid not in self.index:
+                raise CurveGraphError(f"no component {cid!r}")
             mask |= 1 << self.index[cid]
         return mask
 
@@ -358,63 +363,82 @@ class _GraphData:
                 out.append((i, 0 if ina else 1))
         return out
 
+    @property
+    def table(self) -> tuple[tuple[int, int, int], ...]:
+        """(mask, genus, crossings) of every connected proper subcurve of genus <= 1.
+
+        Ascending by mask; bit i of `crossings` is set when intersection i joins
+        the subcurve to its complement.  Every stability predicate reads this
+        table.  Connected sets grow one adjacent component at a time from each
+        seed, in Wernicke's ESU order, which reaches every connected set exactly
+        once.  Each step is mask arithmetic: adding k to S, the intersections
+        joining k to S are j = crossings(S) & flips[k], so the genus grows by
+        base[k] + |j| + |j & tacnodes|, and the crossings of S + k are
+        crossings(S) ^ flips[k].  Growth never lowers the genus, since j is not
+        empty and base[k] >= -1; so a set of genus above 1 is never extended.
+        Visiting more than `SUBCURVE_BUDGET` sets raises CurveGraphError.
+        """
+        if self._table is not None:
+            return self._table
+        flips, base, nbrs, tacnodes = self.flips, self.base, self.nbr, self.tacnodes
+        all_mask = self.all_mask
+        out = []
+        visited = 0
+        for v in range(self.n):
+            bit = 1 << v
+            above = -(bit << 1)  # ESU extends a seed only by components after it
+            # each entry: (set, its genus, its crossings, extension candidates,
+            # set plus neighbours); the empty set counts genus 1, so that growing
+            # it by v gives v's own genus, cusps and self-intersections
+            stack = [(0, 1, 0, bit, 0)]
+            while stack:
+                mask, genus, cross, ext, closed = stack.pop()
+                while ext:
+                    w = ext & -ext
+                    ext ^= w
+                    visited += 1
+                    if visited > SUBCURVE_BUDGET:
+                        raise CurveGraphError(
+                            f"subcurve search on {self.n} components visits more than "
+                            f"{SUBCURVE_BUDGET} subsets"
+                        )
+                    k = w.bit_length() - 1
+                    j = cross & flips[k]
+                    h = genus + base[k] + j.bit_count() + (j & tacnodes).bit_count()
+                    if h > 1:
+                        continue
+                    grown = mask | w
+                    gcross = cross ^ flips[k]
+                    if grown != all_mask:
+                        out.append((grown, h, gcross))
+                    nbr = nbrs[k]
+                    stack.append((grown, h, gcross, ext | nbr & ~closed & above, closed | nbr | w))
+        out.sort()
+        self._table = tuple(out)
+        return self._table
+
+    @property
+    def blocks(self) -> tuple[dict[int, int], dict[int, list[int]]]:
+        """The chain block index: the intersections leaving each genus-one
+        table entry, and the entries that each intersection index leaves."""
+        if self._blocks is None:
+            ones: dict[int, int] = {}
+            leaving: dict[int, list[int]] = {}
+            for mask, genus, cross in self.table:
+                if genus == 1:
+                    ones[mask] = cross
+                    m = cross
+                    while m:
+                        i = m.bit_length() - 1
+                        m ^= 1 << i
+                        leaving.setdefault(i, []).append(mask)
+            self._blocks = ones, leaving
+        return self._blocks
+
 
 @lru_cache(maxsize=256)
 def _graph_data(g: CurveGraph) -> _GraphData:
     return _GraphData(g)
-
-
-@lru_cache(maxsize=256)
-def _subcurves(g: CurveGraph) -> tuple[tuple[int, int, int], ...]:
-    """(mask, genus, crossings) of every connected proper subcurve of genus <= 1.
-
-    Ascending by mask; bit i of `crossings` is set when intersection i joins
-    the subcurve to its complement.  Every stability predicate reads this
-    table.  Connected sets grow one adjacent component at a time from each
-    seed, in Wernicke's ESU order, which reaches every connected set exactly
-    once.  Each step is mask arithmetic: adding k to S, the intersections
-    joining k to S are j = crossings(S) & flips[k], so the genus grows by
-    base[k] + |j| + |j & tacnodes|, and the crossings of S + k are
-    crossings(S) ^ flips[k].  Growth never lowers the genus, since j is not
-    empty and base[k] >= -1; so a set of genus above 1 is never extended.
-    Visiting more than `SUBCURVE_BUDGET` sets raises CurveGraphError.
-    """
-    data = _graph_data(g)
-    flips, base, nbrs, tacnodes = data.flips, data.base, data.nbr, data.tacnodes
-    all_mask = data.all_mask
-    out = []
-    visited = 0
-    for v in range(data.n):
-        bit = 1 << v
-        above = -(bit << 1)  # ESU extends a seed only by components after it
-        # each entry: (set, its genus, its crossings, extension candidates,
-        # set plus neighbours); the empty set counts genus 1, so that growing
-        # it by v gives v's own genus, cusps and self-intersections
-        stack = [(0, 1, 0, bit, 0)]
-        while stack:
-            mask, genus, cross, ext, closed = stack.pop()
-            while ext:
-                w = ext & -ext
-                ext ^= w
-                visited += 1
-                if visited > SUBCURVE_BUDGET:
-                    raise CurveGraphError(
-                        f"subcurve search on {data.n} components visits more than "
-                        f"{SUBCURVE_BUDGET} subsets"
-                    )
-                k = w.bit_length() - 1
-                j = cross & flips[k]
-                h = genus + base[k] + j.bit_count() + (j & tacnodes).bit_count()
-                if h > 1:
-                    continue
-                grown = mask | w
-                gcross = cross ^ flips[k]
-                if grown != all_mask:
-                    out.append((grown, h, gcross))
-                nbr = nbrs[k]
-                stack.append((grown, h, gcross, ext | nbr & ~closed & above, closed | nbr | w))
-    out.sort()
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +486,7 @@ def _genus_one_with_crossings(g: CurveGraph, count: int) -> list[frozenset[str]]
     data = _graph_data(g)
     out = [
         data.subset_of(mask)
-        for mask, genus, cross in _subcurves(g)
+        for mask, genus, cross in data.table
         if genus == 1 and cross.bit_count() == count and not cross & data.tacnodes
     ]
     return sorted(out, key=lambda s: sorted(s))
@@ -544,25 +568,16 @@ def _chain_hits(
     """(closed, weak, blocks, ends) of the elliptic chains, as the search meets them.
 
     `weak` None searches both kinds, True or False only that kind.  The
-    blocks are the genus-one entries of `_subcurves`, as component masks.
-    An open weak chain comes with its tacnodal end first; other chains may
-    come once from each end.  Exploring more than `SUBCURVE_BUDGET`
+    blocks are the genus-one table entries, as masks, in the graph's block
+    index.  An open weak chain comes with its tacnodal end first; other
+    chains may come once from each end.  Exploring more than `SUBCURVE_BUDGET`
     sequences of two or more blocks raises CurveGraphError.
     """
     data = _graph_data(g)
     if not data.whole_connected:
         raise CurveGraphError("disconnected")
     tacnodes = data.tacnodes
-    ones: dict[int, int] = {}  # block -> the intersections leaving it
-    leaving: dict[int, list[int]] = {}  # intersection index -> blocks it leaves
-    for mask, genus, cross in _subcurves(g):
-        if genus == 1:
-            ones[mask] = cross
-            m = cross
-            while m:
-                i = m.bit_length() - 1
-                m ^= 1 << i
-                leaving.setdefault(i, []).append(mask)
+    ones, leaving = data.blocks
     explored = 0
 
     def sequences(first: int, keep: int) -> Iterator[tuple[tuple, int, int]]:
@@ -690,13 +705,6 @@ def _find_chains(g: CurveGraph) -> tuple[ChainRecord, ...]:
     return tuple(
         sorted(records.values(), key=lambda r: (r.closed, r.weak, r.length, r.blocks, r.ends))
     )
-
-
-@lru_cache(maxsize=256)
-def _has_chain(g: CurveGraph, weak: bool) -> bool:
-    """Whether the curve has an elliptic chain of the given kind; the search
-    stops at the first one."""
-    return any(_chain_hits(g, weak))
 
 
 def find_elliptic_chains(g: CurveGraph) -> list[ChainRecord]:
@@ -837,16 +845,17 @@ def open_rosaries(g: CurveGraph) -> list[RosaryRecord]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def classify(g: CurveGraph) -> StabilityFlags:
     """Evaluate every stability notion on a connected curve of genus >= 2.
 
-    One loop over `_subcurves` reads every contact condition (a tacnode
+    One loop over the subcurve table reads every contact condition (a tacnode
     counts twice in the multiplicity) and whether an elliptic bridge exists:
     a genus-1 entry with two crossing points, no tacnode among them.  The
-    flags of the last 256 graphs are kept, so a repeated query is free.
+    flags live on the graph's cached record, so a repeated query is free.
     """
     data = _graph_data(g)
+    if data.flags is not None:
+        return data.flags
     if not data.whole_connected:
         raise CurveGraphError("disconnected")
     genus = data.genus
@@ -856,7 +865,7 @@ def classify(g: CurveGraph) -> StabilityFlags:
     tacnodes = data.tacnodes
     genus0_plain = genus0_mult = genus1_two_points = genus1_three_mult = True
     bridge = False
-    for _mask, h, cross in _subcurves(g):
+    for _mask, h, cross in data.table:
         points = cross.bit_count()
         tac = cross & tacnodes
         mult = points + tac.bit_count()
@@ -875,15 +884,16 @@ def classify(g: CurveGraph) -> StabilityFlags:
     c_stable = c_semistable and not has_tacnode and not bridge
 
     # h-semistable adds "no elliptic chain", h-stable "no weak one either";
-    # curves of genus 2 have no chains
+    # curves of genus 2 have no chains; each search stops at its first chain
     h_semistable = h_stable = c_semistable and genus1_three_mult
     if h_semistable and genus >= 3:
-        h_semistable = not _has_chain(g, False)
-        h_stable = h_semistable and not _has_chain(g, True)
+        h_semistable = not any(_chain_hits(g, False))
+        h_stable = h_semistable and not any(_chain_hits(g, True))
 
-    return StabilityFlags(
+    data.flags = StabilityFlags(
         dm_stable, pseudostable, c_semistable, c_stable, h_semistable, h_stable
     )
+    return data.flags
 
 
 def has_infinite_automorphisms(g: CurveGraph) -> tuple[bool, Optional[RosaryRecord]]:

@@ -1,9 +1,10 @@
 """Every test starts with empty graph caches.
 
-`graphs` caches its bitmask view, subcurve table, chain records, chain
-queries and stability flags per graph, and equal graphs share an entry; so
-a test that counts calls or cache hits would otherwise depend on which
-tests ran before it.
+`graphs` keeps one cached record per graph (its bitmask view, subcurve
+table, chain block index and stability flags) and a smaller cache of chain
+records, and equal graphs share an entry; so a test that counts calls or
+builds would otherwise depend on which tests ran before it.  Every cache in
+the module is cleared, so one added later is cleared too.
 """
 
 import pytest
@@ -13,11 +14,6 @@ from gitcurves import graphs
 
 @pytest.fixture(autouse=True)
 def empty_graph_caches():
-    for cached in (
-        graphs._graph_data,
-        graphs._subcurves,
-        graphs._find_chains,
-        graphs._has_chain,
-        graphs.classify,
-    ):
-        cached.cache_clear()
+    for value in vars(graphs).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()

@@ -47,7 +47,7 @@ def genus(data, mask, exclude=frozenset()):
 
 
 def subcurve_table(g):
-    """`graphs._subcurves` by testing every proper component subset."""
+    """The subcurve table of `graphs._GraphData` by testing every proper component subset."""
     data = _graph_data(g)
     return tuple(
         (mask, genus(data, mask), sum(1 << i for i, _ in data.crossings(mask)))

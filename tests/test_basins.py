@@ -310,12 +310,27 @@ class TestClosedOrbitReps:
         info = graphs._find_chains.cache_info()
         assert (info.misses, info.hits) == (0, 0)
 
-    def test_classifies_each_graph_once(self):
+    def test_classifies_each_graph_once(self, monkeypatch):
         # c_closed_orbit_rep and is_c_closed_orbit both read the input's
-        # flags, and is_c_closed_orbit the representative's: two graphs
+        # flags, and is_c_closed_orbit the representative's: two graphs get
+        # flags, and the input's are read once more from its record
+        built, calls = [], []
+        flags_type, original = graphs.StabilityFlags, graphs.classify
+
+        def counting_flags(*args):
+            built.append(args)
+            return flags_type(*args)
+
+        def counting_classify(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(graphs, "StabilityFlags", counting_flags)
+        for module in (graphs, basins):
+            monkeypatch.setattr(module, "classify", counting_classify)
         c_closed_orbit_rep(bridge_chain_graph([1, 1, 1]))
-        info = classify.cache_info()
-        assert (info.misses, info.hits) == (2, 1)
+        assert (len(built), len(calls) - len(built)) == (2, 1)
+        assert len(set(calls)) == 2
 
     def test_c_stable_input_rejected(self):
         with pytest.raises(BasinError):

@@ -18,6 +18,7 @@ from gitcurves.graphs import (
     classify,
     closed_rosary_graph,
     contact_multiplicity,
+    crossing_intersections,
     find_elliptic_bridges,
     find_elliptic_chains,
     find_elliptic_tails,
@@ -100,6 +101,13 @@ class TestContact:
             contact_multiplicity(g, {"C1", "E1", "C2"})
         with pytest.raises(CurveGraphError):
             contact_multiplicity(g, {"C1", "C2"})
+
+    def test_unknown_component_ids(self):
+        g = bridge_chain_graph([1])
+        with pytest.raises(CurveGraphError, match="no component 'nope'"):
+            contact_multiplicity(g, {"nope"})
+        with pytest.raises(CurveGraphError, match="no component 'nope'"):
+            crossing_intersections(g, frozenset({"E1", "nope"}))
 
 
 class TestTailsAndBridges:
@@ -428,6 +436,24 @@ class TestGraphHash:
         apart = CurveGraph((Component("A", 2), Component("B", 2)))
         assert not apart.is_connected() and not apart.is_connected()
         assert calls.count((True, None)) == 2
+
+    def test_table_and_chain_block_index_built_once(self, monkeypatch):
+        builds = []
+        for name in ("table", "blocks"):
+
+            def counted(self, name=name, build=getattr(graphs._GraphData, name).fget):
+                builds.append((name, getattr(self, "_" + name) is None))
+                return build(self)
+
+            monkeypatch.setattr(graphs._GraphData, name, property(counted))
+        # an odd open rosary of five beads: classify asks for both kinds of
+        # chain, and the curve has weak ones
+        g = attached_open_rosary(5)
+        flags = classify(g)
+        assert flags.h_semistable and not flags.h_stable
+        assert find_weak_elliptic_chains(g) and not find_elliptic_chains(g)
+        assert builds.count(("table", True)) == builds.count(("blocks", True)) == 1
+        assert builds.count(("blocks", False)) == 2
 
 
 class TestIsomorphism:

@@ -21,9 +21,9 @@ from gitcurves.graphs import (
     CurveGraph,
     CurveGraphError,
     Intersection,
+    _chain_hits,
     _find_chains,
-    _has_chain,
-    _subcurves,
+    _graph_data,
     arithmetic_genus,
     bridge_chain_graph,
     bridge_links,
@@ -43,13 +43,13 @@ def _links(fn, g):
 
 
 def assert_matches_oracle(g):
-    assert _subcurves(g) == oracle.subcurve_table(g)
+    assert _graph_data(g).table == oracle.subcurve_table(g)
     assert find_elliptic_tails(g) == oracle.elliptic_tails(g)
     assert find_elliptic_bridges(g) == oracle.elliptic_bridges(g)
     assert _links(bridge_links, g) == _links(oracle.bridge_links, g)
     tacnodes = sum(1 << i for i, x in enumerate(g.intersections) if x.kind == TACNODE)
     zero, one = [], []
-    for _mask, genus, cross in _subcurves(g):
+    for _mask, genus, cross in _graph_data(g).table:
         points = cross.bit_count()
         (zero if genus == 0 else one).append((points, points + (cross & tacnodes).bit_count()))
     want_zero, want_one = oracle.genus_contacts(g)
@@ -65,7 +65,7 @@ def assert_chain_queries(g):
     chain of L blocks closed by `ci` has arithmetic genus 2L - 1 + delta(ci)."""
     chains = _find_chains(g)
     for weak in (False, True):
-        assert _has_chain(g, weak) == any(r.weak == weak for r in chains)
+        assert any(_chain_hits(g, weak)) == any(r.weak == weak for r in chains)
     pa = arithmetic_genus(g)
     for r in chains:
         if r.closed:
@@ -185,6 +185,32 @@ class TestChainSearchPrunes:
 def test_corpus_matches_oracle(seed):
     for g in corpus(seed=seed, size=40, max_components=10):
         assert_matches_oracle(g)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_genus_zero_conditions_per_component(seed):
+    """On a curve of two or more components, every genus-0 table entry has
+    >= 3 crossing points exactly when every smooth rational component with
+    no self-intersection has >= 3 branches; likewise with tacnodes counted
+    twice on both sides.  A genus-0 subcurve is a tree of such components."""
+    for g in corpus(seed, 400, 14):
+        if len(g.components) < 2:
+            continue
+        data = _graph_data(g)
+        entries = [cross for _mask, genus, cross in data.table if genus == 0]
+        plain = all(cross.bit_count() >= 3 for cross in entries)
+        mult = all(cross.bit_count() + (cross & data.tacnodes).bit_count() >= 3 for cross in entries)
+        branches = {c.id: [] for c in g.components if c.genus + c.cusps == 0}
+        for x in g.intersections:
+            a, b = x.components()
+            if a == b:
+                branches.pop(a, None)
+            else:
+                for cid in (a, b):
+                    if cid in branches:
+                        branches[cid].append(x.delta)
+        assert plain == all(len(ds) >= 3 for ds in branches.values())
+        assert mult == all(sum(ds) >= 3 for ds in branches.values())
 
 
 @st.composite
