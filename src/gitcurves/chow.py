@@ -165,9 +165,11 @@ def certify_unstable(case: str, g: Optional[int] = None) -> MultiplicityCertific
         if g is None or g < 4:
             raise ChowError("the tacnodal-tail certificate needs genus g >= 4")
         # cuspidal rational E and a conic R meeting at a tacnode, R meeting the
-        # genus g-2 remainder D at a node; weights (0,2,3,4,2,...,2)
+        # genus g-2 remainder D at a node; weights (0,2,3,4,2,...,2) on the
+        # n + 1 coordinates, summing to 2n + 3.  The branches vanish on every
+        # coordinate past the fifth, so only the first five weights are built.
         n = 3 * g - 4
-        rho = OneParamSubgroup((0, 2, 3, 4) + (2,) * (n - 3))
+        rho = OneParamSubgroup((0, 2, 3, 4, 2))
         e_at_tacnode = BranchData("E-tacnode", (4, 2, 1, 0), tail_order=None)
         r_at_tacnode = BranchData("R-tacnode", (None, None, 1, 0, 2), tail_order=None)
         r_at_node = BranchData("R-node", (None, None, 1, 2, 0), tail_order=None)
@@ -177,6 +179,6 @@ def certify_unstable(case: str, g: Optional[int] = None) -> MultiplicityCertific
             + branch_multiplicity_bound(r_at_node, rho)
             + degenerate_multiplicity(1, 2, 4 * g - 10)
         )
-        threshold = chow_threshold(1, n, 4 * g - 4, rho.total())
+        threshold = chow_threshold(1, n, 4 * g - 4, 2 * n + 3)
         return certificate(case, bound, threshold)
     raise ChowError(f"unknown case {case!r}")

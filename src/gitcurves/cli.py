@@ -32,6 +32,10 @@ if TYPE_CHECKING:
 
 USAGE_ERROR = 2
 
+#: the families the parser offers, `tuple(families.FAMILIES)`; spelled out so
+#: that parsing does not load `families`
+FAMILY_NAMES = ("open-rosary", "closed-rosary", "broken-bead")
+
 
 class CliError(Exception):
     pass
@@ -63,25 +67,13 @@ def _read_graph(path: str) -> CurveGraph:
 
 
 def _build_family(args) -> Configuration:
-    from .families import (
-        build_broken_bead_config,
-        build_closed_rosary_config,
-        build_open_rosary_config,
-    )
+    from .families import FAMILIES
 
-    if args.family == "open-rosary":
-        if args.g is None or args.r is None:
-            raise CliError("open-rosary needs --g and --r")
-        return build_open_rosary_config(args.g, args.r)
-    if args.family == "closed-rosary":
-        if args.r is None:
-            raise CliError("closed-rosary needs --r")
-        return build_closed_rosary_config(args.r)
-    if args.family == "broken-bead":
-        if args.r is None:
-            raise CliError("broken-bead needs --r")
-        return build_broken_bead_config(args.r)
-    raise CliError(f"unknown family {args.family!r}")
+    build, names = FAMILIES[args.family]
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        raise CliError(f"{args.family} needs {' and '.join('--' + n for n in names)}")
+    return build(*values)
 
 
 def _resolve_config(args) -> Configuration:
@@ -453,14 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("family", help="build one of the rosary configurations")
-    sp.add_argument("family", choices=["open-rosary", "closed-rosary", "broken-bead"])
+    sp.add_argument("family", choices=FAMILY_NAMES)
     sp.add_argument("--g", type=int)
     sp.add_argument("--r", type=int)
     add_json(sp)
     sp.set_defaults(func=cmd_family)
 
     sp = sub.add_parser("index", help="Hilbert-Mumford indices of a configuration")
-    sp.add_argument("--family", choices=["open-rosary", "closed-rosary", "broken-bead"])
+    sp.add_argument("--family", choices=FAMILY_NAMES)
     sp.add_argument("--in", dest="infile", metavar="FILE")
     sp.add_argument("--g", type=int)
     sp.add_argument("--r", type=int)
@@ -477,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_chow_certify)
 
     sp = sub.add_parser("basin", help="basin-of-attraction analysis of a configuration")
-    sp.add_argument("--family", choices=["open-rosary", "closed-rosary", "broken-bead"])
+    sp.add_argument("--family", choices=FAMILY_NAMES)
     sp.add_argument("--in", dest="infile", metavar="FILE")
     sp.add_argument("--g", type=int)
     sp.add_argument("--r", type=int)

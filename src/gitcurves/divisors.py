@@ -226,19 +226,12 @@ def moriwaki_decomposition(g: int) -> list[Fraction]:
     cs = [Fraction(-1) + 4 * i * (g - i) * inv_g for i in range(2, g // 2 + 1)]
 
     lhs = DivisorClass.total(g, 10, -1).to_split()
-    d1 = DivisorClass.split(
-        g, 0, [Fraction(1) if i == 1 else Fraction(0) for i in range(g // 2 + 1)]
-    )
-    lhs = lhs - d1
+    lhs = lhs - DivisorClass.split(g, 0, [0, 1] + [0] * (g // 2 - 1))
 
     rhs = inv_g * moriwaki_class(g)
     rhs = rhs + lam_coeff * lam(g).to_split()
-    rhs = rhs + d1_coeff * d1
-    for i, c in enumerate(cs, start=2):
-        di = DivisorClass.split(
-            g, 0, [Fraction(1) if j == i else Fraction(0) for j in range(g // 2 + 1)]
-        )
-        rhs = rhs + c * di
+    # d1_coeff * delta_1 + sum c_i delta_i as one class, so the check costs O(g)
+    rhs = rhs + DivisorClass.split(g, 0, [0, d1_coeff, *cs])
     if not (lhs - rhs).is_zero():
         raise DivisorError("decomposition identity failed")
     return [inv_g, lam_coeff, d1_coeff, *cs]

@@ -412,14 +412,11 @@ def hilbert_index(
             raise EngineError("split mode supports only open-rosary configurations")
         split = config.split
         block_rho = rho.restrict(split.block_size)
-        d_weights = set(rho.weights[split.block_size :])
-        d_weights.add(rho.weights[split.attach_coords[0]])
-        d_weights.add(rho.weights[split.attach_coords[1]])
-        if len(d_weights) != 1:
+        w_d = split.d_weight(rho)
+        if w_d is None:
             raise EngineError(
                 "split mode requires a single weight on the D coordinates"
             )
-        w_d = d_weights.pop()
         slice_ = evaluate_slice(config, m, MonomialOrder(block_rho))
         d_count = (4 * m - 1) * split.d_genus - 1
         weight_sum = Fraction(slice_.standard_weight_sum() + m * w_d * d_count)

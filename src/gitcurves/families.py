@@ -126,6 +126,13 @@ class SplitAttachment:
     block_size: int  # rosary-block coordinates x_0 .. x_{block_size-1}
     attach_coords: tuple[int, int]
 
+    def d_weight(self, rho: OneParamSubgroup) -> Optional[int]:
+        """The one weight of `rho` on the D coordinates and on both attachment
+        coordinates, or None when those weights differ."""
+        weights = set(rho.weights[self.block_size :])
+        weights.update(rho.weights[i] for i in self.attach_coords)
+        return weights.pop() if len(weights) == 1 else None
+
 
 # chart points of a branch on its component: s = 0 or t = 0
 S_ZERO = "s0"
@@ -205,22 +212,17 @@ def _json_form(value):
 def configuration_from_dict(doc: dict) -> Configuration:
     """Rebuild a configuration emitted by `Configuration.to_dict`.
 
-    Only the family builders below are reconstructible.  The family is
+    Only the families in `FAMILIES` are reconstructible.  The family is
     rebuilt from its integer parameters, and every other key the document
     carries must equal the rebuilt configuration's `to_dict()` entry, so a
     document is either read in full or rejected.
     """
     if not isinstance(doc, dict):
         raise FamilyError("configuration document must be a JSON object")
-    builders = {
-        "open-rosary": (build_open_rosary_config, ("g", "r")),
-        "closed-rosary": (build_closed_rosary_config, ("r",)),
-        "broken-bead": (build_broken_bead_config, ("r",)),
-    }
     family = doc.get("family")
-    if not isinstance(family, str) or family not in builders:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise FamilyError(f"unknown family {family!r}")
-    build, names = builders[family]
+    build, names = FAMILIES[family]
     params = doc.get("params", {})
     if not isinstance(params, dict) or set(params) != set(names):
         raise FamilyError(f"{family} params must be exactly {', '.join(names)}")
@@ -378,6 +380,14 @@ def build_broken_bead_config(r: int) -> Configuration:
     )
 
 
+#: every reconstructible family: name -> (builder, its integer parameter names)
+FAMILIES = {
+    "open-rosary": (build_open_rosary_config, ("g", "r")),
+    "closed-rosary": (build_closed_rosary_config, ("r",)),
+    "broken-bead": (build_broken_bead_config, ("r",)),
+}
+
+
 # ---------------------------------------------------------------------------
 # canonical one-parameter subgroups
 # ---------------------------------------------------------------------------
@@ -484,10 +494,7 @@ def branch_parameter_weight(
     if point is None:
         if config.split is None:
             raise FamilyError("missing branch chart point on a parametrized component")
-        d_weights = set(rho.weights[config.split.block_size :])
-        d_weights.add(rho.weights[config.split.attach_coords[0]])
-        d_weights.add(rho.weights[config.split.attach_coords[1]])
-        if len(d_weights) != 1:
+        if config.split.d_weight(rho) is None:
             raise FamilyError("weights are not constant on the D block")
         return Fraction(0)
     ws, wt = st_weights[cid]

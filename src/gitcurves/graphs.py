@@ -264,7 +264,7 @@ class CurveGraph:
 class _GraphData:
     """The one cached record of a graph: the bitmask tables, built in one plain
     pass over the components and one over the intersections, and the per-graph
-    results `table`, `blocks` and `flags` (of `classify`), filled on first use.
+    results `table`, `leaving` and `flags` (of `classify`), filled on first use.
 
     Bit i of an intersection mask is intersection i.  `flips[k]` holds the
     intersections joining component k to another component, `loops[k]` its
@@ -275,7 +275,7 @@ class _GraphData:
     __slots__ = (
         "ids", "index", "n", "contrib", "cusped", "nbr", "end_bits", "deltas", "tacnodes",
         "flips", "loops", "base", "genus", "all_mask", "whole_connected",
-        "_table", "_blocks", "flags",
+        "_table", "_leaving", "flags",
     )
 
     def __init__(self, g: CurveGraph):
@@ -316,7 +316,7 @@ class _GraphData:
         self.genus = sum(contrib) + sum(deltas) - self.n + 1
         self.all_mask = (1 << self.n) - 1
         self.whole_connected = self.connected(self.all_mask)
-        self._table = self._blocks = self.flags = None
+        self._table = self._leaving = self.flags = None
 
     def mask_of(self, sub: Iterable[str]) -> int:
         mask = 0
@@ -364,19 +364,20 @@ class _GraphData:
         return out
 
     @property
-    def table(self) -> tuple[tuple[int, int, int], ...]:
-        """(mask, genus, crossings) of every connected proper subcurve of genus <= 1.
+    def table(self) -> dict[int, int]:
+        """mask -> crossings of every connected proper subcurve of genus 1.
 
         Ascending by mask; bit i of `crossings` is set when intersection i joins
-        the subcurve to its complement.  Every stability predicate reads this
-        table.  Connected sets grow one adjacent component at a time from each
-        seed, in Wernicke's ESU order, which reaches every connected set exactly
-        once.  Each step is mask arithmetic: adding k to S, the intersections
-        joining k to S are j = crossings(S) & flips[k], so the genus grows by
+        the subcurve to its complement.  Connected sets grow one adjacent
+        component at a time from each seed, in Wernicke's ESU order, which
+        reaches every connected set exactly once.  Each step is mask arithmetic:
+        adding k to S, the intersections joining k to S are
+        j = crossings(S) & flips[k], so the genus grows by
         base[k] + |j| + |j & tacnodes|, and the crossings of S + k are
         crossings(S) ^ flips[k].  Growth never lowers the genus, since j is not
-        empty and base[k] >= -1; so a set of genus above 1 is never extended.
-        Visiting more than `SUBCURVE_BUDGET` sets raises CurveGraphError.
+        empty and base[k] >= -1: a set of genus above 1 is never extended, and
+        one of genus 0 is extended but not kept.  Visiting more than
+        `SUBCURVE_BUDGET` sets raises CurveGraphError.
         """
         if self._table is not None:
             return self._table
@@ -409,31 +410,27 @@ class _GraphData:
                         continue
                     grown = mask | w
                     gcross = cross ^ flips[k]
-                    if grown != all_mask:
-                        out.append((grown, h, gcross))
+                    if h == 1 and grown != all_mask:
+                        out.append((grown, gcross))
                     nbr = nbrs[k]
                     stack.append((grown, h, gcross, ext | nbr & ~closed & above, closed | nbr | w))
-        out.sort()
-        self._table = tuple(out)
+        self._table = dict(sorted(out))
         return self._table
 
     @property
-    def blocks(self) -> tuple[dict[int, int], dict[int, list[int]]]:
-        """The chain block index: the intersections leaving each genus-one
-        table entry, and the entries that each intersection index leaves."""
-        if self._blocks is None:
-            ones: dict[int, int] = {}
+    def leaving(self) -> dict[int, list[int]]:
+        """The chain block index: the table entries that each intersection
+        index leaves, ascending by mask."""
+        if self._leaving is None:
             leaving: dict[int, list[int]] = {}
-            for mask, genus, cross in self.table:
-                if genus == 1:
-                    ones[mask] = cross
-                    m = cross
-                    while m:
-                        i = m.bit_length() - 1
-                        m ^= 1 << i
-                        leaving.setdefault(i, []).append(mask)
-            self._blocks = ones, leaving
-        return self._blocks
+            for mask, cross in self.table.items():
+                m = cross
+                while m:
+                    i = m.bit_length() - 1
+                    m ^= 1 << i
+                    leaving.setdefault(i, []).append(mask)
+            self._leaving = leaving
+        return self._leaving
 
 
 @lru_cache(maxsize=256)
@@ -486,8 +483,8 @@ def _genus_one_with_crossings(g: CurveGraph, count: int) -> list[frozenset[str]]
     data = _graph_data(g)
     out = [
         data.subset_of(mask)
-        for mask, genus, cross in data.table
-        if genus == 1 and cross.bit_count() == count and not cross & data.tacnodes
+        for mask, cross in data.table.items()
+        if cross.bit_count() == count and not cross & data.tacnodes
     ]
     return sorted(out, key=lambda s: sorted(s))
 
@@ -576,8 +573,7 @@ def _chain_hits(
     data = _graph_data(g)
     if not data.whole_connected:
         raise CurveGraphError("disconnected")
-    tacnodes = data.tacnodes
-    ones, leaving = data.blocks
+    tacnodes, table, leaving = data.tacnodes, data.table, data.leaving
     explored = 0
 
     def sequences(first: int, keep: int) -> Iterator[tuple[tuple, int, int]]:
@@ -591,17 +587,17 @@ def _chain_hits(
         last; the crossings of the union are the XOR of the blocks'.
         """
         nonlocal explored
-        stack = [((first, None), first, 0, ones[first])]
+        stack = [((first, None), first, 0, table[first])]
         while stack:
             chain, used, before, cross = stack.pop()
             yield chain, used, cross
-            last = ones[chain[0]] & keep
+            last = table[chain[0]] & keep
             m = last & tacnodes
             while m:
                 bit = m & -m
                 m ^= bit
                 for b in leaving[bit.bit_length() - 1]:
-                    cb = ones[b]
+                    cb = table[b]
                     if b & used or last & cb != bit or cb & before:
                         continue
                     explored += 1
@@ -616,7 +612,7 @@ def _chain_hits(
     # proper.  Two tacnodal attachments make no chain, so one attachment is
     # a node, and it leaves an end block: the search starts only at blocks
     # that a node leaves.
-    for first, leaves in ones.items():
+    for first, leaves in table.items():
         if leaves & tacnodes == leaves:
             continue
         for chain, union, cross in sequences(first, -1):
@@ -667,7 +663,7 @@ def _chain_hits(
         # `ci` leaves it; every later block is disjoint from it and so holds
         # at most one end too, and its genus does not see `ci`.
         for first in leaving.get(ci, ()):
-            if not ones[first] & tacnodes & ~excl:
+            if not table[first] & tacnodes & ~excl:
                 continue
             for chain, union, _cross in sequences(first, ~excl):
                 if (
@@ -848,10 +844,11 @@ def open_rosaries(g: CurveGraph) -> list[RosaryRecord]:
 def classify(g: CurveGraph) -> StabilityFlags:
     """Evaluate every stability notion on a connected curve of genus >= 2.
 
-    One loop over the subcurve table reads every contact condition (a tacnode
-    counts twice in the multiplicity) and whether an elliptic bridge exists:
-    a genus-1 entry with two crossing points, no tacnode among them.  The
-    flags live on the graph's cached record, so a repeated query is free.
+    One pass over the components reads the genus-0 contact conditions, one
+    loop over the subcurve table the genus-1 ones (a tacnode counts twice in
+    the multiplicity) and whether an elliptic bridge exists: a table entry
+    with two crossing points, no tacnode among them.  The flags live on the
+    graph's cached record, so a repeated query is free.
     """
     data = _graph_data(g)
     if data.flags is not None:
@@ -865,17 +862,19 @@ def classify(g: CurveGraph) -> StabilityFlags:
     tacnodes = data.tacnodes
     genus0_plain = genus0_mult = genus1_two_points = genus1_three_mult = True
     bridge = False
-    for _mask, h, cross in data.table:
+    # a connected genus-0 subcurve is a tree of smooth rational components with
+    # no self-intersection, joined by nodes; if each has >= 3 points, t have >= t + 2
+    for h, loops, flips in zip(data.contrib, data.loops, data.flips):
+        if h == 0 and not loops:
+            points = flips.bit_count()
+            genus0_plain = genus0_plain and points >= 3
+            genus0_mult = genus0_mult and points + (flips & tacnodes).bit_count() >= 3
+    for cross in data.table.values():
         points = cross.bit_count()
         tac = cross & tacnodes
-        mult = points + tac.bit_count()
-        if h == 0:
-            genus0_plain = genus0_plain and points >= 3
-            genus0_mult = genus0_mult and mult >= 3
-        else:
-            genus1_two_points = genus1_two_points and points >= 2
-            genus1_three_mult = genus1_three_mult and mult >= 3
-            bridge = bridge or (points == 2 and not tac)
+        genus1_two_points = genus1_two_points and points >= 2
+        genus1_three_mult = genus1_three_mult and points + tac.bit_count() >= 3
+        bridge = bridge or (points == 2 and not tac)
 
     has_tacnode = tacnodes != 0
     dm_stable = (not data.cusped) and (not has_tacnode) and genus0_plain

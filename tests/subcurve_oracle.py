@@ -1,12 +1,14 @@
 """Brute-force subcurve searches, kept as a test oracle.
 
 Every predicate here sweeps all 2^n component subsets again, exactly as
-`graphs` did before it read one shared table of genus <= 1 subcurves: the
-connected masks are listed once, and the chain search rescans them for
-every closing intersection with that intersection's delta left out of the
-genus.  The chain search joins blocks and checks ampleness on component
-ids, where `graphs` works on bitmasks.  The tests compare the library
-against these functions.
+`graphs` did before it read one shared subcurve table: the connected masks
+are listed once, and the chain search rescans them for every closing
+intersection with that intersection's delta left out of the genus.  The
+chain search joins blocks and checks ampleness on component ids, where
+`graphs` works on bitmasks.  `subcurve_table` lists the genus-0 and genus-1
+subcurves: its genus-1 rows are the library's table, and its genus-0 rows
+check the genus-0 conditions that `graphs.classify` decides per component.
+The tests compare the library against these functions.
 """
 
 import itertools

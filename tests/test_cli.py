@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from gitcurves import engine
+from gitcurves import cli, engine
 from gitcurves.cli import main
+from gitcurves.families import FAMILIES
 from gitcurves.graphs import (
     NODE,
     SUBCURVE_BUDGET,
@@ -265,6 +266,23 @@ class TestFamilyAndIndex:
         assert err.startswith("error: cannot load configuration:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["family", "open-rosary", "--g", "5"], "open-rosary needs --g and --r"),
+            (["index", "--family", "open-rosary", "--r", "2"], "open-rosary needs --g and --r"),
+            (["family", "closed-rosary"], "closed-rosary needs --r"),
+            (["basin", "--family", "broken-bead", "--g", "6"], "broken-bead needs --r"),
+        ],
+        ids=["family-open", "index-open", "family-closed", "basin-broken"],
+    )
+    def test_missing_family_params(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_parser_offers_every_registered_family(self):
+        assert cli.FAMILY_NAMES == tuple(FAMILIES)
+
     def test_invalid_family_params(self, capsys):
         code, _, err = run(capsys, "family", "broken-bead", "--r", "4")
         assert code == 2
@@ -309,6 +327,20 @@ class TestOtherCommands:
         assert code == 0
         doc = json.loads(out)
         assert (doc["lower_bound"], doc["threshold"]) == ("18", "16")
+
+    def test_chow_certify_tacnodal_tail_at_huge_genus(self, capsys):
+        # the bound 16g - 4 and threshold 8(6g - 5)/3 come from five weights
+        # and the closed-form weight sum, not a vector of 3g - 3 entries
+        g = 100_000_000
+        code, out, err = run(
+            capsys, "chow-certify", "--case", "genus-one-tacnode-tail", "--g", str(g), "--json"
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["lower_bound"], doc["threshold"]) == ("1599999996", "4799999960/3")
+        assert doc["lower_bound"] == str(16 * g - 4)
+        assert doc["threshold"] == f"{8 * (6 * g - 5)}/3"
+        assert doc["verdict"] == "Unstable"
 
     def test_basin(self, capsys):
         code, out, _ = run(
@@ -396,6 +428,18 @@ class TestOtherCommands:
         assert json.loads(out) == {"lambda": "13", "delta": "-1"}
         code, out, _ = run(capsys, "divisor", "moriwaki", "--g", "12", "--json")
         assert json.loads(out)["all_positive"] is True
+
+    def test_divisor_moriwaki_at_genus_4000(self, capsys):
+        # the decomposition's check must cost O(g): at O(g^2) this genus
+        # takes tens of seconds
+        code, out, err = run(capsys, "divisor", "moriwaki", "--g", "4000", "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        cs = doc["coefficients"]
+        assert len(cs) == 2 + 4000 // 2
+        assert cs[:3] == ["1/4000", "1999/1000", "1999/1000"]
+        assert cs[3] == "1749/250" and cs[-1] == "3999"
+        assert doc["all_positive"] is True
 
     @pytest.mark.parametrize(
         "argv",

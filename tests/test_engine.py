@@ -298,7 +298,7 @@ class TestIndices:
         cfg = build_open_rosary_config(5, 2)
         w = list(canonical_1ps(cfg).weights)
         w[-1] = 7
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match="single weight on the D coordinates"):
             hilbert_index(cfg, OneParamSubgroup(tuple(w)), 2)
 
     def test_degree_below_two_rejected(self):

@@ -5,6 +5,7 @@ import pytest
 from gitcurves.families import (
     FamilyError,
     OneParamSubgroup,
+    branch_parameter_weight,
     build_broken_bead_config,
     build_closed_rosary_config,
     build_open_rosary_config,
@@ -134,6 +135,19 @@ class TestInvariants:
             assert all(abs(d) == 1 for d in diffs)
             for a, b in zip(diffs, diffs[1:]):
                 assert a == -b
+
+    def test_one_weight_on_the_d_block(self):
+        c = build_open_rosary_config(6, 3)
+        rho = canonical_1ps(c)
+        assert c.split.d_weight(rho) == 2
+        assert branch_parameter_weight(c, rho, 0, 0) == 0
+        for i in (c.split.attach_coords[1], c.split.block_size, len(rho) - 1):
+            w = list(rho.weights)
+            w[i] = 7
+            bad = OneParamSubgroup(tuple(w))
+            assert c.split.d_weight(bad) is None
+            with pytest.raises(FamilyError, match="weights are not constant on the D block"):
+                branch_parameter_weight(c, bad, 0, 0, st_weights={})
 
     def test_st_weights_reject_non_automorphism(self):
         c = build_closed_rosary_config(4)

@@ -439,7 +439,7 @@ class TestGraphHash:
 
     def test_table_and_chain_block_index_built_once(self, monkeypatch):
         builds = []
-        for name in ("table", "blocks"):
+        for name in ("table", "leaving"):
 
             def counted(self, name=name, build=getattr(graphs._GraphData, name).fget):
                 builds.append((name, getattr(self, "_" + name) is None))
@@ -452,8 +452,8 @@ class TestGraphHash:
         flags = classify(g)
         assert flags.h_semistable and not flags.h_stable
         assert find_weak_elliptic_chains(g) and not find_elliptic_chains(g)
-        assert builds.count(("table", True)) == builds.count(("blocks", True)) == 1
-        assert builds.count(("blocks", False)) == 2
+        assert builds.count(("table", True)) == builds.count(("leaving", True)) == 1
+        assert builds.count(("leaving", False)) == 2
 
 
 class TestIsomorphism:

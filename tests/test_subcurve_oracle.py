@@ -1,9 +1,10 @@
-"""The shared genus <= 1 subcurve table against the brute-force sweeps.
+"""The shared genus-1 subcurve table against the brute-force sweeps.
 
-The table itself, tails, bridges, bridge links, contact multisets, chain
-records and the stability flags must equal those of `subcurve_oracle`,
+The table itself, tails, bridges, bridge links, genus-1 contact multisets,
+chain records and the stability flags must equal those of `subcurve_oracle`,
 which rescans every component subset per predicate and per closing
-intersection.
+intersection.  The genus-0 contact conditions, which `classify` decides per
+component, are checked against the oracle's genus-0 subcurves.
 """
 
 import itertools
@@ -43,17 +44,16 @@ def _links(fn, g):
 
 
 def assert_matches_oracle(g):
-    assert _graph_data(g).table == oracle.subcurve_table(g)
+    table = _graph_data(g).table
+    assert list(table.items()) == [
+        (mask, cross) for mask, genus, cross in oracle.subcurve_table(g) if genus == 1
+    ]
     assert find_elliptic_tails(g) == oracle.elliptic_tails(g)
     assert find_elliptic_bridges(g) == oracle.elliptic_bridges(g)
     assert _links(bridge_links, g) == _links(oracle.bridge_links, g)
     tacnodes = sum(1 << i for i, x in enumerate(g.intersections) if x.kind == TACNODE)
-    zero, one = [], []
-    for _mask, genus, cross in _graph_data(g).table:
-        points = cross.bit_count()
-        (zero if genus == 0 else one).append((points, points + (cross & tacnodes).bit_count()))
-    want_zero, want_one = oracle.genus_contacts(g)
-    assert sorted(zero) == sorted(want_zero)
+    one = [(c.bit_count(), c.bit_count() + (c & tacnodes).bit_count()) for c in table.values()]
+    _want_zero, want_one = oracle.genus_contacts(g)
     assert sorted(one) == sorted(want_one)
     assert _find_chains(g) == oracle.find_chains(g)
     assert classify(g).as_dict() == oracle.classify_flags(g)
@@ -112,6 +112,44 @@ TACNODAL_BRIDGE = CurveGraph(
     ),
 )
 
+
+def _bridged(middle, xs):
+    """`middle` components between genus-2 curves C1 and C2 joined by `xs`."""
+    comps = (Component("C1", 2), *middle, Component("C2", 2))
+    return CurveGraph(comps, tuple(Intersection(kind, ends) for kind, ends in xs))
+
+
+# The genus-0 conditions at their edges, which `classify` reads per
+# component: a rational curve with two points, one a tacnode (multiplicity
+# 3); rational curves whose self-node or cusp gives them genus 1; and two
+# rational curves of three points each whose two nodes make a genus-1 union
+# with only two points
+NODE_AND_TACNODE = _bridged(
+    (Component("R", 0),),
+    [(NODE, (("C1", 0), ("R", 0))), (TACNODE, (("R", 1), ("C2", 0)))],
+)
+SELF_NODE_BRIDGE = _bridged(
+    (Component("R", 0),),
+    [
+        (NODE, (("R", 0), ("R", 1))),
+        (NODE, (("C1", 0), ("R", 2))),
+        (NODE, (("R", 3), ("C2", 0))),
+    ],
+)
+CUSPIDAL_BRIDGE = _bridged(
+    (Component("R", 0, cusps=1),),
+    [(NODE, (("C1", 0), ("R", 0))), (NODE, (("R", 1), ("C2", 0)))],
+)
+TWO_NODE_CYCLE = _bridged(
+    (Component("A", 0), Component("B", 0)),
+    [
+        (NODE, (("C1", 0), ("A", 0))),
+        (NODE, (("A", 1), ("B", 0))),
+        (NODE, (("A", 2), ("B", 1))),
+        (NODE, (("B", 2), ("C2", 0))),
+    ],
+)
+
 NAMED = {
     "closed-rosary-2": closed_rosary_graph(2),
     "closed-rosary-5": closed_rosary_graph(5),
@@ -124,6 +162,10 @@ NAMED = {
     "nodal-elliptic-tail": NODAL_TAIL,
     "rational-self-tacnode-bridge": TACNODAL_BRIDGE,
     "elliptic-triangle": TRIANGLE,
+    "rational-node-and-tacnode": NODE_AND_TACNODE,
+    "rational-self-node-bridge": SELF_NODE_BRIDGE,
+    "cuspidal-rational-bridge": CUSPIDAL_BRIDGE,
+    "two-node-rational-cycle": TWO_NODE_CYCLE,
 }
 
 
@@ -143,6 +185,22 @@ class TestNamedGraphs:
         assert _find_chains(SELF_TACNODE) == oracle.find_chains(SELF_TACNODE)
         [rec] = _find_chains(SELF_TACNODE)
         assert (rec.closed, rec.weak, rec.blocks, rec.ends) == (True, True, (("E",),), (0,))
+
+    @pytest.mark.parametrize(
+        "g, plain, mult",
+        [
+            (NODE_AND_TACNODE, False, True),
+            (SELF_NODE_BRIDGE, True, True),
+            (CUSPIDAL_BRIDGE, True, True),
+            (TWO_NODE_CYCLE, True, True),
+        ],
+        ids=["node-and-tacnode", "self-node", "cusp", "two-node-cycle"],
+    )
+    def test_genus_zero_conditions_at_the_edges(self, g, plain, mult):
+        zero, _one = oracle.genus_contacts(g)
+        assert all(p >= 3 for p, _ in zero) == plain
+        assert all(m >= 3 for _, m in zero) == mult
+        assert classify(g).as_dict() == oracle.classify_flags(g)
 
     def test_self_node_on_genus_two_gives_no_chain(self):
         assert arithmetic_genus(SELF_NODE) == 3
@@ -189,17 +247,18 @@ def test_corpus_matches_oracle(seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_genus_zero_conditions_per_component(seed):
-    """On a curve of two or more components, every genus-0 table entry has
-    >= 3 crossing points exactly when every smooth rational component with
-    no self-intersection has >= 3 branches; likewise with tacnodes counted
-    twice on both sides.  A genus-0 subcurve is a tree of such components."""
+    """On a curve of two or more components, every connected proper genus-0
+    subcurve has >= 3 crossing points exactly when every smooth rational
+    component with no self-intersection has >= 3 branches; likewise with
+    tacnodes counted twice on both sides.  A genus-0 subcurve is a tree of
+    such components, so `classify` reads these conditions per component."""
     for g in corpus(seed, 400, 14):
         if len(g.components) < 2:
             continue
-        data = _graph_data(g)
-        entries = [cross for _mask, genus, cross in data.table if genus == 0]
+        tacnodes = _graph_data(g).tacnodes
+        entries = [cross for _mask, genus, cross in oracle.subcurve_table(g) if genus == 0]
         plain = all(cross.bit_count() >= 3 for cross in entries)
-        mult = all(cross.bit_count() + (cross & data.tacnodes).bit_count() >= 3 for cross in entries)
+        mult = all(cross.bit_count() + (cross & tacnodes).bit_count() >= 3 for cross in entries)
         branches = {c.id: [] for c in g.components if c.genus + c.cusps == 0}
         for x in g.intersections:
             a, b = x.components()
