@@ -147,17 +147,12 @@ def certify_unstable(case: str, g: Optional[int] = None) -> MultiplicityCertific
         bound = branch_multiplicity_bound(branch, rho)
         threshold = Fraction(2 * 4, 3) * 9  # (dim+1)/(N+1)*deg = 8/3, sum r_i = 9
         return certificate(case, bound, threshold)
-    if case == HIGHER_TACNODE:
-        # two branches agreeing to order >= 3: orders (0, 1, 2, >=3) each
+    if case in (HIGHER_TACNODE, MULTIPLE_COMPONENT):
+        # two branches with orders (0, 1, 2, >=3) each: branches agreeing to
+        # order >= 3, or the two sheets at a smooth non-flex point of a
+        # doubled component
         rho = OneParamSubgroup((3, 2, 1, 0))
-        branch = BranchData("tacnode-branch", (0, 1, 2), tail_order=3)
-        bound = 2 * branch_multiplicity_bound(branch, rho)
-        threshold = Fraction(2 * 4, 3) * 6
-        return certificate(case, bound, threshold)
-    if case == MULTIPLE_COMPONENT:
-        # a smooth non-flex point of a doubled component: orders (0, 1, 2, >=3)
-        rho = OneParamSubgroup((3, 2, 1, 0))
-        branch = BranchData("doubled-point", (0, 1, 2), tail_order=3)
+        branch = BranchData(case, (0, 1, 2), tail_order=3)
         bound = 2 * branch_multiplicity_bound(branch, rho)
         threshold = Fraction(2 * 4, 3) * 6
         return certificate(case, bound, threshold)

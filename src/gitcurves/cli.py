@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -515,6 +516,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CliError, GitcurvesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # flush at exit stays silent (the SIGPIPE note of the `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,6 +22,11 @@ class DivisorError(GitcurvesError):
     pass
 
 
+#: largest genus `moriwaki_decomposition` accepts: its vectors hold g/2 + 1
+#: `Fraction`s, about 2 s and 40 MB for the whole command at this genus
+MORIWAKI_MAX_GENUS = 100_000
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """lambda_coeff * lambda + delta part, for one genus g."""
@@ -220,6 +225,8 @@ def moriwaki_decomposition(g: int) -> list[Fraction]:
     """
     if g < 3:
         raise DivisorError("the decomposition needs genus >= 3")
+    if g > MORIWAKI_MAX_GENUS:
+        raise DivisorError(f"the decomposition needs genus <= {MORIWAKI_MAX_GENUS}, got {g}")
     inv_g = Fraction(1, g)
     lam_coeff = 2 - 4 * inv_g
     d1_coeff = 2 - 4 * inv_g

@@ -269,7 +269,9 @@ class _GraphData:
     Bit i of an intersection mask is intersection i.  `flips[k]` holds the
     intersections joining component k to another component, `loops[k]` its
     self-intersections, and `base[k]` is contrib(k) - 1 plus their deltas.
-    `genus` is the arithmetic genus of the whole curve.
+    `genus` is the arithmetic genus of the whole curve.  `table` holds the
+    connected proper genus-1 subcurves; `leaving` indexes those of them that
+    meet the rest in exactly two points, the only ones an elliptic chain uses.
     """
 
     __slots__ = (
@@ -419,16 +421,15 @@ class _GraphData:
 
     @property
     def leaving(self) -> dict[int, list[int]]:
-        """The chain block index: the table entries that each intersection
-        index leaves, ascending by mask."""
+        """The chain block index: intersection index -> the table entries with
+        exactly two crossing points that it leaves, ascending by mask.  Every
+        block of an elliptic chain meets the rest of the curve in two points."""
         if self._leaving is None:
             leaving: dict[int, list[int]] = {}
             for mask, cross in self.table.items():
-                m = cross
-                while m:
-                    i = m.bit_length() - 1
-                    m ^= 1 << i
-                    leaving.setdefault(i, []).append(mask)
+                if cross.bit_count() == 2:
+                    leaving.setdefault((cross & -cross).bit_length() - 1, []).append(mask)
+                    leaving.setdefault(cross.bit_length() - 1, []).append(mask)
             self._leaving = leaving
         return self._leaving
 
@@ -565,10 +566,10 @@ def _chain_hits(
     """(closed, weak, blocks, ends) of the elliptic chains, as the search meets them.
 
     `weak` None searches both kinds, True or False only that kind.  The
-    blocks are the genus-one table entries, as masks, in the graph's block
-    index.  An open weak chain comes with its tacnodal end first; other
-    chains may come once from each end.  Exploring more than `SUBCURVE_BUDGET`
-    sequences of two or more blocks raises CurveGraphError.
+    blocks are masks from the graph's block index.  An open weak chain comes
+    with its tacnodal end first; other chains may come once from each end.
+    Exploring more than `SUBCURVE_BUDGET` sequences of two or more blocks
+    raises CurveGraphError.
     """
     data = _graph_data(g)
     if not data.whole_connected:
@@ -576,71 +577,56 @@ def _chain_hits(
     tacnodes, table, leaving = data.tacnodes, data.table, data.leaving
     explored = 0
 
-    def sequences(first: int, keep: int) -> Iterator[tuple[tuple, int, int]]:
-        """(chain, union, crossings) of `first` and of each sequence of
-        disjoint blocks after it, every block joined to the one before by
-        exactly one tacnode and to no earlier block; only the intersections
-        in `keep` join.  `chain` is (last block, chain before it).
+    def paths(first: int, x0: int, seen: int) -> Iterator[tuple[tuple, int, int]]:
+        """(chain, union, q) of each path of blocks that enters `first` at
+        the point x0 and leaves its last block at q; `chain` is (last block,
+        chain before it).
 
-        Two disjoint blocks are joined by exactly the intersections that
-        leave both, and `before` holds those leaving the blocks before the
-        last; the crossings of the union are the XOR of the blocks'.
+        Consecutive blocks of a chain share exactly their linking tacnode and
+        other blocks share no point, so a step leaves through the tacnode
+        `at` into a block disjoint from the path whose other point is not in
+        `seen`: the points met so far, and x0 unless the path may close there.
         """
         nonlocal explored
-        stack = [((first, None), first, 0, table[first])]
+        q = (table[first] ^ 1 << x0).bit_length() - 1
+        stack = [((first, None), first, q, seen | 1 << q)]
         while stack:
-            chain, used, before, cross = stack.pop()
-            yield chain, used, cross
-            last = table[chain[0]] & keep
-            m = last & tacnodes
-            while m:
-                bit = m & -m
-                m ^= bit
-                for b in leaving[bit.bit_length() - 1]:
-                    cb = table[b]
-                    if b & used or last & cb != bit or cb & before:
-                        continue
-                    explored += 1
-                    if explored > SUBCURVE_BUDGET:
-                        raise CurveGraphError(
-                            f"chain search on {data.n} components explores more than "
-                            f"{SUBCURVE_BUDGET} block sequences"
-                        )
-                    stack.append(((b, chain), used | b, before | last, cross ^ cb))
-
-    # Open chains: a chain meets the rest of the curve, so its blocks are
-    # proper.  Two tacnodal attachments make no chain, so one attachment is
-    # a node, and it leaves an end block: the search starts only at blocks
-    # that a node leaves.
-    for first, leaves in table.items():
-        if leaves & tacnodes == leaves:
-            continue
-        for chain, union, cross in sequences(first, -1):
-            if cross.bit_count() != 2:
+            chain, used, at, seen = stack.pop()
+            yield chain, used, at
+            if not tacnodes >> at & 1:
                 continue
-            tacnodal = cross & tacnodes
-            if tacnodal == cross or (weak is not None and weak != bool(tacnodal)):
-                continue
-            i1, i2 = (cross & -cross).bit_length() - 1, cross.bit_length() - 1
-            (a1, b1), (a2, b2) = data.end_bits[i1], data.end_bits[i2]
-            c1 = a1 if union >> a1 & 1 else b1
-            c2 = a2 if union >> a2 & 1 else b2
-            last = chain[0]
-            placements = []
-            if first >> c1 & 1 and last >> c2 & 1:
-                placements.append(((i1, c1), (i2, c2)))
-            if chain[1] and first >> c2 & 1 and last >> c1 & 1:
-                placements.append(((i2, c2), (i1, c1)))
-            for (ip, cp), (iq, cq) in placements:
-                if not _chain_ample(data, union, cross, (cp, cq), 0):
+            for b in leaving[at]:
+                j = table[b] ^ 1 << at
+                if b & used or j & seen:
                     continue
-                if not tacnodal:
-                    yield False, False, _blocks(chain), (ip, iq)
-                elif tacnodes >> ip & 1:
-                    yield False, True, _blocks(chain), (ip, iq)
-                else:
-                    # orient the tacnodal attachment onto the first block
-                    yield False, True, _blocks(chain)[::-1], (iq, ip)
+                explored += 1
+                if explored > SUBCURVE_BUDGET:
+                    raise CurveGraphError(
+                        f"chain search on {data.n} components explores more than "
+                        f"{SUBCURVE_BUDGET} block sequences"
+                    )
+                stack.append(((b, chain), used | b, j.bit_length() - 1, seen | j))
+
+    # Open chains: a path from x0 to q is a chain whose union meets the rest
+    # of the curve in x0 and q.  Two tacnodal ends make no chain, so x0 is a
+    # node, and a tacnodal q makes the chain weak.
+    for first, cross in table.items():
+        nodal = cross & ~tacnodes
+        if cross.bit_count() != 2 or not nodal:
+            continue
+        x0 = (nodal & -nodal).bit_length() - 1
+        for chain, union, q in paths(first, x0, 1 << x0):
+            tacnodal = tacnodes >> q & 1
+            if weak is not None and weak != bool(tacnodal):
+                continue
+            (a, b), (c, d) = data.end_bits[x0], data.end_bits[q]
+            ends = (a if union >> a & 1 else b, c if union >> c & 1 else d)
+            if not _chain_ample(data, union, 1 << x0 | 1 << q, ends, 0):
+                continue
+            if tacnodal:
+                yield False, True, _blocks(chain)[::-1], (q, x0)
+            else:
+                yield False, False, _blocks(chain), (x0, q)
 
     # Closed chains: the whole curve, cut at a closing node (a chain) or
     # tacnode (a weak chain).  L genus-one blocks joined in a row by L - 1
@@ -659,18 +645,13 @@ def _chain_hits(
             and _chain_ample(data, data.all_mask, 0, (a, b), excl)
         ):
             yield True, closing_weak, [data.all_mask], (ci,)
-        # A longer chain starts with a block holding one end of `ci`, so
-        # `ci` leaves it; every later block is disjoint from it and so holds
-        # at most one end too, and its genus does not see `ci`.
+        # A longer chain is a path from `ci` back to `ci`, where it stops: the
+        # blocks `ci` leaves meet the path.  Each of its points leaves two of
+        # its blocks, so its union has no crossings and, the curve being
+        # connected, is the whole curve.
         for first in leaving.get(ci, ()):
-            if not table[first] & tacnodes & ~excl:
-                continue
-            for chain, union, _cross in sequences(first, ~excl):
-                if (
-                    union == data.all_mask
-                    and chain[0] >> (a if first >> b & 1 else b) & 1
-                    and _chain_ample(data, union, 0, (a, b), excl)
-                ):
+            for chain, union, q in paths(first, ci, 0):
+                if q == ci and _chain_ample(data, union, 0, (a, b), excl):
                     yield True, closing_weak, _blocks(chain), (ci,)
 
 

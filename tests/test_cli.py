@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
+from paths import ROOT, src_env
 
 from gitcurves import cli, engine
 from gitcurves.cli import main
+from gitcurves.divisors import MORIWAKI_MAX_GENUS
 from gitcurves.families import FAMILIES
 from gitcurves.graphs import (
     NODE,
@@ -440,6 +444,27 @@ class TestOtherCommands:
         assert cs[:3] == ["1/4000", "1999/1000", "1999/1000"]
         assert cs[3] == "1749/250" and cs[-1] == "3999"
         assert doc["all_positive"] is True
+
+    def test_divisor_moriwaki_over_genus_bound(self, capsys):
+        g = MORIWAKI_MAX_GENUS + 1
+        code, out, err = run(capsys, "divisor", "moriwaki", "--g", str(g))
+        assert (code, out) == (2, "")
+        assert err == f"error: the decomposition needs genus <= {MORIWAKI_MAX_GENUS}, got {g}\n"
+
+    def test_reader_closing_stdout_early(self):
+        # the output is larger than a pipe buffer, so the command is still
+        # writing when the reader closes its end
+        with subprocess.Popen(
+            [sys.executable, "-m", "gitcurves.cli", "divisor", "moriwaki", "--g", "30000"],
+            cwd=ROOT,
+            env=src_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (1, b"")
 
     @pytest.mark.parametrize(
         "argv",

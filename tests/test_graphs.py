@@ -9,6 +9,7 @@ from gitcurves import graphs
 from gitcurves.graphs import (
     NODE,
     TACNODE,
+    ChainRecord,
     Component,
     CurveGraph,
     CurveGraphError,
@@ -261,6 +262,27 @@ class TestClassify:
             match="chain search on 40 components explores more than 1000 block sequences",
         ):
             find_weak_elliptic_chains(g)
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_tacnode_ladder_chains(self, monkeypatch, n):
+        # genus-1 components E0..E{n-1} in a row joined by tacnodes, each with
+        # a node to a genus-2 spine S: only the two end rungs meet the rest in
+        # two points, and each is a weak chain of length 1.  Walking the
+        # middle rungs, which meet the rest in three, explores about n^2
+        # sequences.
+        comps = [Component("S", 2)] + [Component(f"E{i}", 1) for i in range(n)]
+        xs = [Intersection(NODE, ((f"E{i}", 0), ("S", i))) for i in range(n)]
+        xs += [Intersection(TACNODE, ((f"E{i}", 2), (f"E{i+1}", 1))) for i in range(n - 1)]
+        g = CurveGraph(tuple(comps), tuple(xs))
+        monkeypatch.setattr(graphs, "SUBCURVE_BUDGET", 1_000)
+        flags = classify(g)
+        assert (flags.c_semistable, flags.c_stable) == (True, False)
+        assert (flags.h_semistable, flags.h_stable) == (True, False)
+        assert find_elliptic_chains(g) == []
+        assert find_weak_elliptic_chains(g) == [
+            ChainRecord(False, True, 1, (("E0",),), (n, 0)),
+            ChainRecord(False, True, 1, ((f"E{n - 1}",),), (2 * n - 2, n - 1)),
+        ]
 
     def test_smooth_curve_all_flags(self):
         flags = classify(smooth_curve(5))

@@ -149,6 +149,18 @@ TWO_NODE_CYCLE = _bridged(
         (NODE, (("B", 2), ("C2", 0))),
     ],
 )
+# E -node- R =tacnode= Q -node- E with R cuspidal: the blocks {E, Q} and
+# {R} meet the rest in the same two points, so the path from the node E-R
+# through {E, Q} and {R} comes back to its start point; its union is the
+# whole curve, not an open chain
+RETURNING_PATH = CurveGraph(
+    (Component("E", 1), Component("R", 0, cusps=1), Component("Q", 0)),
+    (
+        Intersection(NODE, (("E", 0), ("R", 0))),
+        Intersection(NODE, (("E", 1), ("Q", 0))),
+        Intersection(TACNODE, (("R", 1), ("Q", 1))),
+    ),
+)
 
 NAMED = {
     "closed-rosary-2": closed_rosary_graph(2),
@@ -166,6 +178,7 @@ NAMED = {
     "rational-self-node-bridge": SELF_NODE_BRIDGE,
     "cuspidal-rational-bridge": CUSPIDAL_BRIDGE,
     "two-node-rational-cycle": TWO_NODE_CYCLE,
+    "path-returning-to-its-start": RETURNING_PATH,
 }
 
 
@@ -270,6 +283,22 @@ def test_genus_zero_conditions_per_component(seed):
                         branches[cid].append(x.delta)
         assert plain == all(len(ds) >= 3 for ds in branches.values())
         assert mult == all(sum(ds) >= 3 for ds in branches.values())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chain_blocks_meet_the_rest_in_two_points(seed):
+    """Every block of an elliptic chain meets the rest of the curve in
+    exactly two points, the only blocks the chain block index keeps; a closed
+    chain of length 1 is the whole curve and has no crossings."""
+    for g in corpus(seed, 400, 14):
+        data = _graph_data(g)
+        rows = {mask: (genus, cross) for mask, genus, cross in oracle.subcurve_table(g)}
+        for r in oracle.find_chains(g):
+            if r.closed and r.length == 1:
+                continue
+            for block in r.blocks:
+                genus, cross = rows[data.mask_of(block)]
+                assert (genus, cross.bit_count()) == (1, 2)
 
 
 @st.composite
