@@ -81,7 +81,6 @@ class BasinReport:
 
     classifications: tuple[tuple[int, str, str], ...]
     generic: CurveGraph
-    partial_smoothings: tuple[CurveGraph, ...]
 
 
 def node_versal_weight(w1: Fraction, w2: Fraction) -> tuple[Fraction]:
@@ -295,12 +294,13 @@ def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
 
 
 def basin_membership(config: Configuration, rho: OneParamSubgroup) -> BasinReport:
-    """Classify every singularity and emit the deformed combinatorial types.
+    """Classify every singularity and emit the generic member of the basin.
 
-    The generic member smooths every smoothable singularity; the sublattice
-    lists one graph per subset of smoothable singularities (the identity and
-    the generic member included).  A weight vector acting trivially on all
-    versal parameters leaves everything frozen: the basin is the fixed locus.
+    The generic member smooths every smoothable singularity.  Each subset of
+    the smoothable singularities gives one partial smoothing,
+    `smooth_singularities(config.graph, subset)`; only the generic one is
+    built here.  A weight vector acting trivially on all versal parameters
+    leaves everything frozen: the basin is the fixed locus.
     """
     cls = []
     smoothable = []
@@ -311,17 +311,19 @@ def basin_membership(config: Configuration, rho: OneParamSubgroup) -> BasinRepor
         cls.append((i, vw.kind, status))
         if vw.smoothable:
             smoothable.append(i)
-    generic = smooth_singularities(config.graph, smoothable)
-    partial = []
-    for k in range(len(smoothable) + 1):
-        for sub in itertools.combinations(smoothable, k):
-            partial.append(smooth_singularities(config.graph, sub))
-    return BasinReport(tuple(cls), generic, tuple(partial))
+    return BasinReport(tuple(cls), smooth_singularities(config.graph, smoothable))
 
 
 # ---------------------------------------------------------------------------
 # product subgroups on curves made of length-two rosaries
 # ---------------------------------------------------------------------------
+
+
+def _rosary_owners(g: CurveGraph) -> tuple[int, dict[str, int]]:
+    """The number of length-two open rosaries, and bead -> the index of its
+    rosary among them, in `open_rosaries` order."""
+    rosaries = [r for r in open_rosaries(g) if r.length == 2]
+    return len(rosaries), {b: i for i, r in enumerate(rosaries) for b in r.beads}
 
 
 def rosary_product_weights(
@@ -336,29 +338,18 @@ def rosary_product_weights(
     on a single rosary gets -e_i, and a node joining rosaries i and j gets
     -(e_i + e_j).
     """
-    rosaries = [r for r in open_rosaries(g) if r.length == 2]
-    if len(exponents) != len(rosaries):
-        raise BasinError(
-            f"{len(rosaries)} length-two rosaries but {len(exponents)} exponents"
-        )
-    bead_owner: dict[str, int] = {}
-    for i, r in enumerate(rosaries):
-        for b in r.beads:
-            bead_owner[b] = i
+    count, bead_owner = _rosary_owners(g)
+    if len(exponents) != count:
+        raise BasinError(f"{count} length-two rosaries but {len(exponents)} exponents")
     out = []
     for idx, x in enumerate(g.intersections):
-        a, b = x.components()
-        owners = [bead_owner.get(c) for c in (a, b)]
+        owners = [bead_owner.get(c) for c in x.components()]
         if x.kind == TACNODE:
             if owners[0] is None or owners[0] != owners[1]:
                 raise BasinError(f"tacnode {idx} is not inside a length-two rosary")
             out.append((idx, TACNODE, Fraction(4 * exponents[owners[0]])))
         else:
-            w = Fraction(0)
-            for o in owners:
-                if o is not None:
-                    w -= exponents[o]
-            out.append((idx, NODE, w))
+            out.append((idx, NODE, -Fraction(sum(exponents[o] for o in owners if o is not None))))
     return out
 
 
@@ -369,24 +360,19 @@ def product_basin_generic(g: CurveGraph, signs: Sequence[int]) -> CurveGraph:
     with large absolute value): the tacnode stays and every node on that
     rosary is smoothed instead.
     """
-    rosaries = [r for r in open_rosaries(g) if r.length == 2]
-    if len(signs) != len(rosaries):
+    count, bead_owner = _rosary_owners(g)
+    if len(signs) != count:
         raise BasinError("one sign per length-two rosary required")
     if any(s == 0 for s in signs):
         raise BasinError("signs must be nonzero")
-    bead_owner: dict[str, int] = {}
-    for i, r in enumerate(rosaries):
-        for b in r.beads:
-            bead_owner[b] = i
     smooth = []
     for idx, x in enumerate(g.intersections):
         owners = [bead_owner.get(c) for c in x.components()]
         if x.kind == TACNODE:
             if owners[0] is not None and signs[owners[0]] > 0:
                 smooth.append(idx)
-        else:
-            if any(o is not None and signs[o] < 0 for o in owners):
-                smooth.append(idx)
+        elif any(o is not None and signs[o] < 0 for o in owners):
+            smooth.append(idx)
     return smooth_singularities(g, smooth)
 
 

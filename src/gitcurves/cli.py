@@ -258,7 +258,7 @@ def cmd_chow_certify(args) -> int:
 
 
 def cmd_basin(args) -> int:
-    from .basins import basin_membership
+    from .basins import SMOOTHABLE, basin_membership
     from .families import OneParamSubgroup, torus_generators
 
     cfg = _resolve_config(args)
@@ -280,6 +280,7 @@ def cmd_basin(args) -> int:
             weights[i] += e * w
     rho = OneParamSubgroup(tuple(weights))
     report = basin_membership(cfg, rho)
+    smoothable = sum(1 for _i, _k, s in report.classifications if s == SMOOTHABLE)
     payload = {
         "family": cfg.family,
         "params": dict(cfg.params),
@@ -289,7 +290,7 @@ def cmd_basin(args) -> int:
             for i, k, s in report.classifications
         ],
         "generic_member": report.generic.to_dict(),
-        "partial_smoothings": len(report.partial_smoothings),
+        "partial_smoothings": 2**smoothable,
     }
     rows = [(i, k, s) for i, k, s in report.classifications]
     human = (
@@ -361,18 +362,15 @@ def cmd_divisor(args) -> int:
         viehweg_class,
     )
 
+    cls = None  # a divisor class, rendered below
     if args.what == "lambda-n":
         if args.n is None or args.g is None:
             raise CliError("divisor lambda-n needs --n and --g")
         cls = lambda_n(args.n, args.g)
-        payload = {"lambda": fmt(cls.lam), "delta": fmt(cls.delta_total)}
-        human = f"{fmt(cls.lam)}*lambda {fmt(cls.delta_total)}*delta"
     elif args.what == "viehweg":
         if args.n is None or args.m is None or args.g is None:
             raise CliError("divisor viehweg needs --n, --m and --g")
         cls = viehweg_class(args.n, _parse_degree(args.m), args.g)
-        payload = {"lambda": fmt(cls.lam), "delta": fmt(cls.delta_total)}
-        human = f"{fmt(cls.lam)}*lambda {fmt(cls.delta_total)}*delta"
     elif args.what == "epsilon":
         if args.m is None:
             raise CliError("divisor epsilon needs --m")
@@ -383,8 +381,6 @@ def cmd_divisor(args) -> int:
         if args.alpha is None or args.g is None:
             raise CliError("divisor k-alpha needs --alpha and --g")
         cls = canonical_alpha_class(_parse_rational(args.alpha), args.g)
-        payload = {"lambda": fmt(cls.lam), "delta": fmt(cls.delta_total)}
-        human = f"{fmt(cls.lam)}*lambda {fmt(cls.delta_total)}*delta"
     elif args.what == "moriwaki":
         if args.g is None:
             raise CliError("divisor moriwaki needs --g")
@@ -393,6 +389,9 @@ def cmd_divisor(args) -> int:
         human = " ".join(fmt(c) for c in cs)
     else:
         raise CliError(f"unknown divisor computation {args.what!r}")
+    if cls is not None:
+        payload = {"lambda": fmt(cls.lam), "delta": fmt(cls.delta_total)}
+        human = f"{fmt(cls.lam)}*lambda {fmt(cls.delta_total)}*delta"
     _emit(args, payload, human)
     return 0
 
@@ -457,7 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="infile", metavar="FILE")
     sp.add_argument("--g", type=int)
     sp.add_argument("--r", type=int)
-    sp.add_argument("--m", default="2,3", help="comma-separated degrees")
+    sp.add_argument("--m", default="2,3", help="comma-separated degrees; the chow sign, of "
+                    "mu3 - 2*mu2, assumes a 2-regular initial ideal (Bayer-Stillman): for "
+                    "generic weights the exact index often departs from it from m = 4 or 5 on")
     sp.add_argument("--weights", help="comma-separated integer weight vector")
     sp.add_argument("--monomials", action="store_true", help="list initial/standard monomials")
     add_json(sp)

@@ -443,8 +443,9 @@ def hilbert_index(
 def extrapolate_index(mu2: Fraction, mu3: Fraction, m: int) -> Fraction:
     """Index of the degree-m Hilbert point from the degree 2 and 3 indices.
 
-    Valid for 2-regular curves embedded by a complete linear system:
-    (m-1) * [ (3-m) mu2 + (m/2 - 1) mu3 ].
+    The quadratic (m-1) * [ (3-m) mu2 + (m/2 - 1) mu3 ] through 0, mu2, mu3 at
+    m = 1, 2, 3: valid when the initial ideal is 2-regular (Bayer-Stillman).
+    For generic weights the exact index often departs from it from m = 4 or 5 on.
     """
     if m < 2:
         raise EngineError("extrapolation applies for m >= 2")
@@ -453,7 +454,10 @@ def extrapolate_index(mu2: Fraction, mu3: Fraction, m: int) -> Fraction:
 
 
 def chow_index_sign(mu2: Fraction, mu3: Fraction) -> int:
-    """Sign of the Chow-point index: positive stable, zero strictly semistable."""
+    """Sign of the Chow-point index: positive stable, zero strictly semistable.
+
+    The sign of mu3 - 2*mu2, twice the leading coefficient of `extrapolate_index`:
+    it assumes the same 2-regular initial ideal (Bayer-Stillman)."""
     v = Fraction(mu3) - 2 * Fraction(mu2)
     return (v > 0) - (v < 0)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import GitcurvesError
@@ -264,7 +264,7 @@ class CurveGraph:
 class _GraphData:
     """The one cached record of a graph: the bitmask tables, built in one plain
     pass over the components and one over the intersections, and the per-graph
-    results `table`, `leaving` and `flags` (of `classify`), filled on first use.
+    results `table`, `leaving`, `flags` (of `classify`) and `chains`, filled on first use.
 
     Bit i of an intersection mask is intersection i.  `flips[k]` holds the
     intersections joining component k to another component, `loops[k]` its
@@ -277,7 +277,7 @@ class _GraphData:
     __slots__ = (
         "ids", "index", "n", "contrib", "cusped", "nbr", "end_bits", "deltas", "tacnodes",
         "flips", "loops", "base", "genus", "all_mask", "whole_connected",
-        "_table", "_leaving", "flags",
+        "_table", "_leaving", "flags", "chains",
     )
 
     def __init__(self, g: CurveGraph):
@@ -318,7 +318,7 @@ class _GraphData:
         self.genus = sum(contrib) + sum(deltas) - self.n + 1
         self.all_mask = (1 << self.n) - 1
         self.whole_connected = self.connected(self.all_mask)
-        self._table = self._leaving = self.flags = None
+        self._table = self._leaving = self.flags = self.chains = None
 
     def mask_of(self, sub: Iterable[str]) -> int:
         mask = 0
@@ -633,10 +633,13 @@ def _chain_hits(
     # tacnodes have arithmetic genus 2L - 1, so a closing `ci` can close a
     # chain only if pa - delta(ci) is odd.
     pa = data.genus
+    cover = None
     for ci, (a, b) in enumerate(data.end_bits):
         closing_weak = data.deltas[ci] == DELTA[TACNODE]
         if (pa - data.deltas[ci]) % 2 == 0 or (weak is not None and weak != closing_weak):
             continue
+        if cover is None:
+            cover = reduce(int.__or__, itertools.chain.from_iterable(leaving.values()), 0)
         excl = 1 << ci
         # a chain of length 1 is the whole curve cut at `ci`
         if (
@@ -648,19 +651,22 @@ def _chain_hits(
         # A longer chain is a path from `ci` back to `ci`, where it stops: the
         # blocks `ci` leaves meet the path.  Each of its points leaves two of
         # its blocks, so its union has no crossings and, the curve being
-        # connected, is the whole curve.
+        # connected, is the whole curve; unless the indexed blocks cover the
+        # curve, no `ci` can close one and the walk is skipped.
+        if cover != data.all_mask:
+            continue
         for first in leaving.get(ci, ()):
             for chain, union, q in paths(first, ci, 0):
                 if q == ci and _chain_ample(data, union, 0, (a, b), excl):
                     yield True, closing_weak, _blocks(chain), (ci,)
 
 
-# A graph's chains are read again within one basins operation; the records
-# are larger than the subcurve table, so fewer graphs are kept.
-@lru_cache(maxsize=32)
 def _find_chains(g: CurveGraph) -> tuple[ChainRecord, ...]:
-    """Every open and closed (weak) elliptic chain, each once."""
+    """Every open and closed (weak) elliptic chain, each once, kept as the
+    `chains` of the graph's cached record."""
     data = _graph_data(g)
+    if data.chains is not None:
+        return data.chains
     records: dict[tuple, ChainRecord] = {}
     names: dict[int, tuple[str, ...]] = {}  # one id tuple per block, shared by its records
     for closed, weak, seq, ends in _chain_hits(g):
@@ -679,9 +685,10 @@ def _find_chains(g: CurveGraph) -> tuple[ChainRecord, ...]:
         key = (closed, weak, fwd, ends)
         if key not in records:
             records[key] = ChainRecord(closed, weak, len(seq), fwd, ends)
-    return tuple(
+    data.chains = tuple(
         sorted(records.values(), key=lambda r: (r.closed, r.weak, r.length, r.blocks, r.ends))
     )
+    return data.chains
 
 
 def find_elliptic_chains(g: CurveGraph) -> list[ChainRecord]:

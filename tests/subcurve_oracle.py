@@ -3,7 +3,8 @@
 Every predicate here sweeps all 2^n component subsets again, exactly as
 `graphs` did before it read one shared subcurve table: the connected masks
 are listed once, and the chain search rescans them for every closing
-intersection with that intersection's delta left out of the genus.  The
+intersection with that intersection's delta left out of the genus (the full
+genus of each mask is summed once and kept).  The
 chain search joins blocks and checks ampleness on component ids, where
 `graphs` works on bitmasks.  `subcurve_table` lists the genus-0 and genus-1
 subcurves: its genus-1 rows are the library's table, and its genus-0 rows
@@ -37,15 +38,30 @@ def pair_mask(data, i):
     return (1 << a) | (1 << b)
 
 
+@lru_cache(maxsize=1)
+def _full_genera(data):
+    """mask -> arithmetic genus of that subcurve, filled by `genus` for one record."""
+    return {}
+
+
 def genus(data, mask, exclude=frozenset()):
-    """Arithmetic genus of the subcurve `mask`, ignoring intersections in `exclude`."""
-    total = sum(data.contrib[i] for i in range(data.n) if mask >> i & 1)
-    total += sum(
-        data.deltas[i]
-        for i in range(len(data.end_bits))
-        if i not in exclude and pair_mask(data, i) & mask == pair_mask(data, i)
+    """Arithmetic genus of the subcurve `mask`, ignoring intersections in `exclude`.
+
+    The full genus sums over every intersection once per record and mask;
+    an excluded intersection with both ends in `mask` then takes its delta off.
+    """
+    full = _full_genera(data)
+    if mask not in full:
+        total = sum(data.contrib[i] for i in range(data.n) if mask >> i & 1)
+        total += sum(
+            data.deltas[i]
+            for i in range(len(data.end_bits))
+            if pair_mask(data, i) & mask == pair_mask(data, i)
+        )
+        full[mask] = total - (bin(mask).count("1") - 1)
+    return full[mask] - sum(
+        data.deltas[i] for i in exclude if pair_mask(data, i) & mask == pair_mask(data, i)
     )
-    return total - (bin(mask).count("1") - 1)
 
 
 def subcurve_table(g):

@@ -172,7 +172,6 @@ class TestBasinMembership:
         gen = rep.generic
         weak = find_weak_elliptic_chains(gen)
         assert any(w.closed and w.length == 3 for w in weak)
-        assert len(rep.partial_smoothings) == 2**3
 
     def test_open_rosary_even_generic(self):
         cfg = build_open_rosary_config(7, 4)
@@ -204,7 +203,20 @@ class TestBasinMembership:
         rep = basin_membership(cfg, rho)
         assert all(s == "frozen" for _i, _k, s in rep.classifications)
         assert rep.generic == cfg.graph
-        assert rep.partial_smoothings == (cfg.graph,)
+
+    def test_smooths_only_the_generic_member(self, monkeypatch):
+        # the 2^s partial smoothings are counted, not built
+        calls = []
+        smooth = basins.smooth_singularities
+
+        def counted(g, indices):
+            calls.append(tuple(indices))
+            return smooth(g, indices)
+
+        monkeypatch.setattr(basins, "smooth_singularities", counted)
+        cfg = build_closed_rosary_config(6)
+        basin_membership(cfg, canonical_1ps(cfg))
+        assert len(calls) == 1
 
     def test_solves_the_torus_weights_once(self, monkeypatch):
         calls = []
@@ -304,11 +316,11 @@ class TestClosedOrbitReps:
 
     def test_c_rep_lists_no_chains(self):
         # classify asks only whether a chain exists, so the c-side never
-        # builds the chain records
+        # builds the chain records of the input or of its representative
         for g in (bridge_chain_graph([1] * 9), attached_open_rosary(100)):
-            c_closed_orbit_rep(g)
-        info = graphs._find_chains.cache_info()
-        assert (info.misses, info.hits) == (0, 0)
+            star = c_closed_orbit_rep(g)
+            assert graphs._graph_data(g).chains is None
+            assert graphs._graph_data(star).chains is None
 
     def test_classifies_each_graph_once(self, monkeypatch):
         # c_closed_orbit_rep and is_c_closed_orbit both read the input's

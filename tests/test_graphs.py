@@ -263,6 +263,17 @@ class TestClassify:
         ):
             find_weak_elliptic_chains(g)
 
+    def test_uncovered_curve_walks_no_closed_chain(self, monkeypatch):
+        # the genus-2 ends of an attached open rosary lie in no block of the
+        # chain block index, so no closing point starts a walk; the open walk
+        # alone stays under the budget
+        g = attached_open_rosary(60)
+        monkeypatch.setattr(graphs, "SUBCURVE_BUDGET", 1_000)
+        chains = graphs._find_chains(g)
+        assert len(chains) == 59
+        assert sum(r.weak for r in chains) == 58
+        assert not any(r.closed for r in chains)
+
     @pytest.mark.parametrize("n", [20, 40])
     def test_tacnode_ladder_chains(self, monkeypatch, n):
         # genus-1 components E0..E{n-1} in a row joined by tacnodes, each with
@@ -476,6 +487,23 @@ class TestGraphHash:
         assert find_weak_elliptic_chains(g) and not find_elliptic_chains(g)
         assert builds.count(("table", True)) == builds.count(("leaving", True)) == 1
         assert builds.count(("leaving", False)) == 2
+
+    def test_chain_records_live_on_the_graph_record(self, monkeypatch):
+        runs = []
+        hits = graphs._chain_hits
+
+        def counted(g, weak=None):
+            runs.append(weak)
+            return hits(g, weak)
+
+        monkeypatch.setattr(graphs, "_chain_hits", counted)
+        g = closed_rosary_graph(6)
+        for _ in range(3):
+            assert find_weak_elliptic_chains(g)
+        assert len(runs) == 1
+        graphs._graph_data.cache_clear()
+        assert find_weak_elliptic_chains(g)
+        assert len(runs) == 2
 
 
 class TestIsomorphism:

