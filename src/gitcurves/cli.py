@@ -187,16 +187,19 @@ def _parse_degree(text: str) -> int:
 
 
 def cmd_index(args) -> int:
-    from .engine import index_suite
+    from .engine import check_slice_budget, index_suite
     from .families import canonical_1ps
     from .monomials import monomial_str
 
     cfg = _resolve_config(args)
+    degrees = _parse_degrees(args.m) if args.m else [2, 3]
     if args.weights:
+        for m in degrees:  # before the genus builds the graph's record
+            if m >= 2:
+                check_slice_budget(cfg.parametrization, m)
         rho = _parse_weights(args.weights, cfg.num_coordinates)
     else:
         rho = canonical_1ps(cfg)
-    degrees = _parse_degrees(args.m) if args.m else [2, 3]
     suite = index_suite(cfg, rho, degrees)
     payload = {
         "family": cfg.family,

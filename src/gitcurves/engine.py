@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import GitcurvesError
@@ -27,9 +28,9 @@ from .monomials import Monomial, MonomialOrder, degree_monomials
 
 #: most supported monomials a slice may have, by the closed-form bound.  The
 #: slice lists none of them; at the budget, closed rosary r = 3,333 at m = 2
-#: takes 0.04-0.07 s and r = 396 at m = 5 takes 0.009-0.013 s (default order,
-#: medians of five runs in the fast and the slow state of the host; Python
-#: 3.11, one core of a 2-core Xeon host).
+#: takes 0.05-0.07 s and r = 396 at m = 5 takes 0.007-0.012 s (default order,
+#: medians of five runs in each of 12 rounds on a shared host; Python 3.11,
+#: one core of a 2-core Xeon host).
 SLICE_BUDGET = 50_000
 
 #: most degree-m monomials `IdealSlice.monomials` may list.  That listing holds
@@ -247,6 +248,16 @@ def _candidates(
     return out
 
 
+def check_slice_budget(par: Parametrization, m: int) -> None:
+    """Refuse a degree-m slice (m >= 1) that may exceed `SLICE_BUDGET`, by a
+    closed-form bound from the parametrization alone, never below the exact count."""
+    size = sum(comb(len(cm.terms) + m - 1, m) for cm in par.maps)
+    if size > SLICE_BUDGET:
+        raise EngineError(
+            f"degree-{m} slice has up to {size} supported monomials; budget {SLICE_BUDGET}"
+        )
+
+
 def evaluate_slice(
     config: Configuration,
     m: int,
@@ -281,13 +292,7 @@ def evaluate_slice(
     if m < 1:
         raise EngineError("slice degree must be >= 1")
     par = config.parametrization
-    # counts a monomial once per component it is supported on: never below the
-    # exact count, and closed-form; a component map repeats no coordinate
-    size = sum(comb(len(cm.terms) + m - 1, m) for cm in par.maps)
-    if size > SLICE_BUDGET:
-        raise EngineError(
-            f"degree-{m} slice has up to {size} supported monomials; budget {SLICE_BUDGET}"
-        )
+    check_slice_budget(par, m)
     nvars = par.num_coordinates
     if order is None:
         order = MonomialOrder(OneParamSubgroup(tuple([0] * nvars)))
@@ -332,23 +337,30 @@ def evaluate_slice(
             parent[x], parity[x] = a, p
         return a, p
 
+    # each key is one monomial's, so the keys alone order the candidates; most
+    # rows looked up are roots, read off inline, and only other rows call `find`
     standard: list[int] = []
-    for key, a, b in sorted(_candidates(par, m, order, holders)):
-        ra, pa = find(a)
+    for key, a, b in sorted(_candidates(par, m, order, holders), key=itemgetter(0)):
+        if parent[a] == a:
+            ra, pa = a, 0
+        else:
+            ra, pa = find(a)
         if b < 0:  # a half-edge
-            new = not full[ra]
-            full[ra] = True
+            if not full[ra]:
+                full[ra] = True
+                standard.append(key)
+            continue
+        if parent[b] == b:
+            rb, pb = b, 0
         else:
             rb, pb = find(b)
-            if ra != rb:
-                new = not (full[ra] and full[rb])
-                if new:
-                    parent[ra], parity[ra] = rb, pa ^ pb ^ 1
-                    full[rb] = full[ra] or full[rb]
-            else:  # closes a cycle, odd when both ends have the same parity
-                new = not full[ra] and pa == pb
-                full[ra] = full[ra] or new
-        if new:
+        if ra != rb:
+            if not (full[ra] and full[rb]):
+                parent[ra], parity[ra] = rb, pa ^ pb ^ 1
+                full[rb] = full[ra] or full[rb]
+                standard.append(key)
+        elif pa == pb and not full[ra]:  # closes an odd cycle
+            full[ra] = True
             standard.append(key)
 
     return IdealSlice(degree=m, order=order, standard_keys=tuple(standard), parametrization=par)
@@ -403,7 +415,7 @@ def hilbert_index(
     """
     if m < 2:
         raise EngineError("Hilbert points are taken in degree >= 2")
-    g = config.genus
+    check_slice_budget(config.parametrization, m)  # before the genus builds the graph's record
     n1 = config.num_coordinates
     if len(rho) != n1:
         raise EngineError(f"weight vector must have length {n1}")
@@ -426,7 +438,7 @@ def hilbert_index(
         weight_sum = Fraction(slice_.standard_weight_sum())
         standard_count = slice_.standard_count
 
-    expected = hilbert_polynomial(g, m)
+    expected = hilbert_polynomial(config.genus, m)
     average = Fraction(m * standard_count * rho.total(), n1)
     return IndexReport(
         m=m,

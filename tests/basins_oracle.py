@@ -3,17 +3,18 @@ kept as test oracles.
 
 `Editor` is the scratch copy `basins` used before its editor kept an
 incidence map; every surgery here goes through it, so a bookkeeping fault
-in `basins._Editor` cannot show on both sides.  The bridge surgeries build
-an intermediate `CurveGraph` after every link, exactly as `basins` did
-before it built each output graph only once: `enumerate_c_replacements`
-builds the graph with its separators and then rebuilds it after each
-contracted link, and `c_closed_orbit_rep` rebuilds after each link it
-replaces by a length-two rosary, so the fresh bead names are drawn from a
-new editor every time.  Crossings come from `graphs.crossing_intersections`
-on each intermediate graph.  There is no replacement budget here.
+in `basins._Editor` cannot show on both sides.  Its `crossings` and
+`incidence` scan every live row at each call.  `enumerate_c_replacements`
+inserts the separators and then contracts the chosen links one at a time,
+each from the crossings its editor has at that moment; `c_closed_orbit_rep`
+builds an intermediate `CurveGraph` after each link it replaces by a
+length-two rosary, as `basins` did before it built each output graph only
+once, so the fresh bead names are drawn from a new editor every time and
+crossings come from `graphs.crossing_intersections` on each intermediate
+graph.  There is no replacement budget here.
 
-`contract_two_node_rationals` rebuilds the graph after every contraction
-and tests every component again; `pseudostable_reduction` and
+`contract_two_node_rationals` scans every live row again after each
+contraction and tests every component again; `pseudostable_reduction` and
 `h_closed_orbit_rep` rest on it.  The rosary queries read three walks: the
 whole-curve bead cycle, the tacnode-linked bead chains of an open curve,
 and the runs between nodes of a broken cycle; the closed-orbit predicates
@@ -301,6 +302,23 @@ class Editor:
     def live(self):
         return [(i, x) for i, x in enumerate(self.intersections) if x is not None]
 
+    def incidence(self):
+        """Each component's (row, end) pairs, in row order."""
+        inc = {cid: [] for cid in self.components}
+        for i, x in self.live():
+            for j, (cid, _slot) in enumerate(x[1]):
+                inc[cid].append((i, j))
+        return inc
+
+    def crossings(self, cids):
+        """(row, end in `cids`) of each live row with exactly one end in `cids`."""
+        return [
+            (i, j)
+            for i, x in self.live()
+            for j in (0, 1)
+            if x[1][j][0] in cids and x[1][1 - j][0] not in cids
+        ]
+
     def remove_components(self, cids):
         cids = set(cids)
         for i, x in self.live():
@@ -340,31 +358,28 @@ def apply_weak_chain_replacement(ed, record):
     ed.remove_components(comps)
 
 
-def contract_two_node_rationals(g):
-    """Contract the least id among the smooth rational components meeting
-    exactly two nodes, on distinct intersections, and rebuild the graph;
-    repeat until none is left."""
+def contract_two_node_rationals(ed):
+    """Contract in `ed` the least id among the smooth rational components
+    meeting exactly two nodes, on distinct intersections, and scan every row
+    again; repeat until none is left."""
     while True:
+        incidence = ed.incidence()
         target = None
-        for c in sorted(g.components, key=lambda c: c.id):
+        for cid, c in sorted(ed.components.items()):
             if c.genus != 0 or c.cusps != 0:
                 continue
-            inc = g.incident_ends(c.id)
+            inc = incidence[cid]
             if len(inc) != 2:
                 continue
-            if any(g.intersections[i].kind != NODE for i, _ in inc):
+            if any(ed.intersections[i][0] != NODE for i, _ in inc):
                 continue
-            if any(
-                g.intersections[i].ends[0][0] == g.intersections[i].ends[1][0]
-                for i, _ in inc
-            ):
+            if any(ed.intersections[i][1][0][0] == ed.intersections[i][1][1][0] for i, _ in inc):
                 continue
-            target = (c.id, inc)
+            target = (cid, inc)
             break
         if target is None:
-            return g
+            return
         cid, inc = target
-        ed = Editor(g)
         (i1, j1), (i2, j2) = inc
         outer1 = ed.intersections[i1][1][1 - j1]
         outer2 = ed.intersections[i2][1][1 - j2]
@@ -372,7 +387,6 @@ def contract_two_node_rationals(g):
         ed.drop_intersection(i2)
         ed.remove_components((cid,))
         ed.add_intersection(NODE, tuple(outer1), tuple(outer2))
-        g = ed.build()
 
 
 def pseudostable_reduction(g):
@@ -386,7 +400,8 @@ def pseudostable_reduction(g):
         ed.drop_intersection(i)
         ed.add_intersection(NODE, tuple(e0), (eid, 0))
         ed.add_intersection(NODE, (eid, 1), tuple(e1))
-    return contract_two_node_rationals(ed.build())
+    contract_two_node_rationals(ed)
+    return ed.build()
 
 
 def h_closed_orbit_rep(g):
@@ -401,7 +416,8 @@ def h_closed_orbit_rep(g):
     ed = Editor(g)
     for record in _maximal_weak_chains(g):
         apply_weak_chain_replacement(ed, record)
-    out = contract_two_node_rationals(ed.build())
+    contract_two_node_rationals(ed)
+    out = ed.build()
     if not is_h_closed_orbit(out):
         raise BasinError("replacement did not reach a closed-orbit curve")
     return out
@@ -445,19 +461,17 @@ def c_closed_orbit_rep(g):
     return out
 
 
-def _contract_link_to_tacnode(g, link):
-    cross = sorted(crossing_intersections(g, link))
+def _contract_link_to_tacnode(ed, link):
+    cross = ed.crossings(link)
     if len(cross) != 2:
         raise BasinError("link must meet the rest in exactly two nodes")
     (i1, e1), (i2, e2) = cross
-    ed = Editor(g)
     outer1 = ed.intersections[i1][1][1 - e1]
     outer2 = ed.intersections[i2][1][1 - e2]
     ed.drop_intersection(i1)
     ed.drop_intersection(i2)
     ed.remove_components(link)
     ed.add_intersection(TACNODE, tuple(outer1), tuple(outer2))
-    return ed.build()
 
 
 def enumerate_c_replacements(g):
@@ -493,8 +507,7 @@ def enumerate_c_replacements(g):
                     ed.drop_intersection(i)
                     ed.add_intersection(NODE, tuple(e0), (pid, 0))
                     ed.add_intersection(NODE, (pid, 1), tuple(e1))
-            cur = ed.build()
             for s in chosen_sets:
-                cur = _contract_link_to_tacnode(cur, s)
-            out.append(cur)
+                _contract_link_to_tacnode(ed, s)
+            out.append(ed.build())
     return out

@@ -3,8 +3,8 @@
 `enumerate_c_replacements`, both closed-orbit representatives and
 `pseudostable_reduction` must give exactly the graphs (equal components and
 intersections, so equal `to_json()`), or exactly the error text, of
-`basins_oracle`, which rebuilds after every link or contraction; the
-rosary queries and closed-orbit predicates must give exactly the records
+`basins_oracle`, which scans every intersection again after every link or
+contraction; the rosary queries and closed-orbit predicates must give exactly the records
 and answers of its separate walks.  Each input is also tried with its components renamed R<i>, P<i>,
 E<i> and Q<i>, numbered forward and backward: those are the stems the
 surgeries draw fresh names from, so a fresh name that drifts from the

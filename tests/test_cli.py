@@ -8,7 +8,7 @@ import sys
 import pytest
 from paths import ROOT, src_env
 
-from gitcurves import cli, engine
+from gitcurves import cli, engine, graphs
 from gitcurves.cli import main
 from gitcurves.divisors import MORIWAKI_MAX_GENUS
 from gitcurves.families import FAMILIES
@@ -233,6 +233,22 @@ class TestFamilyAndIndex:
         assert code == 2
         assert out == ""
         assert err == "error: degree-2 slice has up to 50010 supported monomials; budget 50000\n"
+
+    def test_index_weights_over_slice_budget(self, capsys, monkeypatch):
+        # refused before the weights are counted against the genus, which
+        # builds the graph's bitmask record
+        built = []
+        record = graphs._GraphData
+        monkeypatch.setattr(graphs, "_GraphData", lambda g: built.append(g) or record(g))
+        weights = ",".join(["0"] * 10_002)
+        code, out, err = run(
+            capsys, "index", "--family", "closed-rosary", "--r", "3334", "--weights", weights
+        )
+        assert (code, out, built) == (2, "", [])
+        assert err == "error: degree-2 slice has up to 50010 supported monomials; budget 50000\n"
+        code, _, err = run(capsys, "index", "--family", "closed-rosary", "--r", "4", "--weights", "0")
+        assert (code, err) == (2, "error: --weights needs 12 entries, got 1\n")
+        assert len(built) == 1
 
     def test_index_monomials_over_listing_budget(self, capsys):
         code, out, err = run(

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from gitcurves import engine
+from gitcurves import engine, graphs
 from gitcurves.engine import (
     EngineError,
     chow_index_sign,
@@ -146,6 +146,19 @@ class TestSlices:
         assert str(exc.value) == (
             "degree-2 slice has up to 50010 supported monomials; budget 50000"
         )
+
+    def test_over_budget_index_builds_no_graph_record(self, monkeypatch):
+        # the genus builds the graph's bitmask record, n^2 words on a long rosary
+        built = []
+        record = graphs._GraphData
+        monkeypatch.setattr(graphs, "_GraphData", lambda g: built.append(g) or record(g))
+        c = build_closed_rosary_config(3334)
+        with pytest.raises(EngineError, match="^degree-2 slice has up to 50010 supported"):
+            hilbert_index(c, canonical_1ps(c), 2)
+        assert built == []
+        c = build_closed_rosary_config(4)
+        assert hilbert_index(c, canonical_1ps(c), 2).count_matches_hilbert
+        assert len(built) == 1
 
     def test_budget_bounds_slice_size_not_degree(self):
         # four beads of five coordinates: 4 * C(24, 20) = 42504 at m = 20,
@@ -482,24 +495,37 @@ class TestFullEnumerationOracle:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
     @pytest.mark.parametrize(
-        "maps",
+        "maps, weights",
         [
             # two quartics on the same five coordinates, in different orders:
             # every column is an edge, and the edges close even cycles
-            [(4, [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]),
-             (4, [(0, 4), (1, 2), (2, 0), (3, 3), (4, 1)])],
-            # three components, each pair sharing coordinates: odd cycles, and
-            # classes deep enough for path compression to matter
-            [(3, [(0, 3), (1, 3)]), (3, [(0, 2), (1, 2), (2, 3), (3, 1)]), (2, [(2, 2), (3, 0)])],
+            ([(4, [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]),
+              (4, [(0, 4), (1, 2), (2, 0), (3, 3), (4, 1)])], None),
+            # three components, each pair sharing coordinates: odd cycles
+            ([(3, [(0, 3), (1, 3)]), (3, [(0, 2), (1, 2), (2, 3), (3, 1)]), (2, [(2, 2), (3, 0)])],
+             None),
+            # every coordinate on two of three components: at m = 2 under these
+            # weights an odd cycle closes at a row that is not a root, so the
+            # parity `find` returns for it decides a standard monomial
+            ([(5, [(2, 2), (3, 4), (4, 5), (5, 3)]), (5, [(0, 1), (1, 2), (2, 0), (3, 3)]),
+              (3, [(0, 3), (1, 1), (4, 0), (5, 2)])], (-2, -3, 0, 1, -2, 2)),
+            # the same kind: at m = 2 a row two steps below its root is read,
+            # compressed, joined to a new root and read again, so the parity
+            # that path compression stores decides a standard monomial
+            ([(6, [(0, 2), (1, 0), (2, 4), (5, 1), (6, 3)]),
+              (6, [(0, 4), (1, 2), (2, 0), (3, 3), (4, 5)]),
+              (6, [(3, 4), (4, 0), (5, 3), (6, 1)])], (0, 2, 2, 1, 1, 3, 3)),
         ],
-        ids=["even-cycles", "odd-cycles"],
+        ids=["even-cycles", "odd-cycles", "non-root-parity", "compressed-parity"],
     )
-    def test_signed_graph_with_cycles(self, maps, m):
+    def test_signed_graph_with_cycles(self, maps, weights, m):
         """Every rosary slice is a matching plus half-edges; these synthetic
         parametrizations, given as (degree, [(coord, s-exponent)]) per
-        component, are not.  Only the parametrization enters a slice."""
+        component on 5 coordinates or on as many as `weights` has, are not.
+        Only the parametrization enters a slice."""
+        n = len(weights) if weights else 5
         par = Parametrization(
-            5,
+            n,
             tuple(
                 ComponentMap(f"C{k}", tuple(ParamTerm(c, a, d - a) for c, a in terms))
                 for k, (d, terms) in enumerate(maps)
@@ -507,7 +533,10 @@ class TestFullEnumerationOracle:
         )
         cfg = replace(build_closed_rosary_config(3), parametrization=par)
         self._check(cfg, m)
-        for order in _random_orders(5, f"{maps}/{m}"):
+        orders = _random_orders(n, f"{maps}/{m}")
+        if weights:
+            orders.append(MonomialOrder(OneParamSubgroup(weights)))
+        for order in orders:
             self._check_order(cfg, m, order)
 
     @pytest.mark.parametrize("m", [2, 3])
