@@ -12,6 +12,7 @@ The submodules named there also resolve as attributes, `gitcurves.engine`.
 
 import importlib
 from fractions import Fraction
+from operator import attrgetter
 
 __version__ = "0.1.0"
 
@@ -94,6 +95,57 @@ __all__ = ["GitcurvesError", "fmt", *_MODULE_OF]
 
 class GitcurvesError(ValueError):
     """Bad input to the library: the CLI prints these as one `error:` line."""
+
+
+#: how a record's `__init__` sets its fields past the refusing `__setattr__`
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the library's immutable records, with a frozen dataclass's semantics.
+
+    A record's `__init__` sets its `__slots__` once, by `_init` or, in records
+    built in bulk, by a faster `_set` per field.  It compares, hashes and prints
+    by `_fields`: its public slots unless the class names fewer.  (`dataclasses`
+    would cost every command its import and an `exec` per class.)
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        cls._values = attrgetter(*cls._fields)
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self) -> dict:
+        # the public slots; a stored hash and cached properties are derived again
+        return {n: getattr(self, n) for n in self.__slots__ if not n.startswith("_")}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            _set(self, name, value)
 
 
 def fmt(x) -> str:

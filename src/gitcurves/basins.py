@@ -20,11 +20,10 @@ length-three open rosaries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from . import GitcurvesError
+from . import GitcurvesError, _Record
 from .families import (
     Configuration,
     FamilyError,
@@ -62,25 +61,28 @@ class BasinError(GitcurvesError):
     pass
 
 
-@dataclass(frozen=True)
-class VersalWeights:
+class VersalWeights(_Record):
     """Torus weights on the versal parameters of one singularity."""
 
-    singularity: object
-    kind: str
-    parameter_weights: tuple[Fraction, ...]
+    __slots__ = ("singularity", "kind", "parameter_weights")
+
+    def __init__(self, singularity: object, kind: str,
+                 parameter_weights: tuple[Fraction, ...]) -> None:
+        self._init(singularity, kind, parameter_weights)
 
     @property
     def smoothable(self) -> bool:
         return all(w > 0 for w in self.parameter_weights)
 
 
-@dataclass(frozen=True)
-class BasinReport:
+class BasinReport(_Record):
     """Per-singularity smoothability plus the deformed combinatorial types."""
 
-    classifications: tuple[tuple[int, str, str], ...]
-    generic: CurveGraph
+    __slots__ = ("classifications", "generic")
+
+    def __init__(self, classifications: tuple[tuple[int, str, str], ...],
+                 generic: CurveGraph) -> None:
+        self._init(classifications, generic)
 
 
 def node_versal_weight(w1: Fraction, w2: Fraction) -> tuple[Fraction]:

@@ -11,20 +11,17 @@ multiple components, and a genus-one subcurve attached at a single tacnode;
 their vanishing-order tables mirror bicanonical coordinates adapted to each
 singularity.
 
-The command-line parser reads `CASES` from here for every command, so this
-module imports `families` only inside `certify_unstable`.
+`cli.CASE_NAMES` spells out `CASES`, so that only `chow-certify` and
+`paper-check` load this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from . import GitcurvesError
-
-if TYPE_CHECKING:
-    from .families import OneParamSubgroup
+from . import GitcurvesError, _Record
+from .families import OneParamSubgroup
 
 INFINITE_ORDER = None  # vanishing order of a coordinate identically zero on the branch
 
@@ -33,25 +30,20 @@ class ChowError(GitcurvesError):
     pass
 
 
-@dataclass(frozen=True)
-class BranchData:
+class BranchData(_Record):
     """Vanishing orders v(x_i) of the coordinates along one branch.
 
     `orders` may be shorter than the weight vector: missing entries default
     to `tail_order`.  `None` marks coordinates identically zero on the branch.
     """
 
-    point: str
-    orders: tuple[Optional[int], ...]
-    tail_order: Optional[int] = 0
+    __slots__ = ("point", "orders", "tail_order")
 
-    def __post_init__(self) -> None:
-        finite = [o for o in self.orders if o is not None]
-        if self.tail_order == 0 or 0 in finite:
-            return
-        raise ChowError(
-            f"branch {self.point!r}: some coordinate must have vanishing order 0"
-        )
+    def __init__(self, point: str, orders: tuple[Optional[int], ...],
+                 tail_order: Optional[int] = 0) -> None:
+        self._init(point, orders, tail_order)
+        if tail_order != 0 and 0 not in orders:
+            raise ChowError(f"branch {point!r}: some coordinate must have vanishing order 0")
 
     def order(self, i: int) -> Optional[int]:
         if i < len(self.orders):
@@ -59,12 +51,12 @@ class BranchData:
         return self.tail_order
 
 
-@dataclass(frozen=True)
-class MultiplicityCertificate:
-    case: str
-    lower_bound: Fraction
-    threshold: Fraction
-    verdict: str  # "Unstable" | "Inconclusive"
+class MultiplicityCertificate(_Record):
+    __slots__ = ("case", "lower_bound", "threshold", "verdict")
+
+    def __init__(self, case: str, lower_bound: Fraction, threshold: Fraction,
+                 verdict: str) -> None:  # "Unstable" | "Inconclusive"
+        self._init(case, lower_bound, threshold, verdict)
 
     @property
     def unstable(self) -> bool:
@@ -138,8 +130,6 @@ def certify_unstable(case: str, g: Optional[int] = None) -> MultiplicityCertific
     The first three cases are genus independent (the bicanonical ratio
     2*deg/(N+1) = 8/3 cancels g); the tacnodal genus-one tail needs g >= 4.
     """
-    from .families import OneParamSubgroup  # deferred: the CLI parser loads this module
-
     if case == NON_ORDINARY_CUSP:
         # vanishing sequence (0, 2, 4, >=5, ...) against weights (5, 3, 1, 0...)
         rho = OneParamSubgroup((5, 3, 1, 0))

@@ -10,9 +10,9 @@ with more generic replacements than `basins.REPLACEMENT_BUDGET` -- is one
 `error:` line on stderr and exit code 2.
 
 Start-up is most of a command's time, so each subcommand imports the modules
-it uses when it runs.  At load time this module needs only the package root
-and `chow`, whose `CASES` the parser lists: `classify` adds `graphs` and
-never loads the engine or the golden suite.
+it uses when it runs.  At load time this module needs only the package root;
+the parser spells out the family and certificate names it offers.  `classify`
+adds `graphs` alone, and only `chow-certify` and `paper-check` load `chow`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import GitcurvesError, __version__, fmt
-from .chow import CASES, certify_unstable
 
 if TYPE_CHECKING:
     from .families import Configuration, OneParamSubgroup
@@ -36,6 +35,11 @@ USAGE_ERROR = 2
 #: the families the parser offers, `tuple(families.FAMILIES)`; spelled out so
 #: that parsing does not load `families`
 FAMILY_NAMES = ("open-rosary", "closed-rosary", "broken-bead")
+
+#: the certificates `chow-certify` offers, `chow.CASES`; spelled out so that
+#: parsing does not load `chow`
+CASE_NAMES = ("non-ordinary-cusp", "higher-tacnode", "multiple-component",
+              "genus-one-tacnode-tail")
 
 
 class CliError(Exception):
@@ -67,14 +71,22 @@ def _read_graph(path: str) -> CurveGraph:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _build_family(args) -> Configuration:
+def _family_values(args) -> list[int]:
+    """The family's parameters, given in full and accepted by its `_maps` check."""
     from .families import FAMILIES
 
-    build, names = FAMILIES[args.family]
+    _build, names, check = FAMILIES[args.family]
     values = [getattr(args, name) for name in names]
     if None in values:
         raise CliError(f"{args.family} needs {' and '.join('--' + n for n in names)}")
-    return build(*values)
+    check(*values)
+    return values
+
+
+def _build_family(args) -> Configuration:
+    from .families import FAMILIES
+
+    return FAMILIES[args.family][0](*_family_values(args))
 
 
 def _resolve_config(args) -> Configuration:
@@ -187,10 +199,18 @@ def _parse_degree(text: str) -> int:
 
 
 def cmd_index(args) -> int:
-    from .engine import check_slice_budget, index_suite
+    from .engine import check_family_budget, check_slice_budget, index_suite
     from .families import canonical_1ps
     from .monomials import monomial_str
 
+    if args.family and not args.infile:
+        # refuse an over-budget degree before the build, as the built family would
+        values = _family_values(args)
+        for m in _parse_degrees(args.m) if args.m else [2, 3]:
+            if m < 2 and not args.weights:
+                break  # `hilbert_index` refuses this degree first
+            if m >= 2:
+                check_family_budget(args.family, values, m)
     cfg = _resolve_config(args)
     degrees = _parse_degrees(args.m) if args.m else [2, 3]
     if args.weights:
@@ -245,6 +265,8 @@ def cmd_index(args) -> int:
 
 
 def cmd_chow_certify(args) -> int:
+    from .chow import certify_unstable
+
     cert = certify_unstable(args.case, args.g)
     payload = {
         "case": cert.case,
@@ -468,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_index)
 
     sp = sub.add_parser("chow-certify", help="Chow instability certificates")
-    sp.add_argument("--case", choices=list(CASES), required=True)
+    sp.add_argument("--case", choices=CASE_NAMES, required=True)
     sp.add_argument("--g", type=int)
     add_json(sp)
     sp.set_defaults(func=cmd_chow_certify)

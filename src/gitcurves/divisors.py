@@ -9,11 +9,10 @@ conversion raises, since identities routinely move between the two bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from . import GitcurvesError
+from . import GitcurvesError, _Record
 
 Rat = Union[int, Fraction]
 
@@ -27,24 +26,20 @@ class DivisorError(GitcurvesError):
 MORIWAKI_MAX_GENUS = 100_000
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(_Record):
     """lambda_coeff * lambda + delta part, for one genus g."""
 
-    g: int
-    lam: Fraction
-    delta_total: Optional[Fraction] = None
-    delta_vector: Optional[tuple[Fraction, ...]] = None
+    __slots__ = ("g", "lam", "delta_total", "delta_vector")
 
-    def __post_init__(self) -> None:
-        if self.g < 2:
+    def __init__(self, g: int, lam: Fraction, delta_total: Optional[Fraction] = None,
+                 delta_vector: Optional[tuple[Fraction, ...]] = None) -> None:
+        self._init(g, lam, delta_total, delta_vector)
+        if g < 2:
             raise DivisorError("divisor classes require genus >= 2")
-        if (self.delta_total is None) == (self.delta_vector is None):
+        if (delta_total is None) == (delta_vector is None):
             raise DivisorError("exactly one delta representation required")
-        if self.delta_vector is not None and len(self.delta_vector) != self.g // 2 + 1:
-            raise DivisorError(
-                f"delta vector needs {self.g // 2 + 1} entries for genus {self.g}"
-            )
+        if delta_vector is not None and len(delta_vector) != g // 2 + 1:
+            raise DivisorError(f"delta vector needs {g // 2 + 1} entries for genus {g}")
 
     # -- constructors ------------------------------------------------------
 

@@ -15,15 +15,14 @@ No floating point is used anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from . import GitcurvesError
-from .families import Configuration, OneParamSubgroup, ParamTerm, Parametrization
+from . import GitcurvesError, _Record
+from .families import FAMILIES, UNIT, Configuration, OneParamSubgroup, Parametrization
 from .monomials import Monomial, MonomialOrder, degree_monomials
 
 #: most supported monomials a slice may have, by the closed-form bound.  The
@@ -45,8 +44,7 @@ class EngineError(GitcurvesError):
     pass
 
 
-@dataclass(frozen=True)
-class IdealSlice:
+class IdealSlice(_Record):
     """Standard monomials of the degree-m slice of a homogeneous ideal.
 
     `standard_keys` lists, in ascending order, the standard degree-m
@@ -65,10 +63,11 @@ class IdealSlice:
     Both raise `EngineError` when there would be more than `LISTING_BUDGET`.
     """
 
-    degree: int
-    order: MonomialOrder
-    standard_keys: tuple[int, ...]
-    parametrization: Parametrization
+    __slots__ = ("degree", "order", "standard_keys", "parametrization", "__dict__")
+
+    def __init__(self, degree: int, order: MonomialOrder, standard_keys: tuple[int, ...],
+                 parametrization: Parametrization) -> None:
+        self._init(degree, order, standard_keys, parametrization)
 
     @cached_property
     def _key_base(self) -> int:
@@ -251,7 +250,17 @@ def _candidates(
 def check_slice_budget(par: Parametrization, m: int) -> None:
     """Refuse a degree-m slice (m >= 1) that may exceed `SLICE_BUDGET`, by a
     closed-form bound from the parametrization alone, never below the exact count."""
-    size = sum(comb(len(cm.terms) + m - 1, m) for cm in par.maps)
+    _check_slice_size(sum(comb(len(cm.terms) + m - 1, m) for cm in par.maps), m)
+
+
+def check_family_budget(family: str, values: Sequence[int], m: int) -> None:
+    """`check_slice_budget` on a family before it is built: its `_maps` check gives
+    the term counts of its maps, and raises `FamilyError` for bad parameters."""
+    sizes = FAMILIES[family][2](*values)
+    _check_slice_size(sum(n * comb(k + m - 1, m) for k, n in sizes.items()), m)
+
+
+def _check_slice_size(size: int, m: int) -> None:
     if size > SLICE_BUDGET:
         raise EngineError(
             f"degree-{m} slice has up to {size} supported monomials; budget {SLICE_BUDGET}"
@@ -304,11 +313,10 @@ def evaluate_slice(
     # rows of the substitution map, and per coordinate the components holding it
     nrows = 0
     holders: dict[int, list[tuple[int, int]]] = {}
-    unit = ParamTerm.coeff  # the default Fraction(1), shared by the family builds
     for k, cm in enumerate(par.maps):
         nrows += m * cm.degree + 1
         for t in cm.terms:
-            if t.coeff is not unit and t.coeff != 1:
+            if t.coeff is not UNIT and t.coeff != 1:
                 raise EngineError(
                     f"coordinate x{t.coord} has coefficient {t.coeff}; "
                     "the slice kernel needs coefficient 1"
@@ -371,28 +379,29 @@ def evaluate_slice(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(_Record):
     """Exact index data of the degree-m Hilbert point under one weight vector.
 
     `slice` is the degree-m slice the index was computed from; in split mode
     it covers only the fully parametrized block.
     """
 
-    m: int
-    weight_sum: Fraction
-    average: Fraction
-    mu: Fraction
-    standard_count: int
-    expected_count: int
-    count_matches_hilbert: bool
-    slice: Optional[IdealSlice] = field(default=None, compare=False, repr=False)
+    __slots__ = ("m", "weight_sum", "average", "mu", "standard_count", "expected_count",
+                 "count_matches_hilbert", "slice")
+    _fields = __slots__[:-1]  # the slice is not compared, hashed or printed
+
+    def __init__(self, m: int, weight_sum: Fraction, average: Fraction, mu: Fraction,
+                 standard_count: int, expected_count: int, count_matches_hilbert: bool,
+                 slice: Optional[IdealSlice] = None) -> None:
+        self._init(m, weight_sum, average, mu, standard_count, expected_count,
+                   count_matches_hilbert, slice)
 
 
-@dataclass(frozen=True)
-class IndexSuite:
-    reports: tuple[IndexReport, ...]
-    chow_sign: Optional[int]
+class IndexSuite(_Record):
+    __slots__ = ("reports", "chow_sign")
+
+    def __init__(self, reports: tuple[IndexReport, ...], chow_sign: Optional[int]) -> None:
+        self._init(reports, chow_sign)
 
 
 def hilbert_polynomial(g: int, m: int) -> int:

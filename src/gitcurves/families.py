@@ -18,11 +18,10 @@ with hand computations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import GitcurvesError
+from . import GitcurvesError, _Record, _set
 from .graphs import (
     NODE,
     TACNODE,
@@ -37,14 +36,14 @@ class FamilyError(GitcurvesError):
     """Raised for invalid family parameters or unsupported operations."""
 
 
-@dataclass(frozen=True)
-class OneParamSubgroup:
+class OneParamSubgroup(_Record):
     """Diagonalized one-parameter subgroup: integer weight r_i on coordinate x_i."""
 
-    weights: tuple[int, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self) -> None:
-        if not self.weights:
+    def __init__(self, weights: tuple[int, ...]) -> None:
+        _set(self, "weights", weights)
+        if not weights:
             raise FamilyError("empty weight vector")
 
     def __len__(self) -> int:
@@ -63,68 +62,74 @@ class OneParamSubgroup:
         return OneParamSubgroup(tuple(w + k for w in self.weights))
 
 
-@dataclass(frozen=True)
-class ParamTerm:
+#: the default `ParamTerm.coeff`, one object shared by every family build
+UNIT = Fraction(1)
+
+
+class ParamTerm(_Record):
     """One coordinate of a component map: x_coord = coeff * s^a t^b."""
 
-    coord: int
-    s_exp: int
-    t_exp: int
-    coeff: Fraction = Fraction(1)
+    __slots__ = ("coord", "s_exp", "t_exp", "coeff")
+
+    def __init__(self, coord: int, s_exp: int, t_exp: int, coeff: Fraction = UNIT) -> None:
+        _set(self, "coord", coord)
+        _set(self, "s_exp", s_exp)
+        _set(self, "t_exp", t_exp)
+        _set(self, "coeff", coeff)
 
     @property
     def degree(self) -> int:
         return self.s_exp + self.t_exp
 
 
-@dataclass(frozen=True)
-class ComponentMap:
+class ComponentMap(_Record):
     """Monomial parametrization [s, t] -> P^N of a single component."""
 
-    component: str
-    terms: tuple[ParamTerm, ...]
+    __slots__ = ("component", "terms")
 
-    def __post_init__(self) -> None:
-        degs = {t.degree for t in self.terms}
+    def __init__(self, component: str, terms: tuple[ParamTerm, ...]) -> None:
+        _set(self, "component", component)
+        _set(self, "terms", terms)
+        degs = {t.degree for t in terms}
         if len(degs) != 1:
-            raise FamilyError(
-                f"component {self.component!r}: mixed total degrees {sorted(degs)}"
-            )
-        coords = [t.coord for t in self.terms]
+            raise FamilyError(f"component {component!r}: mixed total degrees {sorted(degs)}")
+        coords = [t.coord for t in terms]
         if len(set(coords)) != len(coords):
-            raise FamilyError(f"component {self.component!r}: repeated coordinate")
+            raise FamilyError(f"component {component!r}: repeated coordinate")
 
     @property
     def degree(self) -> int:
         return self.terms[0].degree
 
 
-@dataclass(frozen=True)
-class Parametrization:
+class Parametrization(_Record):
     """Monomial maps for every parametrized component of a configuration."""
 
-    num_coordinates: int
-    maps: tuple[ComponentMap, ...]
+    __slots__ = ("num_coordinates", "maps")
 
-    def __post_init__(self) -> None:
-        for m in self.maps:
+    def __init__(self, num_coordinates: int, maps: tuple[ComponentMap, ...]) -> None:
+        self._init(num_coordinates, maps)
+        for m in maps:
             for t in m.terms:
-                if not 0 <= t.coord < self.num_coordinates:
+                if not 0 <= t.coord < num_coordinates:
                     raise FamilyError("coordinate index out of range")
 
     def total_degree(self) -> int:
         return sum(m.degree for m in self.maps)
 
 
-@dataclass(frozen=True)
-class SplitAttachment:
-    """Data for split mode: an abstract remainder D attached at two nodes."""
+class SplitAttachment(_Record):
+    """Data for split mode: an abstract remainder D attached at two nodes.
 
-    genus: int  # total genus of the configuration
-    d_genus: int
-    d_component: str
-    block_size: int  # rosary-block coordinates x_0 .. x_{block_size-1}
-    attach_coords: tuple[int, int]
+    `genus` is the configuration's total genus, and the rosary block holds the
+    coordinates x_0 .. x_{block_size-1}.
+    """
+
+    __slots__ = ("genus", "d_genus", "d_component", "block_size", "attach_coords")
+
+    def __init__(self, genus: int, d_genus: int, d_component: str, block_size: int,
+                 attach_coords: tuple[int, int]) -> None:
+        self._init(genus, d_genus, d_component, block_size, attach_coords)
 
     def d_weight(self, rho: OneParamSubgroup) -> Optional[int]:
         """The one weight of `rho` on the D coordinates and on both attachment
@@ -139,19 +144,17 @@ S_ZERO = "s0"
 T_ZERO = "t0"
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Record):
     """A curve graph plus coordinates: fully parametrized or split over D."""
 
-    graph: CurveGraph
-    parametrization: Parametrization
-    split: Optional[SplitAttachment] = None
-    branch_points: tuple[tuple[Optional[str], Optional[str]], ...] = ()
-    family: Optional[str] = None
-    params: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("graph", "parametrization", "split", "branch_points", "family", "params")
 
-    def __post_init__(self) -> None:
-        if len(self.branch_points) != len(self.graph.intersections):
+    def __init__(self, graph: CurveGraph, parametrization: Parametrization,
+                 split: Optional[SplitAttachment] = None,
+                 branch_points: tuple[tuple[Optional[str], Optional[str]], ...] = (),
+                 family: Optional[str] = None, params: tuple[tuple[str, int], ...] = ()) -> None:
+        self._init(graph, parametrization, split, branch_points, family, params)
+        if len(branch_points) != len(graph.intersections):
             raise FamilyError("branch point data must match intersections")
 
     @property
@@ -222,7 +225,7 @@ def configuration_from_dict(doc: dict) -> Configuration:
     family = doc.get("family")
     if not isinstance(family, str) or family not in FAMILIES:
         raise FamilyError(f"unknown family {family!r}")
-    build, names = FAMILIES[family]
+    build, names, _ = FAMILIES[family]
     params = doc.get("params", {})
     if not isinstance(params, dict) or set(params) != set(names):
         raise FamilyError(f"{family} params must be exactly {', '.join(names)}")
@@ -245,27 +248,48 @@ def configuration_from_dict(doc: dict) -> Configuration:
 # ---------------------------------------------------------------------------
 
 
+def _terms(component: str, coords, exps) -> ComponentMap:
+    return ComponentMap(component, tuple(ParamTerm(c, s, t) for c, (s, t) in zip(coords, exps)))
+
+
 def _conic(component: str, coords: tuple[int, int, int], shape: str) -> ComponentMap:
-    a, b, c = coords
     if shape == "s2-st-t2":
-        exps = [(2, 0), (1, 1), (0, 2)]
-    elif shape == "st-s2-t2":
-        exps = [(1, 1), (2, 0), (0, 2)]
-    else:
-        raise FamilyError(f"bad conic shape {shape!r}")
-    return ComponentMap(
-        component,
-        tuple(ParamTerm(i, s, t) for i, (s, t) in zip((a, b, c), exps)),
-    )
+        return _terms(component, coords, [(2, 0), (1, 1), (0, 2)])
+    if shape == "st-s2-t2":
+        return _terms(component, coords, [(1, 1), (2, 0), (0, 2)])
+    raise FamilyError(f"bad conic shape {shape!r}")
 
 
 def _quartic(component: str, start: int) -> ComponentMap:
     """The quartic bead (s^3 t, s^4, s^2 t^2, s t^3, t^4) on five coordinates."""
-    exps = [(3, 1), (4, 0), (2, 2), (1, 3), (0, 4)]
-    return ComponentMap(
-        component,
-        tuple(ParamTerm(start + i, s, t) for i, (s, t) in enumerate(exps)),
-    )
+    return _terms(component, range(start, start + 5), [(3, 1), (4, 0), (2, 2), (1, 3), (0, 4)])
+
+
+def _closing_quartic(r: int) -> ComponentMap:
+    """The last bead L{r} of a closed rosary on 3r coordinates; it shares x_0, x_1 with L1."""
+    coords = [0, 1, 3 * r - 3, 3 * r - 2, 3 * r - 1]
+    return _terms(f"L{r}", coords, [(1, 3), (0, 4), (3, 1), (4, 0), (2, 2)])
+
+
+# each family's parameter check, which gives its maps' term counts (see FAMILIES)
+def _open_rosary_maps(g: int, r: int) -> dict[int, int]:
+    if g < 4:
+        raise FamilyError("open-rosary configurations require genus >= 4")
+    if not 1 <= r <= g - 2:
+        raise FamilyError("rosary parameter must satisfy 1 <= r <= g - 2")
+    return {3: 2, 5: r - 1}
+
+
+def _closed_rosary_maps(r: int) -> dict[int, int]:
+    if r < 3:
+        raise FamilyError("closed rosaries require length >= 3")
+    return {5: r}
+
+
+def _broken_bead_maps(r: int) -> dict[int, int]:
+    if r < 3 or r % 2 == 0:
+        raise FamilyError("broken-bead rosaries require odd length >= 3")
+    return {3: 2, 5: r - 1}
 
 
 def build_open_rosary_config(g: int, r: int) -> Configuration:
@@ -275,10 +299,7 @@ def build_open_rosary_config(g: int, r: int) -> Configuration:
     coordinates and is attached by nodes at x_0 and x_{3r}.  End beads are
     conics, middle beads quartics.
     """
-    if g < 4:
-        raise FamilyError("open-rosary configurations require genus >= 4")
-    if not 1 <= r <= g - 2:
-        raise FamilyError("rosary parameter must satisfy 1 <= r <= g - 2")
+    _open_rosary_maps(g, r)  # checks the parameters
     length = r + 1
     maps = [_conic("L1", (0, 1, 2), "s2-st-t2")]
     for j in range(2, r + 1):
@@ -313,17 +334,9 @@ def build_open_rosary_config(g: int, r: int) -> Configuration:
 
 def build_closed_rosary_config(r: int) -> Configuration:
     """Closed rosary of length r, genus r+1, on 3r coordinates."""
-    if r < 3:
-        raise FamilyError("closed rosaries require length >= 3")
+    _closed_rosary_maps(r)  # checks the parameters
     maps = [_quartic(f"L{i}", 3 * (i - 1)) for i in range(1, r)]
-    exps = [(1, 3), (0, 4), (3, 1), (4, 0), (2, 2)]
-    coords = [0, 1, 3 * r - 3, 3 * r - 2, 3 * r - 1]
-    maps.append(
-        ComponentMap(
-            f"L{r}",
-            tuple(ParamTerm(c, s, t) for c, (s, t) in zip(coords, exps)),
-        )
-    )
+    maps.append(_closing_quartic(r))
     comps = tuple(Component(f"L{i}", 0) for i in range(1, r + 1))
     xs = []
     bps = []
@@ -343,28 +356,10 @@ def build_closed_rosary_config(r: int) -> Configuration:
 
 def build_broken_bead_config(r: int) -> Configuration:
     """Closed rosary of odd length r >= 3 with one broken bead; genus r+1."""
-    if r < 3 or r % 2 == 0:
-        raise FamilyError("broken-bead rosaries require odd length >= 3")
-    maps = [
-        ComponentMap(
-            "L0",
-            (ParamTerm(0, 1, 1), ParamTerm(1, 2, 0), ParamTerm(2, 0, 2)),
-        ),
-        ComponentMap(
-            "L1",
-            (ParamTerm(2, 2, 0), ParamTerm(3, 1, 1), ParamTerm(4, 0, 2)),
-        ),
-    ]
-    for i in range(2, r):
-        maps.append(_quartic(f"L{i}", 3 * (i - 1)))
-    exps = [(1, 3), (0, 4), (3, 1), (4, 0), (2, 2)]
-    coords = [0, 1, 3 * r - 3, 3 * r - 2, 3 * r - 1]
-    maps.append(
-        ComponentMap(
-            f"L{r}",
-            tuple(ParamTerm(c, s, t) for c, (s, t) in zip(coords, exps)),
-        )
-    )
+    _broken_bead_maps(r)  # checks the parameters
+    maps = [_conic("L0", (0, 1, 2), "st-s2-t2"), _conic("L1", (2, 3, 4), "s2-st-t2")]
+    maps += [_quartic(f"L{i}", 3 * (i - 1)) for i in range(2, r)]
+    maps.append(_closing_quartic(r))
     comps = tuple(Component(f"L{i}", 0) for i in range(r + 1))
     xs = [Intersection(NODE, (("L0", 1), ("L1", 0)))]
     bps: list[tuple[Optional[str], Optional[str]]] = [(S_ZERO, T_ZERO)]
@@ -380,11 +375,14 @@ def build_broken_bead_config(r: int) -> Configuration:
     )
 
 
-#: every reconstructible family: name -> (builder, its integer parameter names)
+#: every reconstructible family: name -> (builder, its integer parameter names,
+#: its `_maps` function).  That function checks the parameters and gives the
+#: number of the family's maps with each term count, {terms: maps}, from which
+#: the engine bounds a slice before the family is built.
 FAMILIES = {
-    "open-rosary": (build_open_rosary_config, ("g", "r")),
-    "closed-rosary": (build_closed_rosary_config, ("r",)),
-    "broken-bead": (build_broken_bead_config, ("r",)),
+    "open-rosary": (build_open_rosary_config, ("g", "r"), _open_rosary_maps),
+    "closed-rosary": (build_closed_rosary_config, ("r",), _closed_rosary_maps),
+    "broken-bead": (build_broken_bead_config, ("r",), _broken_bead_maps),
 }
 
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
-from . import GitcurvesError
+from . import GitcurvesError, _Record, _set
 
 NODE = "node"
 TACNODE = "tacnode"
@@ -62,38 +61,42 @@ def _keys(value, *allowed: str) -> None:
                 raise CurveGraphError(f"unknown key {key!r} (expected {', '.join(allowed)})")
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(_Record):
     """One irreducible component: geometric genus plus ordinary-cusp count."""
 
-    id: str
-    genus: int
-    cusps: int = 0
-    label: Optional[str] = None
+    __slots__ = ("id", "genus", "cusps", "label")
 
-    def __post_init__(self) -> None:
-        if self.genus < 0 or self.cusps < 0:
-            raise CurveGraphError(
-                f"component {self.id!r}: genus and cusp count must be >= 0"
-            )
+    def __init__(self, id: str, genus: int, cusps: int = 0, label: Optional[str] = None) -> None:
+        _set(self, "id", id)
+        _set(self, "genus", genus)
+        _set(self, "cusps", cusps)
+        _set(self, "label", label)
+        if genus < 0 or cusps < 0:
+            raise CurveGraphError(f"component {id!r}: genus and cusp count must be >= 0")
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.genus, self.cusps, self.label))
 
 
-@dataclass(frozen=True)
-class Intersection:
+class Intersection(_Record):
     """A node or tacnode joining two branches, given as (component, slot) ends.
 
     Slots distinguish branches of the same component; an intersection whose
     two ends lie on one component is a self-node or self-tacnode.
     """
 
-    kind: str
-    ends: tuple[End, End]
+    __slots__ = ("kind", "ends")
 
-    def __post_init__(self) -> None:
-        if self.kind not in DELTA:
-            raise CurveGraphError(f"unknown singularity kind {self.kind!r}")
-        if len(self.ends) != 2:
+    def __init__(self, kind: str, ends: tuple[End, End]) -> None:
+        _set(self, "kind", kind)
+        _set(self, "ends", ends)
+        if kind not in DELTA:
+            raise CurveGraphError(f"unknown singularity kind {kind!r}")
+        if len(ends) != 2:
             raise CurveGraphError("an intersection has exactly two ends")
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.ends))
 
     @property
     def delta(self) -> int:
@@ -103,30 +106,21 @@ class Intersection:
         return (self.ends[0][0], self.ends[1][0])
 
 
-@dataclass(frozen=True)
-class StabilityFlags:
+class StabilityFlags(_Record):
     """Outcome of `classify`: one boolean per stability notion."""
 
-    dm_stable: bool
-    pseudostable: bool
-    c_semistable: bool
-    c_stable: bool
-    h_semistable: bool
-    h_stable: bool
+    __slots__ = ("dm_stable", "pseudostable", "c_semistable", "c_stable", "h_semistable",
+                 "h_stable")
+
+    def __init__(self, dm_stable: bool, pseudostable: bool, c_semistable: bool,
+                 c_stable: bool, h_semistable: bool, h_stable: bool) -> None:
+        self._init(dm_stable, pseudostable, c_semistable, c_stable, h_semistable, h_stable)
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "dm_stable": self.dm_stable,
-            "pseudostable": self.pseudostable,
-            "c_semistable": self.c_semistable,
-            "c_stable": self.c_stable,
-            "h_semistable": self.h_semistable,
-            "h_stable": self.h_stable,
-        }
+        return dict(zip(self._fields, self._values(self)))
 
 
-@dataclass(frozen=True)
-class CurveGraph:
+class CurveGraph(_Record):
     """Connected decorated dual graph of an unpointed projective curve.
 
     Connectivity is not enforced at construction; operations that require it
@@ -134,20 +128,22 @@ class CurveGraph:
     a non-empty `marks` raises CurveGraphError.
     """
 
-    components: tuple[Component, ...]
-    intersections: tuple[Intersection, ...] = ()
-    # always empty: perfbench/workloads.relabel still passes g.marks as a third argument
-    marks: tuple[()] = ()
+    # `marks` stays empty (perfbench/workloads.relabel passes it); `hash` sets `_hash`
+    __slots__ = ("components", "intersections", "marks", "_hash")
 
-    def __post_init__(self) -> None:
-        if self.marks:
+    def __init__(self, components: tuple[Component, ...],
+                 intersections: tuple[Intersection, ...] = (), marks: tuple[()] = ()) -> None:
+        _set(self, "components", components)
+        _set(self, "intersections", intersections)
+        _set(self, "marks", marks)
+        if marks:
             raise CurveGraphError("marked points are not supported")
-        ids = [c.id for c in self.components]
+        ids = [c.id for c in components]
         if len(set(ids)) != len(ids):
             raise CurveGraphError("duplicate component ids")
         known = set(ids)
         used_ends: set[End] = set()
-        for x in self.intersections:
+        for x in intersections:
             for end in x.ends:
                 cid, _slot = end
                 if cid not in known:
@@ -162,12 +158,8 @@ class CurveGraph:
             return self._hash
         except AttributeError:
             h = hash((self.components, self.intersections))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)  # not pickled: a hash of str ids holds in one process
             return h
-
-    def __getstate__(self) -> dict:
-        # a stored hash of str ids holds only in the process that computed it
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     # -- basic accessors -------------------------------------------------
 
@@ -510,8 +502,7 @@ def bridge_links(g: CurveGraph) -> list[frozenset[str]]:
     return links
 
 
-@dataclass(frozen=True)
-class ChainRecord:
+class ChainRecord(_Record):
     """An elliptic chain found in a graph.
 
     `blocks` are the genus-one links in order; `ends` holds the attachment
@@ -519,11 +510,11 @@ class ChainRecord:
     tacnodal end comes first), or the closing intersection for closed chains.
     """
 
-    closed: bool
-    weak: bool
-    length: int
-    blocks: tuple[tuple[str, ...], ...]
-    ends: tuple[int, ...]
+    __slots__ = ("closed", "weak", "length", "blocks", "ends")
+
+    def __init__(self, closed: bool, weak: bool, length: int,
+                 blocks: tuple[tuple[str, ...], ...], ends: tuple[int, ...]) -> None:
+        self._init(closed, weak, length, blocks, ends)
 
 
 def _chain_ample(data: _GraphData, union: int, cross: int, ends: tuple, excl: int) -> bool:
@@ -710,8 +701,7 @@ def find_weak_elliptic_chains(g: CurveGraph) -> list[ChainRecord]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RosaryRecord:
+class RosaryRecord(_Record):
     """A maximal open rosary, or the whole curve as a (possibly broken) cycle.
 
     For open rosaries `length` counts beads and `ends` the two attachment
@@ -719,11 +709,11 @@ class RosaryRecord:
     the genus is always length + 1 regardless of broken beads.
     """
 
-    closed: bool
-    beads: tuple[str, ...]
-    length: int
-    broken_beads: int = 0
-    ends: tuple[int, ...] = ()
+    __slots__ = ("closed", "beads", "length", "broken_beads", "ends")
+
+    def __init__(self, closed: bool, beads: tuple[str, ...], length: int,
+                 broken_beads: int = 0, ends: tuple[int, ...] = ()) -> None:
+        self._init(closed, beads, length, broken_beads, ends)
 
 
 def _bead_candidates(g: CurveGraph) -> dict[str, list[tuple[int, int]]]:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
+from . import _Record
 from .families import OneParamSubgroup
 
 Monomial = tuple[int, ...]
@@ -23,18 +23,16 @@ class OrderError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(_Record):
     """Graded order: degree, then rho-weight, then lexicographic precedence."""
 
-    weights: OneParamSubgroup
-    precedence: Optional[tuple[int, ...]] = None
+    __slots__ = ("weights", "precedence", "__dict__")  # `rank` is cached in the dict
 
-    def __post_init__(self) -> None:
-        if self.precedence is not None:
-            n = len(self.weights)
-            if sorted(self.precedence) != list(range(n)):
-                raise OrderError("precedence must be a permutation of coordinates")
+    def __init__(self, weights: OneParamSubgroup,
+                 precedence: Optional[tuple[int, ...]] = None) -> None:
+        self._init(weights, precedence)
+        if precedence is not None and sorted(precedence) != list(range(len(weights))):
+            raise OrderError("precedence must be a permutation of coordinates")
 
     @property
     def nvars(self) -> int:

@@ -9,11 +9,10 @@ rendered as p/q, no timestamps).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import __version__, fmt
+from . import __version__, _Record, fmt
 from .basins import (
     basin_membership,
     c_closed_orbit_rep,
@@ -66,12 +65,12 @@ from .graphs import (
 from .monomials import monomial_count
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    id: str
-    description: str
-    expected: str
-    compute: Callable[[], str]
+class CheckItem(_Record):
+    __slots__ = ("id", "description", "expected", "compute")
+
+    def __init__(self, id: str, description: str, expected: str,
+                 compute: Callable[[], str]) -> None:
+        self._init(id, description, expected, compute)
 
 
 def _flags_str(g: CurveGraph) -> str:

@@ -10,6 +10,7 @@ from paths import ROOT, src_env
 
 from gitcurves import cli, engine, graphs
 from gitcurves.cli import main
+from gitcurves.chow import CASES
 from gitcurves.divisors import MORIWAKI_MAX_GENUS
 from gitcurves.families import FAMILIES
 from gitcurves.graphs import (
@@ -250,6 +251,42 @@ class TestFamilyAndIndex:
         assert (code, err) == (2, "error: --weights needs 12 entries, got 1\n")
         assert len(built) == 1
 
+    def test_index_over_slice_budget_builds_no_family(self, capsys, monkeypatch):
+        # the family's parameters bound its slices: refused before the build
+        def build(*values):
+            raise AssertionError("built")
+
+        monkeypatch.setitem(FAMILIES, "closed-rosary", (build, *FAMILIES["closed-rosary"][1:]))
+        code, out, err = run(capsys, "index", "--family", "closed-rosary", "--r", "100000")
+        assert (code, out) == (2, "")
+        assert err == "error: degree-2 slice has up to 1500000 supported monomials; budget 50000\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["broken-bead", "--r", "3334"], "broken-bead rosaries require odd length >= 3"),
+            (["open-rosary", "--r", "3334"], "open-rosary needs --g and --r"),
+            (
+                ["open-rosary", "--g", "5", "--r", "3334"],
+                "rosary parameter must satisfy 1 <= r <= g - 2",
+            ),
+            (["closed-rosary", "--r", "3334", "--m", "x"], "bad --m 'x'"),
+            (
+                ["closed-rosary", "--r", "3334", "--m", "1,2"],
+                "Hilbert points are taken in degree >= 2",
+            ),
+            (
+                ["closed-rosary", "--r", "3334", "--m", "1,2", "--weights", "1"],
+                "degree-2 slice has up to 50010 supported monomials; budget 50000",
+            ),
+        ],
+        ids=["even-broken-bead", "missing-g", "bad-r", "bad-degree", "degree-one", "weights"],
+    )
+    def test_index_over_slice_budget_keeps_earlier_errors(self, capsys, argv, message):
+        # an input with a second fault reports the one the built family reports
+        code, out, err = run(capsys, "index", "--family", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_index_monomials_over_listing_budget(self, capsys):
         code, out, err = run(
             capsys, "index", "--family", "closed-rosary", "--r", "10", "--m", "8", "--monomials"
@@ -302,6 +339,9 @@ class TestFamilyAndIndex:
 
     def test_parser_offers_every_registered_family(self):
         assert cli.FAMILY_NAMES == tuple(FAMILIES)
+
+    def test_parser_offers_every_certificate_case(self):
+        assert cli.CASE_NAMES == CASES
 
     def test_invalid_family_params(self, capsys):
         code, _, err = run(capsys, "family", "broken-bead", "--r", "4")

@@ -24,9 +24,10 @@ except SystemExit:
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("gitcurves"))))
 """
 
-GRAPH_COMMAND = {"gitcurves", "gitcurves.chow", "gitcurves.graphs"}
+GRAPH_COMMAND = {"gitcurves", "gitcurves.graphs"}
 BASIN_COMMAND = GRAPH_COMMAND | {"gitcurves.families", "gitcurves.basins"}
 ALL_MODULES = BASIN_COMMAND | {
+    "gitcurves.chow",
     "gitcurves.divisors",
     "gitcurves.engine",
     "gitcurves.monomials",
@@ -49,11 +50,12 @@ def loaded_modules(argv: list[str]) -> set[str]:
 @pytest.mark.parametrize(
     "argv, modules",
     [
-        (["--version"], {"gitcurves", "gitcurves.chow"}),
+        (["--version"], {"gitcurves"}),
         (["classify", "--in", "fixtures/bridge-length-1.json"], GRAPH_COMMAND),
+        (["divisor", "lambda-n", "--n", "2", "--g", "10"], {"gitcurves", "gitcurves.divisors"}),
         (
-            ["divisor", "lambda-n", "--n", "2", "--g", "10"],
-            {"gitcurves", "gitcurves.chow", "gitcurves.divisors"},
+            ["chow-certify", "--case", "genus-one-tacnode-tail", "--g", "6"],
+            {"gitcurves", "gitcurves.chow", "gitcurves.families", "gitcurves.graphs"},
         ),
         (["closed-orbit", "--mode", "c", "--in", "fixtures/bridge-length-1.json"], BASIN_COMMAND),
         (
@@ -62,7 +64,7 @@ def loaded_modules(argv: list[str]) -> set[str]:
         ),
         (["paper-check"], ALL_MODULES),
     ],
-    ids=["version", "classify", "divisor", "closed-orbit", "index", "paper-check"],
+    ids=["version", "classify", "divisor", "chow-certify", "closed-orbit", "index", "paper-check"],
 )
 def test_command_loads_only_its_modules(argv, modules):
     assert loaded_modules(argv) == modules

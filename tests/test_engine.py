@@ -7,14 +7,15 @@ asserted here.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from gitcurves import engine, graphs
+from gitcurves import GitcurvesError, engine, graphs
 from gitcurves.engine import (
     EngineError,
+    check_family_budget,
+    check_slice_budget,
     chow_index_sign,
     evaluate_slice,
     extrapolate_index,
@@ -24,7 +25,9 @@ from gitcurves.engine import (
     point_index,
 )
 from gitcurves.families import (
+    FAMILIES,
     ComponentMap,
+    Configuration,
     FamilyError,
     OneParamSubgroup,
     ParamTerm,
@@ -44,6 +47,21 @@ from slice_oracle import (
     supported_keys,
     supported_monomials,
 )
+
+
+def refusal(check, *args) -> str:
+    with pytest.raises(GitcurvesError) as exc:
+        check(*args)
+    return f"{type(exc.value).__name__}: {exc.value}"
+
+
+def term_fields(t):
+    return {"coord": t.coord, "s_exp": t.s_exp, "t_exp": t.t_exp, "coeff": t.coeff}
+
+
+def with_parametrization(c, par):
+    """`c` with its parametrization replaced; every other field kept."""
+    return Configuration(c.graph, par, c.split, c.branch_points, c.family, c.params)
 
 
 def closed_rosary_initial_degree2(r):
@@ -160,6 +178,22 @@ class TestSlices:
         assert hilbert_index(c, canonical_1ps(c), 2).count_matches_hilbert
         assert len(built) == 1
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_family_bound_equals_built_bound(self, monkeypatch, family):
+        # with no budget both checks refuse every slice, each naming its bound
+        monkeypatch.setattr(engine, "SLICE_BUDGET", 0)
+        build = FAMILIES[family][0]
+        for r in range(3, 13):
+            for values in [(r + 2, r), (r + 7, r)] if family == "open-rosary" else [(r,)]:
+                if family == "broken-bead" and r % 2 == 0:  # no such family: its error first
+                    assert refusal(check_family_budget, family, values, 2) == refusal(build, r)
+                    continue
+                par = build(*values).parametrization
+                for m in range(2, 6):
+                    assert refusal(check_family_budget, family, values, m) == refusal(
+                        check_slice_budget, par, m
+                    )
+
     def test_budget_bounds_slice_size_not_degree(self):
         # four beads of five coordinates: 4 * C(24, 20) = 42504 at m = 20,
         # 4 * C(25, 21) = 50600 at m = 21
@@ -194,13 +228,15 @@ class TestSlices:
             ComponentMap(
                 cm.component,
                 tuple(
-                    replace(t, **changes) if (cm.component, t.coord) == (comp, coord) else t
+                    ParamTerm(**{**term_fields(t), **changes})
+                    if (cm.component, t.coord) == (comp, coord)
+                    else t
                     for t in cm.terms
                 ),
             )
             for cm in c.parametrization.maps
         )
-        c = replace(c, parametrization=Parametrization(c.num_coordinates, maps))
+        c = with_parametrization(c, Parametrization(c.num_coordinates, maps))
         with pytest.raises(EngineError, match=message):
             evaluate_slice(c, 2)
 
@@ -531,7 +567,7 @@ class TestFullEnumerationOracle:
                 for k, (d, terms) in enumerate(maps)
             ),
         )
-        cfg = replace(build_closed_rosary_config(3), parametrization=par)
+        cfg = with_parametrization(build_closed_rosary_config(3), par)
         self._check(cfg, m)
         orders = _random_orders(n, f"{maps}/{m}")
         if weights:

@@ -450,7 +450,8 @@ class TestGraphHash:
         g = bridge_chain_graph([1, 1])
         hash(g)
         again = pickle.loads(pickle.dumps(g))
-        assert "_hash" not in vars(again)
+        with pytest.raises(AttributeError):
+            again._hash  # the stored-hash slot is empty until the first hash
         assert again == g and hash(again) == hash(g)
 
     def test_whole_graph_connectivity_found_once(self, monkeypatch):

@@ -185,3 +185,26 @@ def test_library_is_float_free():
     assert sorted(what for _, what in _float_uses(ast.parse(probe))) == [
         "0.5", "float(", "math.log", "math.sqrt"
     ]
+
+
+def _imported_modules(tree: ast.AST):
+    """(line, module) for each module an `import` or `from ... import` names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.lineno, node.module
+
+
+def test_library_does_not_import_dataclasses():
+    # records derive from `gitcurves._Record`: `dataclasses` would cost every
+    # command its import and the methods it generates for each class
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted((ROOT / "src" / "gitcurves").glob("*.py"))
+        for line, module in _imported_modules(ast.parse(path.read_text(), str(path)))
+        if module.split(".")[0] == "dataclasses"
+    ]
+    assert found == []
+    probe = "import dataclasses as d\nfrom dataclasses import field\nfrom . import dataclasses"
+    assert [m for _, m in _imported_modules(ast.parse(probe))] == ["dataclasses", "dataclasses"]
