@@ -83,24 +83,34 @@ def _family_values(args) -> list[int]:
     return values
 
 
-def _build_family(args) -> Configuration:
-    from .families import FAMILIES
+def _from_document(read, doc):
+    from .families import FamilyError
 
-    return FAMILIES[args.family][0](*_family_values(args))
+    try:
+        return read(doc)
+    except FamilyError as exc:
+        raise CliError(f"cannot load configuration: {exc}") from exc
 
 
-def _resolve_config(args) -> Configuration:
-    from .families import FamilyError, configuration_from_dict
+def _config_source(args) -> tuple[str, list[int], Optional[dict]]:
+    """The family and parameters of `--in` or `--family`, checked before any
+    build, and the `--in` document (None for `--family`)."""
+    from .families import document_family
 
     if getattr(args, "infile", None):
         doc = _read_json(args.infile)
-        try:
-            return configuration_from_dict(doc)
-        except FamilyError as exc:
-            raise CliError(f"cannot load configuration: {exc}") from exc
+        return (*_from_document(document_family, doc), doc)
     if getattr(args, "family", None):
-        return _build_family(args)
+        return args.family, _family_values(args), None
     raise CliError("provide --family or --in")
+
+
+def _build_config(family: str, values: list[int], doc: Optional[dict]) -> Configuration:
+    from .families import FAMILIES, configuration_from_dict
+
+    if doc is None:
+        return FAMILIES[family][0](*values)
+    return _from_document(configuration_from_dict, doc)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -162,7 +172,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_family(args) -> int:
-    cfg = _build_family(args)
+    cfg = _build_config(args.family, _family_values(args), None)
     doc = cfg.to_dict()
     _emit(
         args,
@@ -199,24 +209,21 @@ def _parse_degree(text: str) -> int:
 
 
 def cmd_index(args) -> int:
-    from .engine import check_family_budget, check_slice_budget, index_suite
+    from .engine import check_family_budget, index_suite
     from .families import canonical_1ps
     from .monomials import monomial_str
 
-    if args.family and not args.infile:
-        # refuse an over-budget degree before the build, as the built family would
-        values = _family_values(args)
-        for m in _parse_degrees(args.m) if args.m else [2, 3]:
-            if m < 2 and not args.weights:
-                break  # `hilbert_index` refuses this degree first
-            if m >= 2:
-                check_family_budget(args.family, values, m)
-    cfg = _resolve_config(args)
+    family, values, doc = _config_source(args)
     degrees = _parse_degrees(args.m) if args.m else [2, 3]
+    # refuse an over-budget degree from the parameters, before the build and
+    # before the weights are counted against the genus
+    for m in degrees:
+        if m < 2 and not args.weights:
+            break  # `hilbert_index` refuses this degree first
+        if m >= 2:
+            check_family_budget(family, values, m)
+    cfg = _build_config(family, values, doc)
     if args.weights:
-        for m in degrees:  # before the genus builds the graph's record
-            if m >= 2:
-                check_slice_budget(cfg.parametrization, m)
         rho = _parse_weights(args.weights, cfg.num_coordinates)
     else:
         rho = canonical_1ps(cfg)
@@ -286,7 +293,7 @@ def cmd_basin(args) -> int:
     from .basins import SMOOTHABLE, basin_membership
     from .families import OneParamSubgroup, torus_generators
 
-    cfg = _resolve_config(args)
+    cfg = _build_config(*_config_source(args))
     gens = torus_generators(cfg)
     if not gens:
         raise CliError("configuration has a finite automorphism group")

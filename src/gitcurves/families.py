@@ -212,20 +212,15 @@ def _json_form(value):
         raise FamilyError(f"configuration document is not JSON data: {exc}") from exc
 
 
-def configuration_from_dict(doc: dict) -> Configuration:
-    """Rebuild a configuration emitted by `Configuration.to_dict`.
-
-    Only the families in `FAMILIES` are reconstructible.  The family is
-    rebuilt from its integer parameters, and every other key the document
-    carries must equal the rebuilt configuration's `to_dict()` entry, so a
-    document is either read in full or rejected.
-    """
+def document_family(doc: dict) -> tuple[str, list[int]]:
+    """The family and parameter values of a `Configuration.to_dict` document,
+    checked as its builder checks them; no other key is read."""
     if not isinstance(doc, dict):
         raise FamilyError("configuration document must be a JSON object")
     family = doc.get("family")
     if not isinstance(family, str) or family not in FAMILIES:
         raise FamilyError(f"unknown family {family!r}")
-    build, names, _ = FAMILIES[family]
+    _build, names, check = FAMILIES[family]
     params = doc.get("params", {})
     if not isinstance(params, dict) or set(params) != set(names):
         raise FamilyError(f"{family} params must be exactly {', '.join(names)}")
@@ -233,7 +228,21 @@ def configuration_from_dict(doc: dict) -> Configuration:
         value = params[name]
         if not isinstance(value, int) or isinstance(value, bool):
             raise FamilyError(f"param {name!r} must be an integer, got {value!r}")
-    cfg = build(*(params[name] for name in names))
+    values = [params[name] for name in names]
+    check(*values)
+    return family, values
+
+
+def configuration_from_dict(doc: dict) -> Configuration:
+    """Rebuild a configuration emitted by `Configuration.to_dict`.
+
+    Only the families in `FAMILIES` are reconstructible.  The family is
+    rebuilt from its integer parameters (`document_family`), and every other
+    key the document carries must equal the rebuilt configuration's
+    `to_dict()` entry, so a document is either read in full or rejected.
+    """
+    family, values = document_family(doc)
+    cfg = FAMILIES[family][0](*values)
     expected = _json_form(cfg.to_dict())
     for key, value in _json_form(doc).items():
         if key not in expected:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import GitcurvesError, _Record, _set
@@ -128,8 +128,9 @@ class CurveGraph(_Record):
     a non-empty `marks` raises CurveGraphError.
     """
 
-    # `marks` stays empty (perfbench/workloads.relabel passes it); `hash` sets `_hash`
-    __slots__ = ("components", "intersections", "marks", "_hash")
+    # `marks` stays empty (perfbench/workloads.relabel passes it); `hash` sets
+    # `_hash`, and the first query sets `_data`, the graph's `_GraphData`
+    __slots__ = ("components", "intersections", "marks", "_hash", "_data")
 
     def __init__(self, components: tuple[Component, ...],
                  intersections: tuple[Intersection, ...] = (), marks: tuple[()] = ()) -> None:
@@ -153,7 +154,8 @@ class CurveGraph(_Record):
                 used_ends.add(end)
 
     def __hash__(self) -> int:
-        # computed once: every cached graph query hashes its graph argument
+        # computed once, for callers that hash graphs (sets, dict keys, `lru_cache`);
+        # no query in this module hashes its graph
         try:
             return self._hash
         except AttributeError:
@@ -249,14 +251,16 @@ class CurveGraph(_Record):
 
 
 # ---------------------------------------------------------------------------
-# the one cached record of a graph
+# the one record of a graph, kept on the graph
 # ---------------------------------------------------------------------------
 
 
 class _GraphData:
-    """The one cached record of a graph: the bitmask tables, built in one plain
-    pass over the components and one over the intersections, and the per-graph
-    results `table`, `leaving`, `flags` (of `classify`) and `chains`, filled on first use.
+    """The one record of a graph, kept in its `_data` slot by `_graph_data` and
+    freed with it: the bitmask tables, built in one plain pass over the
+    components and one over the intersections, and the per-graph results
+    `table`, `leaving`, `flags` (of `classify`) and `chains`, filled on first
+    use.  Equal graphs that are different objects each build their own.
 
     Bit i of an intersection mask is intersection i.  `flips[k]` holds the
     intersections joining component k to another component, `loops[k]` its
@@ -426,9 +430,13 @@ class _GraphData:
         return self._leaving
 
 
-@lru_cache(maxsize=256)
 def _graph_data(g: CurveGraph) -> _GraphData:
-    return _GraphData(g)
+    try:
+        return g._data
+    except AttributeError:
+        data = _GraphData(g)
+        _set(g, "_data", data)  # not pickled: it is rebuilt on first use
+        return data
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +662,7 @@ def _chain_hits(
 
 def _find_chains(g: CurveGraph) -> tuple[ChainRecord, ...]:
     """Every open and closed (weak) elliptic chain, each once, kept as the
-    `chains` of the graph's cached record."""
+    `chains` of the graph's record."""
     data = _graph_data(g)
     if data.chains is not None:
         return data.chains
@@ -826,7 +834,7 @@ def classify(g: CurveGraph) -> StabilityFlags:
     loop over the subcurve table the genus-1 ones (a tacnode counts twice in
     the multiplicity) and whether an elliptic bridge exists: a table entry
     with two crossing points, no tacnode among them.  The flags live on the
-    graph's cached record, so a repeated query is free.
+    graph's record, so a repeated query on the same graph is free.
     """
     data = _graph_data(g)
     if data.flags is not None:

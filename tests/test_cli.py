@@ -261,6 +261,62 @@ class TestFamilyAndIndex:
         assert (code, out) == (2, "")
         assert err == "error: degree-2 slice has up to 1500000 supported monomials; budget 50000\n"
 
+    def test_index_in_over_slice_budget_builds_no_family(self, capsys, monkeypatch, tmp_path):
+        # a document's family and parameters bound its slices: refused before
+        # the build and before the rest of the document is compared with it
+        code, out, _ = run(capsys, "family", "closed-rosary", "--r", "3334", "--json")
+        assert code == 0
+        whole = tmp_path / "whole.json"
+        whole.write_text(out)
+        header = tmp_path / "header.json"
+        header.write_text(json.dumps({"family": "closed-rosary", "params": {"r": 100000}}))
+
+        def build(*values):
+            raise AssertionError("built")
+
+        monkeypatch.setitem(FAMILIES, "closed-rosary", (build, *FAMILIES["closed-rosary"][1:]))
+        for path, size in ((whole, 50010), (header, 1500000)):
+            code, out, err = run(capsys, "index", "--in", str(path))
+            assert (code, out) == (2, "")
+            assert err == f"error: degree-2 slice has up to {size} supported monomials; budget 50000\n"
+
+    @pytest.mark.parametrize(
+        "doc, argv, message",
+        [
+            (
+                {"family": "broken-bead", "params": {"r": 3334}},
+                [],
+                "cannot load configuration: broken-bead rosaries require odd length >= 3",
+            ),
+            (
+                {"family": "closed-rosary", "params": {"r": "3334"}},
+                [],
+                "cannot load configuration: param 'r' must be an integer, got '3334'",
+            ),
+            (
+                {"family": "closed-rosary", "params": {"r": 3334, "g": 5}},
+                [],
+                "cannot load configuration: closed-rosary params must be exactly r",
+            ),
+            ({"family": "closed-rosary", "params": {"r": 3334}}, ["--m", "x"], "bad --m 'x'"),
+            (
+                {"family": "closed-rosary", "params": {"r": 3334}, "extra": 1},
+                ["--m", "1,2"],
+                "cannot load configuration: unexpected key 'extra' for closed-rosary",
+            ),
+        ],
+        ids=["even-broken-bead", "string-param", "extra-param", "bad-degree", "degree-one"],
+    )
+    def test_index_in_over_slice_budget_keeps_header_errors(
+        self, capsys, tmp_path, doc, argv, message
+    ):
+        # the header's own faults come first; with degree 1 first the whole
+        # document is read, as the build precedes `hilbert_index`'s degree check
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "index", "--in", str(path), *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize(
         "argv, message",
         [

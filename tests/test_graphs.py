@@ -438,12 +438,18 @@ class TestSerialization:
 
 
 class TestGraphHash:
-    def test_equal_graphs_hash_equal_and_share_graph_data(self):
+    def test_equal_graphs_hash_equal_and_build_equal_graph_data(self):
         a = attached_open_rosary(3)
         b = CurveGraph.from_json(a.to_json())
         assert a is not b and a == b
         assert hash(a) == hash(b) == hash((a.components, a.intersections))
-        assert graphs._graph_data(a) is graphs._graph_data(b)
+        da, db = graphs._graph_data(a), graphs._graph_data(b)
+        assert da is not db
+        assert classify(a) == classify(b)
+        assert find_weak_elliptic_chains(a) == find_weak_elliptic_chains(b)
+        assert (da.table, da.leaving, da.flags, da.chains) == (
+            db.table, db.leaving, db.flags, db.chains
+        )
         assert repr(a) == repr(b)
 
     def test_pickle_drops_the_stored_hash(self):
@@ -502,8 +508,8 @@ class TestGraphHash:
         for _ in range(3):
             assert find_weak_elliptic_chains(g)
         assert len(runs) == 1
-        graphs._graph_data.cache_clear()
-        assert find_weak_elliptic_chains(g)
+        # an equal graph that is another object walks its own chains
+        assert find_weak_elliptic_chains(CurveGraph.from_json(g.to_json()))
         assert len(runs) == 2
 
 
