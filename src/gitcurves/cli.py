@@ -214,16 +214,16 @@ def cmd_index(args) -> int:
     from .monomials import monomial_str
 
     family, values, doc = _config_source(args)
-    degrees = _parse_degrees(args.m) if args.m else [2, 3]
+    degrees = _parse_degrees(args.m)
     # refuse an over-budget degree from the parameters, before the build and
     # before the weights are counted against the genus
     for m in degrees:
-        if m < 2 and not args.weights:
+        if m < 2 and args.weights is None:
             break  # `hilbert_index` refuses this degree first
         if m >= 2:
             check_family_budget(family, values, m)
     cfg = _build_config(family, values, doc)
-    if args.weights:
+    if args.weights is not None:
         rho = _parse_weights(args.weights, cfg.num_coordinates)
     else:
         rho = canonical_1ps(cfg)
@@ -297,7 +297,7 @@ def cmd_basin(args) -> int:
     gens = torus_generators(cfg)
     if not gens:
         raise CliError("configuration has a finite automorphism group")
-    if args.exponents:
+    if args.exponents is not None:
         try:
             exps = [int(e) for e in args.exponents.split(",")]
         except ValueError as exc:

@@ -169,6 +169,8 @@ def r(n: int, g: int) -> int:
 
 def lambda_n(n: int, g: int) -> DivisorClass:
     """First Chern class of that pushforward: (6n^2-6n+1) lambda - C(n,2) delta."""
+    if n < 1:
+        raise DivisorError("need n >= 1")
     if n == 1:
         return lam(g)
     return DivisorClass.total(g, 6 * n * n - 6 * n + 1, 0) - Fraction(

@@ -18,10 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
-from . import GitcurvesError, _Record
+from . import GitcurvesError, _Record, _set
 from .families import FAMILIES, UNIT, Configuration, OneParamSubgroup, Parametrization
 from .monomials import Monomial, MonomialOrder, degree_monomials
 
@@ -171,14 +171,81 @@ def _shape_tables(
     return tables[0]
 
 
-def _candidates(
-    par: Parametrization, m: int, order: MonomialOrder, holders: dict[int, list[tuple[int, int]]]
-) -> list[tuple[int, int, int]]:
+class _SliceData:
+    """The weight-free tables of a parametrization's slice kernel, kept in its
+    `_data` slot by `_slice_data` and freed with it.  Nothing here depends on
+    the weights or on m.  Equal parametrizations that are different objects
+    each build their own.
+
+    The build refuses, as the kernel does, a coefficient other than 1 and a
+    coordinate on three or more components, and then stores nothing.
+    `degrees[k]` is component k's degree and `components[k]` is `_arranged`
+    of its terms in coordinate order, each term as (coordinate, s exponent,
+    partner, partner's s exponent), the partner being -1, with the term's own
+    s exponent, for a coordinate on k only.
+    """
+
+    __slots__ = ("degrees", "components")
+
+    def __init__(self, par: Parametrization) -> None:
+        holders: dict[int, list[tuple[int, int]]] = {}
+        for k, cm in enumerate(par.maps):
+            for t in cm.terms:
+                if t.coeff is not UNIT and t.coeff != 1:
+                    raise EngineError(
+                        f"coordinate x{t.coord} has coefficient {t.coeff}; "
+                        "the slice kernel needs coefficient 1"
+                    )
+                holders.setdefault(t.coord, []).append((k, t.s_exp))
+        for c, held in holders.items():
+            if len(held) > 2:
+                raise EngineError(
+                    f"coordinate x{c} lies on {len(held)} components; "
+                    "the slice kernel admits at most 2"
+                )
+        self.degrees = [cm.degree for cm in par.maps]
+        self.components = []
+        for k, cm in enumerate(par.maps):
+            terms = []
+            for t in sorted(cm.terms, key=attrgetter("coord")):
+                held = holders[t.coord]
+                c, ce = held[-1] if held[0][0] == k else held[0]  # c == k: on k only
+                terms.append((t.coord, t.s_exp, -1 if c == k else c, ce))
+            self.components.append(_arranged(terms))
+
+
+def _arranged(terms: list[tuple[int, int, int, int]]) -> tuple:
+    """One component's terms in the order given, as (terms, step, rows, partners).
+
+    `step` is the position of the first term whose s exponent differs from
+    the first term's (0 if none).  `rows` lists the terms as (coordinate,
+    s exponent, partner label, partner's s exponent), the partners labelled
+    0, 1, ... in order of appearance and -1 standing for none; `partners`
+    lists them by label."""
+    e0 = terms[0][1]
+    step = next((j for j, t in enumerate(terms) if t[1] != e0), 0)
+    partners: dict[int, int] = {}
+    rows = [
+        (c, e, -1 if p < 0 else partners.setdefault(p, len(partners)), ce)
+        for c, e, p, ce in terms
+    ]
+    return terms, step, rows, list(partners)
+
+
+def _slice_data(par: Parametrization) -> _SliceData:
+    try:
+        return par._data
+    except AttributeError:
+        data = _SliceData(par)
+        _set(par, "_data", data)  # not pickled: it is rebuilt on first use
+        return data
+
+
+def _candidates(par: Parametrization, m: int, order: MonomialOrder) -> list[tuple[int, int, int]]:
     """(key, a, -1) for the least supported half-edge at each row a, and
     (key, a, b) for the least edge on each pair of rows a < b.
 
-    `holders` maps each coordinate to its (component, s exponent) pairs.  A
-    monomial whose coordinates all lie on component k and on one other
+    A monomial whose coordinates all lie on component k and on one other
     component c is an edge; any other monomial on k is a half-edge at row
     offset_k + s-sum.  Only these candidates can be standard: a later
     half-edge at the same row meets a class that already holds a half-edge,
@@ -198,37 +265,43 @@ def _candidates(
     shape.  Each component of a shape gets the tables translated by its own
     A, beta, q0, row offsets and partners.  Edges are read off their lower
     component.
+
+    The terms, their partners and the first j come from the parametrization's
+    `_SliceData`, in coordinate order, which is ascending rank under the
+    default precedence; another precedence only sorts the terms by rank and
+    arranges them again.  A call derives only what depends on the weights or
+    on m: A, beta, q0, the rank offsets, the row offsets and the shape keys.
     """
+    data = _slice_data(par)
     offsets = []
     span = 0  # the number of rows
-    for cm in par.maps:
+    for d in data.degrees:
         offsets.append(span)
-        span += m * cm.degree + 1
+        span += m * d + 1
     n = order.nvars
     base = n**m
     rank_sum = sum(n**p for p in range(m))
     w = order.weights.weights
     rank = order.rank
+    components = data.components
+    if order.precedence is not None:
+        components = [
+            _arranged(sorted(terms, key=lambda t: rank[t[0]])) for terms, _, _, _ in components
+        ]
     # shape -> (component, A, beta, q0, components by partner number)
     shapes: dict[tuple, list[tuple[int, int, int, int, list[int]]]] = {}
-    for k, cm in enumerate(par.maps):
-        terms = sorted(cm.terms, key=lambda t: rank[t.coord])
-        e0, w0, q0 = terms[0].s_exp, w[terms[0].coord], rank[terms[0].coord]
-        beta = next(((w[t.coord] - w0) // (t.s_exp - e0) for t in terms if t.s_exp != e0), 0)
+    for k, (terms, step, rows, partners) in enumerate(components):
+        c0, e0, _, _ = terms[0]
+        w0, q0 = w[c0], rank[c0]
+        beta = 0
+        if step:
+            cj, ej, _, _ = terms[step]
+            beta = (w[cj] - w0) // (ej - e0)
         lift = w0 - beta * e0
-        partners: dict[int, int] = {}
-        shape = []
-        for t in terms:
-            held = holders[t.coord]
-            c, ce = held[-1] if held[0][0] == k else held[0]  # c == k: on k only
-            shape.append((
-                w[t.coord] - lift - beta * t.s_exp,
-                rank[t.coord] - q0,
-                t.s_exp,
-                -1 if c == k else partners.setdefault(c, len(partners)),
-                ce,
-            ))
-        shapes.setdefault(tuple(shape), []).append((k, lift, beta, q0, list(partners)))
+        shape = tuple([
+            (w[c] - lift - beta * e, rank[c] - q0, e, label, ce) for c, e, label, ce in rows
+        ])
+        shapes.setdefault(shape, []).append((k, lift, beta, q0, partners))
     out: list[tuple[int, int, int]] = []
     for shape, members in shapes.items():
         free, pure = _shape_tables(shape, m, n, span)
@@ -297,6 +370,13 @@ def evaluate_slice(
     weights and ranks agree up to the shifts w -> w + A + beta * e and
     rank -> rank + q0 share one), and a union-find with parity decides them
     in ascending order.  Any other parametrization raises `EngineError`.
+
+    What depends only on the parametrization (the checks on coefficients and
+    on components per coordinate, the degrees, each component's terms with
+    their partner components, and the partner labels) is its `_SliceData`,
+    built by the first slice that passes the budget and order checks and kept
+    on it.  The weights, the shape keys and every table of the dynamic
+    programs are derived again on every call.
     """
     if m < 1:
         raise EngineError("slice degree must be >= 1")
@@ -310,25 +390,8 @@ def evaluate_slice(
             f"order on {order.nvars} coordinates, parametrization has {nvars}"
         )
 
-    # rows of the substitution map, and per coordinate the components holding it
-    nrows = 0
-    holders: dict[int, list[tuple[int, int]]] = {}
-    for k, cm in enumerate(par.maps):
-        nrows += m * cm.degree + 1
-        for t in cm.terms:
-            if t.coeff is not UNIT and t.coeff != 1:
-                raise EngineError(
-                    f"coordinate x{t.coord} has coefficient {t.coeff}; "
-                    "the slice kernel needs coefficient 1"
-                )
-            holders.setdefault(t.coord, []).append((k, t.s_exp))
-    for c, held in holders.items():
-        if len(held) > 2:
-            raise EngineError(
-                f"coordinate x{c} lies on {len(held)} components; "
-                "the slice kernel admits at most 2"
-            )
-
+    degrees = _slice_data(par).degrees
+    nrows = m * sum(degrees) + len(degrees)  # the rows of the substitution map
     parent = list(range(nrows))
     parity = [0] * nrows  # parity of the edge path from a row to its parent
     full = [False] * nrows  # per root: the class holds an odd cycle or a half-edge
@@ -348,7 +411,7 @@ def evaluate_slice(
     # each key is one monomial's, so the keys alone order the candidates; most
     # rows looked up are roots, read off inline, and only other rows call `find`
     standard: list[int] = []
-    for key, a, b in sorted(_candidates(par, m, order, holders), key=itemgetter(0)):
+    for key, a, b in sorted(_candidates(par, m, order), key=itemgetter(0)):
         if parent[a] == a:
             ra, pa = a, 0
         else:

@@ -259,8 +259,9 @@ class _GraphData:
     """The one record of a graph, kept in its `_data` slot by `_graph_data` and
     freed with it: the bitmask tables, built in one plain pass over the
     components and one over the intersections, and the per-graph results
-    `table`, `leaving`, `flags` (of `classify`) and `chains`, filled on first
-    use.  Equal graphs that are different objects each build their own.
+    `table`, `leaving`, `flags` (of `classify`), `chains` and `beads` (of
+    `_bead_walk`), filled on first use.  Equal graphs that are different
+    objects each build their own.
 
     Bit i of an intersection mask is intersection i.  `flips[k]` holds the
     intersections joining component k to another component, `loops[k]` its
@@ -273,7 +274,7 @@ class _GraphData:
     __slots__ = (
         "ids", "index", "n", "contrib", "cusped", "nbr", "end_bits", "deltas", "tacnodes",
         "flips", "loops", "base", "genus", "all_mask", "whole_connected",
-        "_table", "_leaving", "flags", "chains",
+        "_table", "_leaving", "flags", "chains", "beads",
     )
 
     def __init__(self, g: CurveGraph):
@@ -314,7 +315,7 @@ class _GraphData:
         self.genus = sum(contrib) + sum(deltas) - self.n + 1
         self.all_mask = (1 << self.n) - 1
         self.whole_connected = self.connected(self.all_mask)
-        self._table = self._leaving = self.flags = self.chains = None
+        self._table = self._leaving = self.flags = self.chains = self.beads = None
 
     def mask_of(self, sub: Iterable[str]) -> int:
         mask = 0
@@ -751,8 +752,12 @@ def _bead_walk(g: CurveGraph) -> tuple[Optional[RosaryRecord], tuple[RosaryRecor
     cyclic strand is the whole curve, every run counts, in the walk's
     direction and with sorted ends; otherwise a run needs two beads and
     starts at its end bead that comes first in component order.  Runs are
-    sorted by their beads.
+    sorted by their beads.  The result is the `beads` slot of the graph's
+    record, so each graph is walked once.
     """
+    data = _graph_data(g)
+    if data.beads is not None:
+        return data.beads
     beads = _bead_candidates(g)
     xs = g.intersections
     node = [x.kind == NODE for x in xs]
@@ -804,7 +809,8 @@ def _bead_walk(g: CurveGraph) -> tuple[Optional[RosaryRecord], tuple[RosaryRecor
                 run, ends = run[::-1], ends[::-1]
             runs.append(RosaryRecord(False, tuple(run), len(run), ends=ends))
     runs.sort(key=lambda r: r.beads)
-    return closed, tuple(runs)
+    data.beads = (closed, tuple(runs))
+    return data.beads
 
 
 def find_rosaries(g: CurveGraph) -> list[RosaryRecord]:

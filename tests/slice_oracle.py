@@ -127,8 +127,8 @@ def substitution_matrix(config, m, monos):
 
 
 def holders(par):
-    """Each coordinate's (component, s exponent) pairs, as `evaluate_slice`
-    hands them to `engine._candidates`."""
+    """Each coordinate's (component, s exponent) pairs, the oracle's input to
+    `candidates`."""
     held = {}
     for k, cm in enumerate(par.maps):
         for t in cm.terms:

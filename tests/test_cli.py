@@ -207,9 +207,9 @@ class TestFamilyAndIndex:
         calls = []
         candidates = engine._candidates
 
-        def counted(par, m, order, holders):
+        def counted(par, m, order):
             calls.append(m)
-            return candidates(par, m, order, holders)
+            return candidates(par, m, order)
 
         monkeypatch.setattr(engine, "_candidates", counted)
         code, out, _ = run(
@@ -356,6 +356,29 @@ class TestFamilyAndIndex:
         assert code == 2
         assert out == ""
         assert err == "error: bad --m 'x'\n"
+
+    @pytest.mark.parametrize(
+        "text", ["", "2,", ",3"], ids=["empty", "trailing-comma", "leading-comma"]
+    )
+    def test_empty_degree_is_refused(self, capsys, text):
+        # every --m the user gives is parsed, the empty one too
+        code, out, err = run(capsys, "index", "--family", "closed-rosary", "--r", "4", "--m", text)
+        assert (code, out, err) == (2, "", f"error: bad --m {text!r}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["index", "--family", "closed-rosary", "--r", "4", "--weights", ""],
+             "bad --weights ''"),
+            (["basin", "--family", "open-rosary", "--g", "6", "--r", "3", "--exponents", ""],
+             "bad --exponents ''"),
+        ],
+        ids=["weights", "exponents"],
+    )
+    def test_empty_vector_is_refused(self, capsys, argv, message):
+        # an empty vector is parsed and refused, not read as the default
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "edit",
@@ -588,6 +611,11 @@ class TestOtherCommands:
         assert code == 2
         assert out == ""
         assert err == "error: bad --m 'x'\n"
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_divisor_lambda_n_below_one(self, capsys, n):
+        code, out, err = run(capsys, "divisor", "lambda-n", "--n", n, "--g", "10")
+        assert (code, out, err) == (2, "", "error: need n >= 1\n")
 
 
 class TestPaperCheck:

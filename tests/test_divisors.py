@@ -42,6 +42,11 @@ class TestLambdaN:
     def test_n3(self):
         assert lambda_n(3, 8).coefficients() == (37, -3)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_guards(self, n):
+        with pytest.raises(DivisorError, match="^need n >= 1$"):
+            lambda_n(n, 10)
+
 
 class TestViehweg:
     @pytest.mark.parametrize("m", [2, 3, 17, 50])

@@ -154,7 +154,7 @@ class TestSlices:
         assert s2.standard_count + len(s2.initial_monomials()) == len(s2.monomials)
 
     def test_over_budget_slice_raises_before_enumeration(self, monkeypatch):
-        def enumerate_nothing(par, m, order, holders):
+        def enumerate_nothing(par, m, order):
             raise AssertionError("over-budget slice was enumerated")
 
         monkeypatch.setattr(engine, "_candidates", enumerate_nothing)
@@ -686,7 +686,7 @@ class TestShapeCandidates:
         cfg = ORACLE_BUILDERS[spec[0]](*spec[1:])
         par = cfg.parametrization
         n = par.num_coordinates
-        held = holders(par)
+        held = holders(par)  # the oracle's own
         for m in range(1, 7):
             tag = "-".join(map(str, spec)) + f"/{m}"
             orders = _random_orders(n, tag) + _affine_orders(par, tag)
@@ -696,7 +696,7 @@ class TestShapeCandidates:
                 pass  # closed rosaries of odd length have no canonical subgroup
             for order in orders:
                 runs.clear()
-                assert sorted(engine._candidates(par, m, order, held)) == sorted(
+                assert sorted(engine._candidates(par, m, order)) == sorted(
                     candidates(par, m, order, held)
                 )
                 assert 1 <= len(runs) <= len(par.maps)
@@ -745,7 +745,7 @@ class TestShapeCandidates:
         held = holders(par)
         for m in range(1, 5):
             runs.clear()
-            assert sorted(engine._candidates(par, m, order, held)) == sorted(
+            assert sorted(engine._candidates(par, m, order)) == sorted(
                 candidates(par, m, order, held)
             )
             assert len(runs) == 1

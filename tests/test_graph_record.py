@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from corpus import attached_open_rosary
+from paths import ROOT
 from gitcurves import graphs
 from gitcurves.basins import c_closed_orbit_rep, enumerate_c_replacements, h_closed_orbit_rep
 from gitcurves.engine import hilbert_index
@@ -16,6 +17,7 @@ from gitcurves.graphs import (
     Component,
     CurveGraph,
     Intersection,
+    aut_torus_rank,
     bridge_chain_graph,
     classify,
     closed_rosary_graph,
@@ -24,6 +26,7 @@ from gitcurves.graphs import (
     find_elliptic_tails,
     find_rosaries,
     find_weak_elliptic_chains,
+    open_rosaries,
 )
 
 
@@ -109,3 +112,17 @@ def test_queries_never_hash_a_graph(monkeypatch):
     assert classify(h_closed_orbit_rep(h_semistable_chain())).h_semistable
     config = build_closed_rosary_config(6)
     assert hilbert_index(config, canonical_1ps(config), 3).count_matches_hilbert
+
+
+def test_beads_walked_once_per_graph(monkeypatch):
+    # `aut_torus_rank` reads the walk itself and through both closed-orbit tests
+    walked = []
+    candidates = graphs._bead_candidates
+    monkeypatch.setattr(graphs, "_bead_candidates", lambda g: walked.append(g) or candidates(g))
+    g = CurveGraph.from_json((ROOT / "fixtures" / "weak-chains-rational-bridge.json").read_text())
+    h = h_closed_orbit_rep(g)
+    assert aut_torus_rank(h) == 2
+    assert find_rosaries(h) == open_rosaries(h) == list(graphs._bead_walk(h)[1])
+    assert sum(x is h for x in walked) == 1
+    assert len({id(x) for x in walked}) == len(walked)  # every graph walked once
+    assert graphs._graph_data(h).beads is graphs._bead_walk(h)

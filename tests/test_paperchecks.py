@@ -8,9 +8,9 @@ def test_each_distinct_slice_evaluated_once(monkeypatch):
     calls = []
     candidates = engine._candidates
 
-    def counted(par, m, order, holders):
+    def counted(par, m, order):
         calls.append(m)
-        return candidates(par, m, order, holders)
+        return candidates(par, m, order)
 
     monkeypatch.setattr(engine, "_candidates", counted)
     manifest = run_paper_check()
