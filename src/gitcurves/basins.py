@@ -3,13 +3,11 @@
 A one-parameter subgroup fixing a curve acts on the versal deformation space
 of each singularity; a singularity can deform inside the basin of attraction
 exactly when all its parameter weights are positive.  The induced weights
-follow three local rules (branch weights are read off the parametrization):
+follow two local rules (branch weights are read off the parametrization):
 
 * node:     c0 has weight w1 + w2, the sum of the two branch weights;
 * tacnode:  branch weights must agree (value w); (c0, c1, c2) get (4w, 3w, 2w),
-            the coefficients of 1, x, x^2 in y^2 = x^4 + c2 x^2 + c1 x + c0;
-* cusp:     local coordinates of weight (2u, 3u) give (a, b) weights (4u, 6u)
-            in y^2 = x^3 + a x + b.
+            the coefficients of 1, x, x^2 in y^2 = x^4 + c2 x^2 + c1 x + c0.
 
 On the combinatorial side the module computes closed-orbit representatives of
 strict equivalence classes: every elliptic bridge degenerates onto a
@@ -28,8 +26,6 @@ from .families import (
     Configuration,
     FamilyError,
     OneParamSubgroup,
-    S_ZERO,
-    T_ZERO,
     branch_parameter_weight,
     component_st_weights,
 )
@@ -44,10 +40,10 @@ from .graphs import (
     bridge_links,
     classify,
     closed_rosary_graph,
-    find_elliptic_bridges,
     find_weak_elliptic_chains,
     open_rosaries,
     _bead_walk,
+    _c_closed_rosaries,
 )
 
 SMOOTHABLE = "smoothable"
@@ -93,10 +89,6 @@ def tacnode_versal_weights(w: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     return (4 * w, 3 * w, 2 * w)
 
 
-def cusp_versal_weights(u: Fraction) -> tuple[Fraction, Fraction]:
-    return (4 * u, 6 * u)
-
-
 def _st_weights(
     config: Configuration, rho: OneParamSubgroup
 ) -> dict[str, tuple[Fraction, Fraction]]:
@@ -131,20 +123,6 @@ def versal_weights(
             f"incompatible action at tacnode {intersection_index}: branch weights {w0} != {w1}"
         )
     return VersalWeights(intersection_index, TACNODE, tacnode_versal_weights(w0))
-
-
-def cusp_versal_weights_at(
-    config: Configuration, rho: OneParamSubgroup, component: str, point: str
-) -> VersalWeights:
-    """Weights on (a, b) for a cusp sitting at a chart point of a component."""
-    ws, wt = _st_weights(config, rho)[component]
-    if point == T_ZERO:
-        u = wt - ws
-    elif point == S_ZERO:
-        u = ws - wt
-    else:
-        raise BasinError(f"bad chart point {point!r}")
-    return VersalWeights((component, point), "cusp", cusp_versal_weights(u))
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +177,6 @@ class _Editor:
         self.incident[ends[j]].discard((idx, j))
         ends[j] = cid
         self.incident[cid].add((idx, j))
-
-    def two_crossings(self, sub: frozenset[str], error: str) -> list[tuple[int, int]]:
-        """(index, end inside `sub`) of the live intersections leaving `sub`,
-        in index order; BasinError(`error`) unless there are exactly two."""
-        out = sorted(
-            (i, j)
-            for cid in sub
-            for i, j in self.incident[cid]
-            if self.intersections[i][1][1 - j] not in sub
-        )
-        if len(out) != 2:
-            raise BasinError(error)
-        return out
 
     def remove_components(self, cids: Iterable[str]) -> None:
         cids = set(cids)
@@ -413,19 +378,10 @@ def is_c_closed_orbit(g: CurveGraph) -> bool:
     True for c-semistable curves in which every tacnode sits in an open
     rosary, every open rosary has length two, and there are no elliptic
     bridges besides those rosaries.  c-stable curves qualify vacuously.
+    The rosaries, tacnodes and bridges are compared as masks on the graph's
+    record (`graphs._c_closed_rosaries`).
     """
-    flags = classify(g)
-    if not flags.c_semistable:
-        return False
-    rosaries = [r for r in open_rosaries(g) if r.length >= 2]
-    if any(r.length != 2 for r in rosaries):
-        return False
-    owner = {b: k for k, r in enumerate(rosaries) for b in r.beads}
-    tacnodes = [x.components() for x in g.intersections if x.kind == TACNODE]
-    if any(a not in owner or owner[a] != owner.get(b) for a, b in tacnodes):
-        return False
-    beads = {frozenset(r.beads) for r in rosaries}
-    return all(bridge in beads for bridge in find_elliptic_bridges(g))
+    return classify(g).c_semistable and _c_closed_rosaries(g)
 
 
 def is_h_closed_orbit(g: CurveGraph) -> bool:
@@ -494,20 +450,28 @@ def pseudostable_reduction(g: CurveGraph) -> CurveGraph:
     return ed.build()
 
 
-def _replace_link_with_rosary(ed: _Editor, link: frozenset[str]) -> None:
-    """Swap one elliptic-bridge link for a length-two open rosary in the editor.
-
-    Bead names restart from R0, skipping ids in use, for each link.
-    """
-    cross = ed.two_crossings(link, "bridge link must meet the rest in exactly two nodes")
-    ed._fresh = 0
-    b1, b2 = ed.fresh_id("R"), ed.fresh_id("R")
-    ed.add_component(b1)
-    ed.add_component(b2)
-    for (idx, inside_end), bead in zip(cross, (b1, b2)):
-        ed.move_end(idx, inside_end, bead)
-    ed.remove_components(link)
-    ed.add_intersection(TACNODE, b1, b2)
+def _link_rows(g: CurveGraph, links: list[frozenset[str]], error: str) -> tuple[dict, list, int]:
+    """One pass over the intersections of `g` for the link surgeries: the
+    owner map (component -> index of its link), each intersection's (kind,
+    end components, their owners or None), and the number of intersections
+    between two links.  BasinError(`error`) unless every link meets the rest
+    of the curve in exactly two points."""
+    owner = {cid: n for n, link in enumerate(links) for cid in link}
+    rows = []
+    crossings = [0] * len(links)
+    between = 0
+    for x in g.intersections:
+        c0, c1 = x.components()
+        a, b = owner.get(c0), owner.get(c1)
+        rows.append((x.kind, c0, c1, a, b))
+        if a != b:
+            for n in (a, b):
+                if n is not None:
+                    crossings[n] += 1
+            between += a is not None and b is not None
+    if any(count != 2 for count in crossings):
+        raise BasinError(error)
+    return owner, rows, between
 
 
 def c_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
@@ -515,10 +479,15 @@ def c_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
 
     Tacnodal input is first reduced to its pseudostable model (one build);
     every bridge link, in order of its sorted ids, is then replaced by a
-    length-two open rosary with beads named by the first free ids R0, R1,
-    ..., all inside one editor, so the representative is built once.  A
-    model with no bridge link (a genus-2 curve whose model is one elliptic
-    component with a self-node) raises BasinError.  Idempotent.
+    length-two open rosary whose first bead takes the link's lower-index
+    crossing.  Each link's beads get the first two ids R0, R1, ... not in
+    use, where the ids of the links replaced before it are free again.  The
+    representative is built once, in one pass over the model's
+    intersections (`_link_rows`): the rows outside the links keep their
+    order, with each crossing end moved onto its bead, and one tacnode per
+    link follows them.  A model with no bridge link (a genus-2 curve whose
+    model is one elliptic component with a self-node) raises BasinError.
+    Idempotent.
     """
     flags = classify(g)
     if not flags.c_semistable or flags.c_stable:
@@ -528,16 +497,40 @@ def c_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
     base = g
     if any(x.kind == TACNODE for x in g.intersections):
         base = pseudostable_reduction(g)
-    links = bridge_links(base)
+    links = bridge_links(base)  # in order of their sorted ids
     if not links:
         raise BasinError(
             f"genus-{arithmetic_genus(g)} curve: its pseudostable model has no "
             "elliptic bridge to replace"
         )
-    ed = _Editor(base)
-    for link in sorted(links, key=lambda s: sorted(s)):
-        _replace_link_with_rosary(ed, link)
-    out = ed.build()
+    error = "bridge link must meet the rest in exactly two nodes"
+    owner, info, _between = _link_rows(base, links, error)
+    used, beads, start = set(base.ids()), [], 0  # R<i> is in use for every i < start
+    for link in links:
+        fresh = (f"R{i}" for i in itertools.count(start) if f"R{i}" not in used)
+        pair = (next(fresh), next(fresh))
+        used.difference_update(link)
+        used.update(pair)
+        beads.append(pair)
+        # the link's ids are free again; one of them may be an R<i> below the second bead
+        start = 0 if any(cid.startswith("R") for cid in link) else int(pair[1][1:]) + 1
+    comps = [c for c in base.components if c.id not in owner]
+    comps += [Component(bead, 0) for pair in beads for bead in pair]
+    crossed = [0] * len(links)  # crossings of each link met so far
+    rows = []
+    for kind, c0, c1, a, b in info:
+        if a is not None:
+            if a == b:
+                continue  # inside one link
+            c0 = beads[a][crossed[a]]
+            crossed[a] += 1
+        if b is not None:
+            c1 = beads[b][crossed[b]]
+            crossed[b] += 1
+        rows.append((kind, c0, c1))
+    rows += [(TACNODE, *pair) for pair in beads]
+    comps.sort(key=lambda c: c.id)
+    out = CurveGraph(tuple(comps), _numbered(rows, {}))
     if not is_c_closed_orbit(out):
         raise BasinError("replacement did not reach a closed-orbit curve")
     return out
@@ -637,38 +630,23 @@ def enumerate_c_replacements(g: CurveGraph) -> list[CurveGraph]:
     One configuration per subset of the N bridge links: each chosen link is
     contracted to a tacnode, with a separating rational curve P<i> inserted
     first at every node between two chosen links.  The input is analysed
-    once (the link owning each component, and each intersection's ends and
-    their owners); each configuration is then built in one pass over the
-    input's intersections.  Returns exactly 2^N graphs, in the order of
-    their subsets: by size, then lexicographically over the links sorted by
-    their sorted ids, so the first entry is `g` itself.  More than
-    `REPLACEMENT_BUDGET` of them raises BasinError before any is built.
+    once by `_link_rows`, as for `c_closed_orbit_rep`; each configuration is
+    then built in one pass over its rows.  Returns exactly 2^N graphs, in
+    the order of their subsets: by size, then lexicographically over the
+    links sorted by their sorted ids, so the first entry is `g` itself.
+    More than `REPLACEMENT_BUDGET` of them raises BasinError before any is
+    built.
     """
     flags = classify(g)
     if not flags.pseudostable:
         raise BasinError("input must be pseudostable")
-    links = sorted(bridge_links(g), key=lambda s: sorted(s))
+    links = bridge_links(g)  # in order of their sorted ids
     if 2 ** len(links) > REPLACEMENT_BUDGET:
         raise BasinError(
             f"{len(links)} bridge links give {2 ** len(links)} replacements; "
             f"budget {REPLACEMENT_BUDGET}"
         )
-    owner = {cid: n for n, link in enumerate(links) for cid in link}
-    # (kind, end components, their owner links); a bridge link's crossings are nodes
-    info = []
-    crossings = [0] * len(links)
-    between = 0
-    for x in g.intersections:
-        c0, c1 = x.components()
-        a, b = owner.get(c0), owner.get(c1)
-        info.append((x.kind, c0, c1, a, b))
-        if a != b:
-            for n in (a, b):
-                if n is not None:
-                    crossings[n] += 1
-            between += a is not None and b is not None
-    if any(count != 2 for count in crossings):
-        raise BasinError("link must meet the rest in exactly two nodes")
+    owner, info, between = _link_rows(g, links, "link must meet the rest in exactly two nodes")
     # the s-th separator of a configuration takes the s-th free name P<i>
     taken = set(g.ids())
     fresh = (f"P{i}" for i in itertools.count() if f"P{i}" not in taken)

@@ -23,8 +23,6 @@ from typing import Optional
 from . import GitcurvesError, _Record
 from .families import OneParamSubgroup
 
-INFINITE_ORDER = None  # vanishing order of a coordinate identically zero on the branch
-
 
 class ChowError(GitcurvesError):
     pass

@@ -322,8 +322,13 @@ def _candidates(par: Parametrization, m: int, order: MonomialOrder) -> list[tupl
 
 def check_slice_budget(par: Parametrization, m: int) -> None:
     """Refuse a degree-m slice (m >= 1) that may exceed `SLICE_BUDGET`, by a
-    closed-form bound from the parametrization alone, never below the exact count."""
-    _check_slice_size(sum(comb(len(cm.terms) + m - 1, m) for cm in par.maps), m)
+    closed-form bound from the parametrization alone, never below the exact
+    count.  The last (m, budget) that passed is kept on `par`, so the slice
+    of a `hilbert_index` call, checked before the graph's record, is not
+    bounded again by `evaluate_slice`."""
+    if getattr(par, "_within", None) != (m, SLICE_BUDGET):
+        _check_slice_size(sum(comb(len(cm.terms) + m - 1, m) for cm in par.maps), m)
+        _set(par, "_within", (m, SLICE_BUDGET))
 
 
 def check_family_budget(family: str, values: Sequence[int], m: int) -> None:

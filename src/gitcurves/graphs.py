@@ -261,7 +261,8 @@ class _GraphData:
     components and one over the intersections, and the per-graph results
     `table`, `leaving`, `flags` (of `classify`), `chains` and `beads` (of
     `_bead_walk`), filled on first use.  Equal graphs that are different
-    objects each build their own.
+    objects each build their own.  Only this module reads the record: the
+    bead walk, the bridge links and the c closed-orbit test use its masks.
 
     Bit i of an intersection mask is intersection i.  `flips[k]` holds the
     intersections joining component k to another component, `loops[k]` its
@@ -326,7 +327,7 @@ class _GraphData:
         return mask
 
     def subset_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.ids[i] for i in range(self.n) if mask >> i & 1)
+        return frozenset(itertools.compress(self.ids, map(int, bin(mask)[:1:-1])))  # low bit first
 
     def connected(self, mask: int, drop: Optional[int] = None) -> bool:
         """Connectivity of the induced subgraph, optionally dropping one intersection."""
@@ -479,16 +480,18 @@ def contact_multiplicity(g: CurveGraph, sub: Iterable[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _genus_one_masks(data: _GraphData, count: int = 2) -> list[int]:
+    """Masks of the table entries meeting the rest in `count` points, none of
+    them a tacnode, ascending: the elliptic tails (1) or bridges (2)."""
+    tac = data.tacnodes
+    return [m for m, cross in data.table.items() if cross.bit_count() == count and not cross & tac]
+
+
 def _genus_one_with_crossings(g: CurveGraph, count: int) -> list[frozenset[str]]:
     if not g.is_connected():
         raise CurveGraphError("disconnected")
     data = _graph_data(g)
-    out = [
-        data.subset_of(mask)
-        for mask, cross in data.table.items()
-        if cross.bit_count() == count and not cross & data.tacnodes
-    ]
-    return sorted(out, key=lambda s: sorted(s))
+    return sorted(map(data.subset_of, _genus_one_masks(data, count)), key=sorted)
 
 
 def find_elliptic_tails(g: CurveGraph) -> list[frozenset[str]]:
@@ -502,13 +505,21 @@ def find_elliptic_bridges(g: CurveGraph) -> list[frozenset[str]]:
 
 
 def bridge_links(g: CurveGraph) -> list[frozenset[str]]:
-    """Minimal elliptic bridges: the genus-one links of maximal bridge chains."""
-    bridges = find_elliptic_bridges(g)
-    links = [b for b in bridges if not any(o < b for o in bridges)]
-    for a, b in itertools.combinations(links, 2):
-        if a & b:
+    """Minimal elliptic bridges, the genus-one links of maximal bridge chains,
+    in order of their sorted ids; minimality and overlap are tested on masks."""
+    if not g.is_connected():
+        raise CurveGraphError("disconnected")
+    data = _graph_data(g)
+    links, union = [], 0
+    # smallest first: a bridge missing the links so far is minimal, and one
+    # meeting them is minimal (so overlapping) unless it holds one of them
+    for b in sorted(_genus_one_masks(data), key=int.bit_count):
+        if not b & union:
+            links.append(b)
+            union |= b
+        elif not any(link & b == link for link in links):
             raise CurveGraphError("overlapping minimal elliptic bridges")
-    return links
+    return sorted(map(data.subset_of, links), key=sorted)
 
 
 class ChainRecord(_Record):
@@ -725,92 +736,103 @@ class RosaryRecord(_Record):
         self._init(closed, beads, length, broken_beads, ends)
 
 
-def _bead_candidates(g: CurveGraph) -> dict[str, list[tuple[int, int]]]:
-    """Components usable as rosary beads: smooth rational, exactly two branches."""
-    inc: dict[str, list[tuple[int, int]]] = {
-        c.id: [] for c in g.components if c.genus == 0 and c.cusps == 0
-    }
-    selfs = set()
-    for i, x in enumerate(g.intersections):
-        a, b = x.components()
-        if a == b:
-            selfs.add(a)  # self-intersection disqualifies a bead
-        for j, cid in enumerate((a, b)):
-            if cid in inc:
-                inc[cid].append((i, j))
-    return {cid: ends for cid, ends in inc.items() if len(ends) == 2 and cid not in selfs}
-
-
 def _bead_walk(g: CurveGraph) -> tuple[Optional[RosaryRecord], tuple[RosaryRecord, ...]]:
     """The bead cycle, when the whole curve is one, and the maximal
     tacnode-linked runs of beads that have a node at both ends.
 
-    One walk over the strands of `_bead_candidates`, each a maximal sequence
-    of beads that meet in turn, with the intersection entering each bead; a
-    cyclic strand is walked from its least id, leaving that bead through its
-    later intersection.  The nodes cut each strand into runs.  When one
-    cyclic strand is the whole curve, every run counts, in the walk's
-    direction and with sorted ends; otherwise a run needs two beads and
-    starts at its end bead that comes first in component order.  Runs are
-    sorted by their beads.  The result is the `beads` slot of the graph's
-    record, so each graph is walked once.
+    A bead is a smooth rational component with two branches, neither on a
+    self-intersection; the record gives each bead's two intersections (its
+    `flips`) and their other ends.  One walk covers the strands, each a
+    maximal sequence of beads that meet in turn, with the intersection
+    entering each bead; a cyclic strand is walked from its least id, leaving
+    that bead through its later intersection.  The nodes cut each strand into
+    runs.  When one cyclic strand is the whole curve, every run counts, in
+    the walk's direction and with sorted ends; otherwise a run needs two
+    beads and starts at its end bead that comes first in component order.
+    Runs are sorted by their beads.  The result is the `beads` slot of the
+    graph's record, so each graph is walked once.
     """
     data = _graph_data(g)
     if data.beads is not None:
         return data.beads
-    beads = _bead_candidates(g)
-    xs = g.intersections
-    node = [x.kind == NODE for x in xs]
-    seen: set[str] = set()
+    ids, end_bits, tacnodes = data.ids, data.end_bits, data.tacnodes
+    # bead k -> (i, the other end of i, a + b - k) for both its intersections i, ascending
+    beads: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
+    for k, (h, loops, flips) in enumerate(zip(data.contrib, data.loops, data.flips)):
+        if h == 0 and not loops and flips.bit_count() == 2:
+            low = flips & -flips
+            i, j = low.bit_length() - 1, (flips ^ low).bit_length() - 1
+            beads[k] = ((i, sum(end_bits[i]) - k), (j, sum(end_bits[j]) - k))
+    seen: set[int] = set()
 
-    def strand(cid: str, back: int) -> tuple[list[str], list[int]]:
-        # links[k] enters order[k]; the last link leaves the last bead
+    def strand(k: int, back: int) -> tuple[list[int], list[int]]:
+        # links[t] enters order[t]; the last link leaves the last bead
         order, links = [], [back]
-        while cid in beads and cid not in seen:
-            seen.add(cid)
-            order.append(cid)
-            p, q = beads[cid]
-            i, j = q if p[0] == links[-1] else p
+        while k in beads and k not in seen:
+            seen.add(k)
+            order.append(k)
+            p, q = beads[k]
+            i, k = q if p[0] == links[-1] else p
             links.append(i)
-            cid = xs[i].ends[1 - j][0]
         return order, links
 
     strands = []
-    for cid, inc in beads.items():
-        for i, j in inc:
-            if cid not in seen and xs[i].ends[1 - j][0] not in beads:
-                strands.append(strand(cid, i))
+    for k, ends in beads.items():
+        for i, other in ends:
+            if k not in seen and other not in beads:
+                strands.append(strand(k, i))
     closed = None
-    for cid in sorted(beads):
-        if cid in seen:
+    # the beads that no open strand reaches lie on cycles
+    for k in sorted(beads, key=ids.__getitem__) if len(seen) < len(beads) else ():
+        if k in seen:
             continue
-        order, links = strand(cid, beads[cid][0][0])
+        order, links = strand(k, beads[k][0][0])
         n = len(order)
-        cuts = [t for t in range(n) if node[links[t]]]
-        if n == len(g.components):
-            closed = RosaryRecord(True, tuple(order), n - len(cuts), len(cuts))
+        cuts = [t for t in range(n) if not tacnodes >> links[t] & 1]
+        if n == data.n:
+            closed = RosaryRecord(True, tuple(map(ids.__getitem__, order)), n - len(cuts), len(cuts))
         if cuts:  # as a path from its first node round to that node again
             t = cuts[0]
             strands.append((order[t:] + order[:t], links[t:n] + links[: t + 1]))
 
-    rank = {cid: k for k, cid in enumerate(beads)}
     runs = []
     for order, links in strands:
-        cuts = [0] + [t for t in range(1, len(order)) if node[links[t]]] + [len(order)]
+        cuts = [0] + [t for t in range(1, len(order)) if not tacnodes >> links[t] & 1]
+        cuts.append(len(order))
         for t, u in zip(cuts, cuts[1:]):
             run, ends = order[t:u], (links[t], links[u])
-            if not (node[ends[0]] and node[ends[1]]):
+            if (tacnodes >> ends[0] | tacnodes >> ends[1]) & 1:
                 continue
             if closed is not None:
                 ends = tuple(sorted(ends))
             elif len(run) < 2:
                 continue
-            elif rank[run[-1]] < rank[run[0]]:
+            elif run[-1] < run[0]:
                 run, ends = run[::-1], ends[::-1]
-            runs.append(RosaryRecord(False, tuple(run), len(run), ends=ends))
+            runs.append(RosaryRecord(False, tuple(map(ids.__getitem__, run)), len(run), ends=ends))
     runs.sort(key=lambda r: r.beads)
     data.beads = (closed, tuple(runs))
     return data.beads
+
+
+def _c_closed_rosaries(g: CurveGraph) -> bool:
+    """The rosary half of the c closed-orbit test, on the graph's record:
+    every open rosary of two or more beads has exactly two, both branches of
+    every tacnode lie on the beads of one of them, and every elliptic bridge
+    is the bead pair of one of them."""
+    data = _graph_data(g)
+    pairs: dict[int, int] = {}  # bead -> the mask of its length-two rosary
+    for r in _bead_walk(g)[1]:
+        if r.length > 2:
+            return False
+        if r.length == 2:
+            a, b = map(data.index.__getitem__, r.beads)
+            pairs[a] = pairs[b] = 1 << a | 1 << b
+    tac = data.tacnodes
+    if any(tac >> i & 1 and not pairs.get(a, 0) >> b & 1 for i, (a, b) in enumerate(data.end_bits)):
+        return False
+    masks = set(pairs.values())
+    return all(m in masks for m in _genus_one_masks(data))
 
 
 def find_rosaries(g: CurveGraph) -> list[RosaryRecord]:

@@ -85,11 +85,3 @@ def monomial_str(mono: Monomial) -> str:
         elif e > 1:
             parts.append(f"x{i}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def pair_monomial(nvars: int, i: int, j: int) -> Monomial:
-    """The degree-two monomial x_i x_j."""
-    mono = [0] * nvars
-    mono[i] += 1
-    mono[j] += 1
-    return tuple(mono)

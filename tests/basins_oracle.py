@@ -17,9 +17,11 @@ graph.  There is no replacement budget here.
 contraction and tests every component again; `pseudostable_reduction` and
 `h_closed_orbit_rep` rest on it.  The rosary queries read three walks: the
 whole-curve bead cycle, the tacnode-linked bead chains of an open curve,
-and the runs between nodes of a broken cycle; the closed-orbit predicates
-join rosaries by comparing every pair and test each tacnode and bridge
-against a list of bead sets.
+and the runs between nodes of a broken cycle, all over `bead_candidates`,
+which reads the components and their incident ends, not the graph's
+record; the closed-orbit predicates join rosaries by comparing every pair
+and test each tacnode and bridge, as sets of ids, against a list of bead
+sets.
 """
 
 import itertools
@@ -39,13 +41,25 @@ from gitcurves.graphs import (
     crossing_intersections,
     find_elliptic_bridges,
     find_weak_elliptic_chains,
-    _bead_candidates,
 )
+
+
+def bead_candidates(g):
+    """Components usable as rosary beads: smooth rational, with exactly two
+    branches on two different intersections (a self-intersection puts both
+    of its branches on one).  Each maps to its (intersection, end) pairs in
+    index order, and the components keep their order in `g`."""
+    out = {}
+    for c in g.components:
+        inc = g.incident_ends(c.id)
+        if c.genus == 0 and c.cusps == 0 and len(inc) == 2 and inc[0][0] != inc[1][0]:
+            out[c.id] = inc
+    return out
 
 
 def bead_cycle(g):
     """If the whole curve is a cycle of beads, return (beads in order, junctions)."""
-    beads = _bead_candidates(g)
+    beads = bead_candidates(g)
     if len(beads) != len(g.components) or len(g.components) < 2:
         return None
     if not g.is_connected():
@@ -85,7 +99,7 @@ def bead_cycle(g):
 
 def open_runs(g):
     """Maximal tacnode-linked bead chains with nodal end attachments."""
-    beads = _bead_candidates(g)
+    beads = bead_candidates(g)
     runs = []
     seen = set()
     for cid, inc in beads.items():
@@ -272,7 +286,7 @@ def is_h_closed_orbit(g):
 class Editor:
     """The scratch copy `basins` edited before it kept an incidence map:
     each intersection is a `[kind, [[component, slot], [component, slot]]]`
-    row that callers may rewrite, and `two_crossings` and
+    row that callers may rewrite, and `crossings` and
     `remove_components` scan every live row."""
 
     def __init__(self, g):

@@ -7,10 +7,9 @@ import pytest
 from corpus import attached_open_rosary, corpus
 from gitcurves.basins import (
     BasinError,
+    VersalWeights,
     basin_membership,
     c_closed_orbit_rep,
-    cusp_versal_weights,
-    cusp_versal_weights_at,
     enumerate_c_replacements,
     h_closed_orbit_rep,
     is_c_closed_orbit,
@@ -52,6 +51,24 @@ from gitcurves.graphs import (
     open_rosary_graph,
 )
 from paths import ROOT
+
+
+def cusp_versal_weights(u):
+    """The cusp rule: local coordinates of weight (2u, 3u) give the versal
+    parameters (a, b) of y^2 = x^3 + a x + b the weights (4u, 6u)."""
+    return (4 * u, 6 * u)
+
+
+def cusp_versal_weights_at(config, rho, component, point):
+    """Weights on (a, b) for a cusp sitting at a chart point of a component."""
+    ws, wt = basins._st_weights(config, rho)[component]
+    if point == T_ZERO:
+        u = wt - ws
+    elif point == S_ZERO:
+        u = ws - wt
+    else:
+        raise BasinError(f"bad chart point {point!r}")
+    return VersalWeights((component, point), "cusp", cusp_versal_weights(u))
 
 
 class TestVersalWeights:

@@ -88,3 +88,21 @@ def test_cli_child_reports_its_timings(argv, keys):
     assert set(timings) == keys
     if "items" in keys:
         assert timings["items"] == 41
+
+
+def test_traced_closed_orbit_run_passes():
+    # the tracer wraps `graphs.crossing_intersections` and every `graphs`
+    # function that `basins` imports, so a renamed library function breaks
+    # `--trace 1` before it breaks anything else
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "closed_orbit", "--seconds", "0",
+         "--trace", "1"],
+        cwd=ROOT,
+        env=src_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -498,6 +498,31 @@ class TestOtherCommands:
         kinds = sorted(x["kind"] for x in doc["representative"]["intersections"])
         assert kinds == ["node", "node", "tacnode"]
 
+    @pytest.mark.parametrize(
+        "mode, name",
+        [("c", name) for name in (
+            "bridge-length-1", "bridge-length-2", "broken-rosary-5", "closed-rosary-6",
+            "closed-weak-chain-2", "open-rosary-config-6-3", "weak-chains-rational-bridge",
+            "weak-chains-shared-node",
+        )] + [("h", name) for name in (
+            "closed-rosary-6", "closed-weak-chain-2", "weak-chains-rational-bridge",
+            "weak-chains-shared-node",
+        )],
+    )
+    def test_closed_orbit_accepts_its_own_output(self, capsys, tmp_path, mode, name):
+        fixture = str(ROOT / "fixtures" / f"{name}.json")
+        code, out, err = run(capsys, "closed-orbit", "--mode", mode, "--in", fixture, "--json")
+        assert (code, err) == (0, "")
+        rep = json.loads(out)["representative"]
+        path = tmp_path / "representative.json"
+        path.write_text(json.dumps(rep))
+        code, _, err = run(capsys, "classify", "--in", str(path))
+        assert (code, err) == (0, "")
+        # the representative of a representative is itself
+        code, out, err = run(capsys, "closed-orbit", "--mode", mode, "--in", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["representative"] == rep
+
     def test_closed_orbit_output_over_24_components(self, capsys, tmp_path):
         path = tmp_path / "bridge12.json"
         path.write_text(bridge_chain_graph([1] * 12).to_json())

@@ -37,7 +37,7 @@ from gitcurves.families import (
     build_open_rosary_config,
     canonical_1ps,
 )
-from gitcurves.monomials import MonomialOrder, monomial_count, pair_monomial
+from gitcurves.monomials import MonomialOrder, monomial_count
 from slice_oracle import (
     candidates,
     full_slice,
@@ -62,6 +62,14 @@ def term_fields(t):
 def with_parametrization(c, par):
     """`c` with its parametrization replaced; every other field kept."""
     return Configuration(c.graph, par, c.split, c.branch_points, c.family, c.params)
+
+
+def pair_monomial(nvars, i, j):
+    """The degree-two monomial x_i x_j."""
+    mono = [0] * nvars
+    mono[i] += 1
+    mono[j] += 1
+    return tuple(mono)
 
 
 def closed_rosary_initial_degree2(r):

@@ -7,7 +7,7 @@ import pytest
 
 from corpus import attached_open_rosary
 from paths import ROOT
-from gitcurves import graphs
+from gitcurves import basins, graphs
 from gitcurves.basins import c_closed_orbit_rep, enumerate_c_replacements, h_closed_orbit_rep
 from gitcurves.engine import hilbert_index
 from gitcurves.families import build_closed_rosary_config, canonical_1ps
@@ -117,8 +117,15 @@ def test_queries_never_hash_a_graph(monkeypatch):
 def test_beads_walked_once_per_graph(monkeypatch):
     # `aut_torus_rank` reads the walk itself and through both closed-orbit tests
     walked = []
-    candidates = graphs._bead_candidates
-    monkeypatch.setattr(graphs, "_bead_candidates", lambda g: walked.append(g) or candidates(g))
+    walk = graphs._bead_walk
+
+    def counted(g):
+        if graphs._graph_data(g).beads is None:  # a walk, not a read of its record
+            walked.append(g)
+        return walk(g)
+
+    monkeypatch.setattr(graphs, "_bead_walk", counted)
+    monkeypatch.setattr(basins, "_bead_walk", counted)
     g = CurveGraph.from_json((ROOT / "fixtures" / "weak-chains-rational-bridge.json").read_text())
     h = h_closed_orbit_rep(g)
     assert aut_torus_rank(h) == 2

@@ -92,6 +92,23 @@ def test_over_budget_slice_builds_no_record(monkeypatch):
         cfg.parametrization._data
 
 
+def test_index_bounds_its_slice_once(monkeypatch):
+    # `hilbert_index` checks the budget before the genus builds the graph's
+    # record; its `evaluate_slice` does not bound the same slice again
+    checked = []
+    check = engine._check_slice_size
+    monkeypatch.setattr(engine, "_check_slice_size", lambda size, m: checked.append(m) or check(size, m))
+    for cfg in (build_closed_rosary_config(6), build_open_rosary_config(9, 5)):
+        checked.clear()
+        indices(cfg, (2, 3, 2, 5))
+        assert checked == [2, 3, 2, 5]
+        evaluate_slice(cfg, 4)  # a direct caller is bounded too
+        assert checked == [2, 3, 2, 5, 4]
+    monkeypatch.setattr(engine, "SLICE_BUDGET", 0)
+    with pytest.raises(EngineError, match="^degree-4 slice has up to"):
+        evaluate_slice(cfg, 4)  # a slice that passed is bounded again under a new budget
+
+
 def test_wrong_order_length_builds_no_record(monkeypatch):
     built = count_builds(monkeypatch)
     cfg = build_closed_rosary_config(4)
