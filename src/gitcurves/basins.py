@@ -35,7 +35,6 @@ from .graphs import (
     Component,
     CurveGraph,
     Intersection,
-    RosaryRecord,
     arithmetic_genus,
     bridge_links,
     classify,
@@ -108,14 +107,17 @@ def versal_weights(
     """Induced torus weights at one intersection of a parametrized configuration.
 
     `st_weights` are the (s, t) weights of `component_st_weights`, solved
-    here when not given."""
+    here when not given.  An out-of-range index raises BasinError."""
+    xs = config.graph.intersections
+    if not 0 <= intersection_index < len(xs):
+        raise BasinError(f"no intersection {intersection_index} on a curve with {len(xs)}")
     st = _st_weights(config, rho) if st_weights is None else st_weights
     try:
         w0 = branch_parameter_weight(config, rho, intersection_index, 0, st)
         w1 = branch_parameter_weight(config, rho, intersection_index, 1, st)
     except FamilyError as exc:
         raise BasinError(str(exc)) from exc
-    x = config.graph.intersections[intersection_index]
+    x = xs[intersection_index]
     if x.kind == NODE:
         return VersalWeights(intersection_index, NODE, node_versal_weight(w0, w1))
     if w0 != w1:
@@ -148,15 +150,15 @@ class _Editor:
             self.add_intersection(x.kind, *x.components())
         self._fresh = 0
 
-    def fresh_id(self, stem: str = "Q") -> str:
+    def fresh_id(self, stem: str) -> str:
         while True:
             cid = f"{stem}{self._fresh}"
             self._fresh += 1
             if cid not in self.components:
                 return cid
 
-    def add_component(self, cid: str, genus: int = 0, cusps: int = 0) -> None:
-        self.components[cid] = Component(cid, genus, cusps)
+    def add_component(self, cid: str, genus: int = 0) -> None:
+        self.components[cid] = Component(cid, genus)
         self.incident[cid] = set()
 
     def add_intersection(self, kind: str, a: str, b: str) -> int:
@@ -221,10 +223,14 @@ def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
     Genus bookkeeping preserves the arithmetic genus: a merged component gets
     the sum of constituent genera plus the delta of smoothed internal
     singularities minus (number of constituents - 1); cusps are carried over.
+    Three passes: a union over the smoothed singularities, genus and cusps
+    added per class root (its least id), then the smoothed deltas.  An index
+    outside `range(len(g.intersections))` raises BasinError.
     """
     indices = set(indices)
     if not indices:
         return g
+    xs = g.intersections
     parent: dict[str, str] = {c.id: c.id for c in g.components}
 
     def find(a: str) -> str:
@@ -233,31 +239,21 @@ def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
             a = parent[a]
         return a
 
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
     for i in indices:
-        a, b = g.intersections[i].components()
-        union(a, b)
-    classes: dict[str, list[str]] = {}
+        if not 0 <= i < len(xs):
+            raise BasinError(f"no intersection {i} on a curve with {len(xs)}")
+        ra, rb = map(find, xs[i].components())
+        parent[max(ra, rb)] = min(ra, rb)
+    totals: dict[str, list[int]] = {}  # root -> [genus, cusps]; genus starts at 1
     for c in g.components:
-        classes.setdefault(find(c.id), []).append(c.id)
-
-    comps = []
-    for root, members in classes.items():
-        genus = sum(g.component(m).genus for m in members)
-        cusps = sum(g.component(m).cusps for m in members)
-        internal = sum(
-            g.intersections[i].delta
-            for i in indices
-            if find(g.intersections[i].components()[0]) == root
-        )
-        comps.append(Component(root, genus + internal - (len(members) - 1), cusps))
-    xs = enumerate(g.intersections)
-    rows = [(x.kind, *map(find, x.components())) for i, x in xs if i not in indices]
-    return CurveGraph(tuple(sorted(comps, key=lambda c: c.id)), _numbered(rows, {}))
+        t = totals.setdefault(find(c.id), [1, 0])
+        t[0] += c.genus - 1
+        t[1] += c.cusps
+    for i in indices:
+        totals[find(xs[i].components()[0])][0] += xs[i].delta
+    comps = tuple(Component(root, *totals[root]) for root in sorted(totals))
+    rows = [(x.kind, *map(find, x.components())) for i, x in enumerate(xs) if i not in indices]
+    return CurveGraph(comps, _numbered(rows, {}))
 
 
 def basin_membership(config: Configuration, rho: OneParamSubgroup) -> BasinReport:
@@ -348,30 +344,6 @@ def product_basin_generic(g: CurveGraph, signs: Sequence[int]) -> CurveGraph:
 # ---------------------------------------------------------------------------
 
 
-def _rosary_chains(runs: Iterable[RosaryRecord], length: int) -> list[frozenset[str]]:
-    """Component sets of maximal chains of the open rosaries of the given
-    length among `runs`, where consecutive rosaries share an end
-    intersection (a node); runs are joined through a map from end to run."""
-    runs = [r for r in runs if r.length == length]
-    parent = list(range(len(runs)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    first: dict[int, int] = {}
-    for i, r in enumerate(runs):
-        for end in r.ends:
-            j = find(first.setdefault(end, i))
-            parent[max(find(i), j)] = min(find(i), j)
-    chains: dict[int, set[str]] = {}
-    for i, r in enumerate(runs):
-        chains.setdefault(find(i), set()).update(r.beads)
-    return [frozenset(v) for v in chains.values()]
-
-
 def is_c_closed_orbit(g: CurveGraph) -> bool:
     """Closed-orbit test on the Chow side.
 
@@ -389,7 +361,11 @@ def is_h_closed_orbit(g: CurveGraph) -> bool:
 
     True for h-semistable curves that are an unbroken closed rosary of odd
     genus, or in which every weak elliptic chain is contained in a chain of
-    length-three open rosaries.  h-stable curves qualify vacuously.
+    length-three open rosaries.  h-stable curves qualify vacuously.  A weak
+    chain is connected, and two beads of length-three rosaries that meet lie
+    in one rosary (at its tacnode) or in two sharing an end node, so a weak
+    chain lies in such a chain exactly when each of its components is a bead
+    of a length-three rosary of the one `_bead_walk`.
     """
     flags = classify(g)
     if not flags.h_semistable:
@@ -401,12 +377,8 @@ def is_h_closed_orbit(g: CurveGraph) -> bool:
         return True
     if arithmetic_genus(g) < 3:
         return True
-    chains = _rosary_chains(runs, 3)
-    for w in find_weak_elliptic_chains(g):
-        comps = frozenset(itertools.chain.from_iterable(w.blocks))
-        if not any(comps <= chain for chain in chains):
-            return False
-    return True
+    beads = {b for r in runs if r.length == 3 for b in r.beads}
+    return all(beads.issuperset(itertools.chain(*w.blocks)) for w in find_weak_elliptic_chains(g))
 
 
 def _contract_two_node_rationals(ed: _Editor) -> None:

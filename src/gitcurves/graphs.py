@@ -441,6 +441,14 @@ def _graph_data(g: CurveGraph) -> _GraphData:
         return data
 
 
+def _connected_data(g: CurveGraph) -> _GraphData:
+    """The graph's record; CurveGraphError("disconnected") unless it is connected."""
+    data = _graph_data(g)
+    if not data.whole_connected:
+        raise CurveGraphError("disconnected")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # genus and contact arithmetic
 # ---------------------------------------------------------------------------
@@ -448,10 +456,7 @@ def _graph_data(g: CurveGraph) -> _GraphData:
 
 def arithmetic_genus(g: CurveGraph) -> int:
     """Arithmetic genus: sum of (genus + cusps) and deltas, minus (#comps - 1)."""
-    data = _graph_data(g)
-    if not data.whole_connected:
-        raise CurveGraphError("disconnected")
-    return data.genus
+    return _connected_data(g).genus
 
 
 def crossing_intersections(g: CurveGraph, sub: frozenset[str]) -> list[tuple[int, int]]:
@@ -488,9 +493,7 @@ def _genus_one_masks(data: _GraphData, count: int = 2) -> list[int]:
 
 
 def _genus_one_with_crossings(g: CurveGraph, count: int) -> list[frozenset[str]]:
-    if not g.is_connected():
-        raise CurveGraphError("disconnected")
-    data = _graph_data(g)
+    data = _connected_data(g)
     return sorted(map(data.subset_of, _genus_one_masks(data, count)), key=sorted)
 
 
@@ -507,9 +510,7 @@ def find_elliptic_bridges(g: CurveGraph) -> list[frozenset[str]]:
 def bridge_links(g: CurveGraph) -> list[frozenset[str]]:
     """Minimal elliptic bridges, the genus-one links of maximal bridge chains,
     in order of their sorted ids; minimality and overlap are tested on masks."""
-    if not g.is_connected():
-        raise CurveGraphError("disconnected")
-    data = _graph_data(g)
+    data = _connected_data(g)
     links, union = [], 0
     # smallest first: a bridge missing the links so far is minimal, and one
     # meeting them is minimal (so overlapping) unless it holds one of them
@@ -582,9 +583,7 @@ def _chain_hits(
     Exploring more than `SUBCURVE_BUDGET` sequences of two or more blocks
     raises CurveGraphError.
     """
-    data = _graph_data(g)
-    if not data.whole_connected:
-        raise CurveGraphError("disconnected")
+    data = _connected_data(g)
     tacnodes, table, leaving = data.tacnodes, data.table, data.leaving
     explored = 0
 
@@ -838,8 +837,7 @@ def _c_closed_rosaries(g: CurveGraph) -> bool:
 def find_rosaries(g: CurveGraph) -> list[RosaryRecord]:
     """Maximal open rosaries (length >= 2), or the whole curve as a bead
     cycle: one `_bead_walk`."""
-    if not g.is_connected():
-        raise CurveGraphError("disconnected")
+    _connected_data(g)
     closed, runs = _bead_walk(g)
     return [closed] if closed is not None else list(runs)
 
@@ -864,11 +862,9 @@ def classify(g: CurveGraph) -> StabilityFlags:
     with two crossing points, no tacnode among them.  The flags live on the
     graph's record, so a repeated query on the same graph is free.
     """
-    data = _graph_data(g)
+    data = _connected_data(g)
     if data.flags is not None:
         return data.flags
-    if not data.whole_connected:
-        raise CurveGraphError("disconnected")
     genus = data.genus
     if genus < 2:
         raise CurveGraphError("stability notions require arithmetic genus >= 2")

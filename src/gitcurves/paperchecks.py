@@ -78,6 +78,15 @@ def _flags_str(g: CurveGraph) -> str:
     return ",".join(f"{k}={fmt(v)}" for k, v in d.items())
 
 
+def _semistable_str(g: CurveGraph) -> str:
+    f = classify(g)
+    return f"c_semistable={fmt(f.c_semistable)},h_semistable={fmt(f.h_semistable)}"
+
+
+def _certificate_str(c) -> str:
+    return f"bound={fmt(c.lower_bound)} threshold={fmt(c.threshold)} verdict={c.verdict}"
+
+
 def _mu_pair(index, cfg, rho) -> str:
     r2 = index(cfg, rho, 2)
     r3 = index(cfg, rho, 3)
@@ -188,17 +197,13 @@ def build_items() -> list[CheckItem]:
         "classify/even-rosary-config",
         "even-length attached rosary admits an elliptic chain",
         "c_semistable=true,h_semistable=false",
-        lambda: (
-            lambda f: f"c_semistable={fmt(f.c_semistable)},h_semistable={fmt(f.h_semistable)}"
-        )(classify(build_open_rosary_config(6, 3).graph)),
+        lambda: _semistable_str(build_open_rosary_config(6, 3).graph),
     )
     add(
         "classify/broken-bead",
         "broken-bead closed rosary is a closed elliptic chain",
         "c_semistable=true,h_semistable=false",
-        lambda: (
-            lambda f: f"c_semistable={fmt(f.c_semistable)},h_semistable={fmt(f.h_semistable)}"
-        )(classify(build_broken_bead_config(5).graph)),
+        lambda: _semistable_str(build_broken_bead_config(5).graph),
     )
 
     # --- Hilbert-Mumford indices ---------------------------------------------
@@ -240,11 +245,8 @@ def build_items() -> list[CheckItem]:
             f"broken-bead rosary r={r}: Hilbert unstable, Chow strictly semistable",
             f"mu2=-1 ws2={28*r-13} avg2={28*r-14} mu3=-2 ws3={66*r-31} avg3={66*r-33} chow=0",
             (lambda r=r: (
-                lambda cfg, rho: (
-                    lambda i2, i3: f"mu2={fmt(i2.mu)} ws2={fmt(i2.weight_sum)} "
-                    f"avg2={fmt(i2.average)} mu3={fmt(i3.mu)} ws3={fmt(i3.weight_sum)} "
-                    f"avg3={fmt(i3.average)} chow={chow_index_sign(i2.mu, i3.mu)}"
-                )(index(cfg, rho, 2), index(cfg, rho, 3))
+                lambda cfg, rho: f"{_mu_pair(index, cfg, rho)} chow="
+                f"{chow_index_sign(index(cfg, rho, 2).mu, index(cfg, rho, 3).mu)}"
             )(build_broken_bead_config(r), canonical_1ps(build_broken_bead_config(r)))),
         )
     add(
@@ -281,17 +283,13 @@ def build_items() -> list[CheckItem]:
             f"chow/{case}",
             f"instability certificate: {case}",
             exp,
-            (lambda case=case: (
-                lambda c: f"bound={fmt(c.lower_bound)} threshold={fmt(c.threshold)} verdict={c.verdict}"
-            )(certify_unstable(case))),
+            (lambda case=case: _certificate_str(certify_unstable(case))),
         )
     add(
         "chow/genus-one-tacnode-tail-g5",
         "tacnodal genus-one tail, g=5: 76 > 200/3",
         "bound=76 threshold=200/3 verdict=Unstable",
-        lambda: (
-            lambda c: f"bound={fmt(c.lower_bound)} threshold={fmt(c.threshold)} verdict={c.verdict}"
-        )(certify_unstable(GENUS_ONE_TACNODE_TAIL, 5)),
+        lambda: _certificate_str(certify_unstable(GENUS_ONE_TACNODE_TAIL, 5)),
     )
 
     # --- basin weights ----------------------------------------------------------

@@ -22,9 +22,14 @@ which reads the components and their incident ends, not the graph's
 record; the closed-orbit predicates join rosaries by comparing every pair
 and test each tacnode and bridge, as sets of ids, against a list of bead
 sets.
+
+`smooth_singularities` is the per-class version: it lists each merged
+class's members, looks each up with `CurveGraph.component`, and rescans
+every smoothed index for each class root.
 """
 
 import itertools
+from typing import Iterable
 
 from gitcurves.basins import BasinError, _maximal_weak_chains, _numbered
 from gitcurves.graphs import (
@@ -525,3 +530,48 @@ def enumerate_c_replacements(g):
                 _contract_link_to_tacnode(ed, s)
             out.append(ed.build())
     return out
+
+
+def smooth_singularities(g: CurveGraph, indices: Iterable[int]) -> CurveGraph:
+    """Deform away the given singularities, merging components as needed.
+
+    Genus bookkeeping preserves the arithmetic genus: a merged component gets
+    the sum of constituent genera plus the delta of smoothed internal
+    singularities minus (number of constituents - 1); cusps are carried over.
+    """
+    indices = set(indices)
+    if not indices:
+        return g
+    parent: dict[str, str] = {c.id: c.id for c in g.components}
+
+    def find(a: str) -> str:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a: str, b: str) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for i in indices:
+        a, b = g.intersections[i].components()
+        union(a, b)
+    classes: dict[str, list[str]] = {}
+    for c in g.components:
+        classes.setdefault(find(c.id), []).append(c.id)
+
+    comps = []
+    for root, members in classes.items():
+        genus = sum(g.component(m).genus for m in members)
+        cusps = sum(g.component(m).cusps for m in members)
+        internal = sum(
+            g.intersections[i].delta
+            for i in indices
+            if find(g.intersections[i].components()[0]) == root
+        )
+        comps.append(Component(root, genus + internal - (len(members) - 1), cusps))
+    xs = enumerate(g.intersections)
+    rows = [(x.kind, *map(find, x.components())) for i, x in xs if i not in indices]
+    return CurveGraph(tuple(sorted(comps, key=lambda c: c.id)), _numbered(rows, {}))

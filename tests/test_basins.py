@@ -1,9 +1,11 @@
 """Versal weights, basin membership, closed-orbit representatives."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import basins_oracle as oracle
 from corpus import attached_open_rosary, corpus
 from gitcurves.basins import (
     BasinError,
@@ -51,6 +53,7 @@ from gitcurves.graphs import (
     open_rosary_graph,
 )
 from paths import ROOT
+from test_basins_oracle import family_graphs
 
 
 def cusp_versal_weights(u):
@@ -181,6 +184,41 @@ class TestSmoothing:
         g = bridge_chain_graph([1])
         assert smooth_singularities(g, []) == g
 
+    @pytest.mark.parametrize("indices", [[-1], [2], [0, -2], [1, 7]])
+    def test_index_out_of_range_raises(self, indices):
+        # a negative index must not alias one from the end: smoothing E1-C2 as
+        # [-1] while keeping its node would give genus 6 from a genus-5 curve
+        g = bridge_chain_graph([1])
+        with pytest.raises(BasinError, match="^no intersection -?[0-9]+ on a curve with 2$"):
+            smooth_singularities(g, indices)
+
+    def test_never_looks_up_a_component(self, monkeypatch):
+        # every other tacnode of a 2000-bead closed rosary: 1000 merged classes
+        g = closed_rosary_graph(2000)
+
+        def refused(self, cid):
+            raise AssertionError("CurveGraph.component called")
+
+        monkeypatch.setattr(CurveGraph, "component", refused)
+        out = smooth_singularities(g, range(0, 2000, 2))
+        assert len(out.components) == len(out.intersections) == 1000
+        assert all(c.genus == 1 for c in out.components)
+        assert arithmetic_genus(out) == arithmetic_genus(g) == 2001
+
+    @pytest.mark.parametrize("source", ["families", 0, 1, 2, 3])
+    def test_matches_per_class_oracle(self, source):
+        # the empty set, every intersection, and seeded subsets of each size
+        inputs = family_graphs() if source == "families" else corpus(source, 400)
+        rng = random.Random(f"smooth-{source}")
+        compared = 0
+        for g in inputs:
+            n = len(g.intersections)
+            subsets = [[], list(range(n))] + [rng.sample(range(n), k) for k in range(1, n)]
+            for indices in subsets:
+                assert smooth_singularities(g, indices) == oracle.smooth_singularities(g, indices)
+                compared += 1
+        assert compared > len(inputs) * 2
+
 
 class TestBasinMembership:
     def test_closed_rosary_generic_member(self):
@@ -248,6 +286,15 @@ class TestBasinMembership:
         rep = basin_membership(cfg, canonical_1ps(cfg))
         assert len(rep.classifications) == len(cfg.graph.intersections) == 6
         assert calls == ["closed-rosary"]
+
+    @pytest.mark.parametrize("index", [-1, 6, 7])
+    def test_versal_index_out_of_range_raises(self, index):
+        # -1 must not alias the last intersection, nor 6 or 7 end in an IndexError
+        cfg = build_closed_rosary_config(6)
+        rho = canonical_1ps(cfg)
+        for st in (None, basins.component_st_weights(cfg, rho)):
+            with pytest.raises(BasinError, match=f"^no intersection {index} on a curve with 6$"):
+                versal_weights(cfg, rho, index, st)
 
     def test_failed_solve_keeps_the_versal_error(self):
         cfg = build_closed_rosary_config(4)

@@ -9,6 +9,7 @@ module computes in floating point.
 import ast
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from paths import ROOT, src_env
@@ -185,6 +186,56 @@ def test_library_is_float_free():
     assert sorted(what for _, what in _float_uses(ast.parse(probe))) == [
         "0.5", "float(", "math.log", "math.sqrt"
     ]
+
+
+def _names(tree: ast.AST):
+    """Each name that a parsed source reads: names, attributes, imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def _unnamed_definitions(trees: dict, outside: set) -> list:
+    """(module, name) of each module-level function or class of `trees`
+    (module -> parsed source) that no code outside its own definition names
+    and that `outside` does not hold; dunder names are Python's to call."""
+    counts = Counter(name for tree in trees.values() for name in _names(tree))
+    return [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("__")
+        and node.name not in outside
+        and counts[node.name] == Counter(_names(node))[node.name]
+    ]
+
+
+#: library functions without a caller, kept for the per-rosary product subgroups
+UNCALLED = {"rosary_product_weights", "product_basin_generic"}
+
+
+def test_library_has_no_helpers_that_nothing_names():
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in sorted((ROOT / "src" / "gitcurves").glob("*.py"))
+    }
+    bench = {
+        name
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        for name in _names(ast.parse(path.read_text(), str(path)))
+    }
+    outside = bench | set(gitcurves._MODULE_OF)
+    assert _unnamed_definitions(trees, outside | UNCALLED) == []
+    # the allow-list holds only names that still have no caller
+    assert {name for _, name in _unnamed_definitions(trees, outside)} == UNCALLED
+    # the guard sees a helper named only by itself, and not one that others name
+    probe = "def used():\n    pass\ndef lonely(n):\n    return lonely(n)\nclass Kept:\n    x = used()"
+    assert _unnamed_definitions({"probe": ast.parse(probe)}, {"Kept"}) == [("probe", "lonely")]
 
 
 def _imported_modules(tree: ast.AST):
