@@ -49,14 +49,14 @@ class IdealSlice(_Record):
 
     `standard_keys` lists, in ascending order, the standard degree-m
     monomials, each as one int sort key.  With n coordinates and S = n^m, a
-    monomial whose coordinates, listed with multiplicity in ascending
-    precedence rank, have the ranks q_0 <= ... <= q_{m-1} has the key
+    monomial whose coordinate indices, listed with multiplicity, are
+    q_0 <= ... <= q_{m-1} has the key
 
         weight * S + (S - 1 - sum(q_p * n^(m-1-p))).
 
     Among monomials of one degree a larger monomial has a lexicographically
-    smaller rank sequence, so ascending keys are ascending monomials:
-    weight first, then rank sequence descending.  `key // S` is the weight.
+    smaller index sequence, so ascending keys are ascending monomials:
+    weight first, then index sequence descending.  `key // S` is the weight.
 
     The listing is derived on first read: `monomials` lists all degree-m
     monomials in ascending order and `standard` marks the standard ones.
@@ -71,17 +71,16 @@ class IdealSlice(_Record):
 
     @cached_property
     def _key_base(self) -> int:
-        """S = n^m: `key // S` is the weight, `key % S` codes the ranks."""
+        """S = n^m: `key // S` is the weight, `key % S` codes the indices."""
         return self.order.nvars**self.degree
 
     def _dense(self, key: int) -> Monomial:
         n, base = self.order.nvars, self._key_base
-        by_rank = self.order.precedence or range(n)
         vec = [0] * n
         code = base - 1 - key % base
         for _ in range(self.degree):
             code, q = divmod(code, n)
-            vec[by_rank[q]] += 1
+            vec[q] += 1
         return tuple(vec)
 
     @property
@@ -120,15 +119,16 @@ def _shape_tables(
 ) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
     """The least partial keys of one component shape, as `free` and `pure`.
 
-    `shape` lists the component's terms in ascending rank as (weight, rank,
-    s exponent, partner, partner's s exponent), the partner being -1 for a
-    term on this component only.  With S = n^m, a term at position p adds
-    weight * S - rank * n^(m-1-p) to the partial key.  A dynamic program over
-    the terms, from the last term and position back, keeps the least partial
-    key (the sum over positions p' >= p) per state of the sequences at
-    positions p.. with indices >= j: `free` maps the s-exponent sum a of the
-    half-edges to it, and `pure[c]` maps a * span + b, b the s-exponent sum
-    on partner c, to it for the sequences whose terms all lie on c too.
+    `shape` lists the component's terms in coordinate order as (weight,
+    coordinate index q, s exponent, partner, partner's s exponent), the
+    partner being -1 for a term on this component only.  With S = n^m, a term
+    at position p adds weight * S - q * n^(m-1-p) to the partial key.  A
+    dynamic program over the terms, from the last term and position back,
+    keeps the least partial key (the sum over positions p' >= p) per state
+    of the sequences at positions p.. with indices >= j: `free` maps the
+    s-exponent sum a of the half-edges to it, and `pure[c]` maps a * span +
+    b, b the s-exponent sum on partner c, to it for the sequences whose terms
+    all lie on c too.
     """
     base = n**m
     places = [n ** (m - 1 - p) for p in range(m)]
@@ -179,10 +179,12 @@ class _SliceData:
 
     The build refuses, as the kernel does, a coefficient other than 1 and a
     coordinate on three or more components, and then stores nothing.
-    `degrees[k]` is component k's degree and `components[k]` is `_arranged`
-    of its terms in coordinate order, each term as (coordinate, s exponent,
-    partner, partner's s exponent), the partner being -1, with the term's own
-    s exponent, for a coordinate on k only.
+    `degrees[k]` is component k's degree and `components[k]` is (step, rows,
+    partners): `rows` lists its terms in coordinate order as (coordinate, s
+    exponent, partner label, partner's s exponent), the partners labelled 0,
+    1, ... in order of appearance (`partners` lists them) and -1, with the
+    term's own s exponent, for a coordinate on k only; `step` is the first
+    position whose s exponent differs from position 0's (0 if none).
     """
 
     __slots__ = ("degrees", "components")
@@ -206,30 +208,16 @@ class _SliceData:
         self.degrees = [cm.degree for cm in par.maps]
         self.components = []
         for k, cm in enumerate(par.maps):
-            terms = []
+            partners: dict[int, int] = {}
+            rows = []
             for t in sorted(cm.terms, key=attrgetter("coord")):
                 held = holders[t.coord]
                 c, ce = held[-1] if held[0][0] == k else held[0]  # c == k: on k only
-                terms.append((t.coord, t.s_exp, -1 if c == k else c, ce))
-            self.components.append(_arranged(terms))
-
-
-def _arranged(terms: list[tuple[int, int, int, int]]) -> tuple:
-    """One component's terms in the order given, as (terms, step, rows, partners).
-
-    `step` is the position of the first term whose s exponent differs from
-    the first term's (0 if none).  `rows` lists the terms as (coordinate,
-    s exponent, partner label, partner's s exponent), the partners labelled
-    0, 1, ... in order of appearance and -1 standing for none; `partners`
-    lists them by label."""
-    e0 = terms[0][1]
-    step = next((j for j, t in enumerate(terms) if t[1] != e0), 0)
-    partners: dict[int, int] = {}
-    rows = [
-        (c, e, -1 if p < 0 else partners.setdefault(p, len(partners)), ce)
-        for c, e, p, ce in terms
-    ]
-    return terms, step, rows, list(partners)
+                label = -1 if c == k else partners.setdefault(c, len(partners))
+                rows.append((t.coord, t.s_exp, label, ce))
+            e0 = rows[0][1]
+            step = next((j for j, row in enumerate(rows) if row[1] != e0), 0)
+            self.components.append((step, rows, list(partners)))
 
 
 def _slice_data(par: Parametrization) -> _SliceData:
@@ -256,21 +244,20 @@ def _candidates(par: Parametrization, m: int, order: MonomialOrder) -> list[tupl
     one of its states has the same number u of positions and the same
     s-exponent sum a, so replacing each weight w by w + A + beta * e (e the
     term's s exponent) adds (u * A + beta * a) * S to every entry of the
-    state, and adding q0 to every rank subtracts q0 * sum(n^(m-1-p)); neither
-    moves a minimiser.  A component's shape is therefore taken with q0 its
-    least rank, beta = (w_j - w_0) // (e_j - e_0) for the first term j whose
-    s exponent differs from that of term 0 (0 if none does), A = w_0 - beta *
-    e_0, and its partners numbered in order of appearance; the floor division
-    gives every weight vector of one class {w + alpha + gamma * e} the same
-    shape.  Each component of a shape gets the tables translated by its own
-    A, beta, q0, row offsets and partners.  Edges are read off their lower
-    component.
+    state, and adding q0 to every coordinate index subtracts q0 *
+    sum(n^(m-1-p)); neither moves a minimiser.  A component's shape is
+    therefore taken with q0 its least coordinate, beta = (w_j - w_0) //
+    (e_j - e_0) for the first term j whose s exponent differs from that of
+    term 0 (0 if none does), A = w_0 - beta * e_0, and its partners numbered
+    in order of appearance; the floor division gives every weight vector of
+    one class {w + alpha + gamma * e} the same shape.  Each component of a
+    shape gets the tables translated by its own A, beta, q0, row offsets and
+    partners.  Edges are read off their lower component.
 
     The terms, their partners and the first j come from the parametrization's
-    `_SliceData`, in coordinate order, which is ascending rank under the
-    default precedence; another precedence only sorts the terms by rank and
-    arranges them again.  A call derives only what depends on the weights or
-    on m: A, beta, q0, the rank offsets, the row offsets and the shape keys.
+    `_SliceData`, in coordinate order.  A call derives only what depends on
+    the weights or on m: A, beta, the coordinate offsets, the row offsets and
+    the shape keys.
     """
     data = _slice_data(par)
     offsets = []
@@ -280,33 +267,27 @@ def _candidates(par: Parametrization, m: int, order: MonomialOrder) -> list[tupl
         span += m * d + 1
     n = order.nvars
     base = n**m
-    rank_sum = sum(n**p for p in range(m))
+    place_sum = sum(n**p for p in range(m))
     w = order.weights.weights
-    rank = order.rank
-    components = data.components
-    if order.precedence is not None:
-        components = [
-            _arranged(sorted(terms, key=lambda t: rank[t[0]])) for terms, _, _, _ in components
-        ]
     # shape -> (component, A, beta, q0, components by partner number)
     shapes: dict[tuple, list[tuple[int, int, int, int, list[int]]]] = {}
-    for k, (terms, step, rows, partners) in enumerate(components):
-        c0, e0, _, _ = terms[0]
-        w0, q0 = w[c0], rank[c0]
+    for k, (step, rows, partners) in enumerate(data.components):
+        q0, e0, _, _ = rows[0]
+        w0 = w[q0]
         beta = 0
         if step:
-            cj, ej, _, _ = terms[step]
+            cj, ej, _, _ = rows[step]
             beta = (w[cj] - w0) // (ej - e0)
         lift = w0 - beta * e0
         shape = tuple([
-            (w[c] - lift - beta * e, rank[c] - q0, e, label, ce) for c, e, label, ce in rows
+            (w[c] - lift - beta * e, c - q0, e, label, ce) for c, e, label, ce in rows
         ])
         shapes.setdefault(shape, []).append((k, lift, beta, q0, partners))
     out: list[tuple[int, int, int]] = []
     for shape, members in shapes.items():
         free, pure = _shape_tables(shape, m, n, span)
         for k, lift, beta, q0, partners in members:
-            top = base - 1 + m * lift * base - q0 * rank_sum
+            top = base - 1 + m * lift * base - q0 * place_sum
             step = beta * base
             off = offsets[k]
             out += [(top + v + step * a, off + a, -1) for a, v in free.items()]
@@ -323,12 +304,8 @@ def _candidates(par: Parametrization, m: int, order: MonomialOrder) -> list[tupl
 def check_slice_budget(par: Parametrization, m: int) -> None:
     """Refuse a degree-m slice (m >= 1) that may exceed `SLICE_BUDGET`, by a
     closed-form bound from the parametrization alone, never below the exact
-    count.  The last (m, budget) that passed is kept on `par`, so the slice
-    of a `hilbert_index` call, checked before the graph's record, is not
-    bounded again by `evaluate_slice`."""
-    if getattr(par, "_within", None) != (m, SLICE_BUDGET):
-        _check_slice_size(sum(comb(len(cm.terms) + m - 1, m) for cm in par.maps), m)
-        _set(par, "_within", (m, SLICE_BUDGET))
+    count."""
+    _check_slice_size(sum(comb(len(cm.terms) + m - 1, m) for cm in par.maps), m)
 
 
 def check_family_budget(family: str, values: Sequence[int], m: int) -> None:
@@ -357,8 +334,8 @@ def evaluate_slice(
     Monomials not supported on some component have zero columns and are
     initial by construction.  A slice whose count of supported monomials may
     exceed `SLICE_BUDGET` is rejected before anything is computed.  Each
-    monomial is one int sort key (weight, then rank sequence descending; see
-    `IdealSlice`), and only the standard keys are kept.
+    monomial is one int sort key (weight, then coordinate indices descending;
+    see `IdealSlice`), and only the standard keys are kept.
 
     The rows of the substitution map are the pairs (component, exponent of
     s), and a monomial's column has one entry per component holding all its
@@ -372,8 +349,8 @@ def evaluate_slice(
     half-edge at each row and the least edge on each pair of rows can be
     independent; `_candidates` finds those without listing the supported
     monomials, by one dynamic program per component shape (components whose
-    weights and ranks agree up to the shifts w -> w + A + beta * e and
-    rank -> rank + q0 share one), and a union-find with parity decides them
+    weights and coordinates agree up to the shifts w -> w + A + beta * e and
+    q -> q + q0 share one), and a union-find with parity decides them
     in ascending order.  Any other parametrization raises `EngineError`.
 
     What depends only on the parametrization (the checks on coefficients and

@@ -105,9 +105,8 @@ class ComponentMap(_Record):
 class Parametrization(_Record):
     """Monomial maps for every parametrized component of a configuration."""
 
-    # the first slice that passes its checks sets `_data`, the engine's `_SliceData`;
-    # `_within` is the last (degree, budget) that `check_slice_budget` passed
-    __slots__ = ("num_coordinates", "maps", "_data", "_within")
+    # the first slice that passes its checks sets `_data`, the engine's `_SliceData`
+    __slots__ = ("num_coordinates", "maps", "_data")
 
     def __init__(self, num_coordinates: int, maps: tuple[ComponentMap, ...]) -> None:
         self._init(num_coordinates, maps)

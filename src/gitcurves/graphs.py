@@ -1008,58 +1008,69 @@ def bridge_chain_graph(
 
 
 def isomorphic(a: CurveGraph, b: CurveGraph) -> bool:
-    """Decorated-graph isomorphism (backtracking; intended for small graphs)."""
-    if len(a.components) != len(b.components):
-        return False
-    if len(a.intersections) != len(b.intersections):
-        return False
-
-    def profile(g: CurveGraph, cid: str) -> tuple:
-        c = g.component(cid)
-        kinds = sorted(
-            g.intersections[i].kind for i, _ in g.incident_ends(cid)
-        )
-        return (c.genus, c.cusps, tuple(kinds))
-
-    if sorted(profile(a, c.id) for c in a.components) != sorted(
-        profile(b, c.id) for c in b.components
-    ):
+    """Decorated-graph isomorphism, by backtracking over `a`'s components in
+    breadth-first order, with each graph's component profiles (genus, cusps,
+    incident kinds) and (neighbour, kind) counts built once.  A component is
+    tried only against the neighbours of a mapped neighbour's image, and
+    checked only against itself and the components already mapped."""
+    if len(a.components) != len(b.components) or len(a.intersections) != len(b.intersections):
         return False
 
-    def edge_multiset(mapping: dict[str, str]) -> bool:
-        # verify all intersections between mapped components correspond
-        mapped = set(mapping)
-        want: dict[tuple, int] = {}
-        for x in a.intersections:
+    def tables(g: CurveGraph) -> tuple[dict[str, tuple], dict[str, dict[tuple[str, str], int]]]:
+        kinds: dict[str, list[str]] = {c.id: [] for c in g.components}
+        adj: dict[str, dict[tuple[str, str], int]] = {c.id: {} for c in g.components}
+        for x in g.intersections:
+            for cid, _ in x.ends:
+                kinds[cid].append(x.kind)
             ca, cb = x.components()
-            if ca in mapped and cb in mapped:
-                key = (x.kind, tuple(sorted((mapping[ca], mapping[cb]))))
-                want[key] = want.get(key, 0) + 1
-        have: dict[tuple, int] = {}
-        img = set(mapping.values())
-        for x in b.intersections:
-            ca, cb = x.components()
-            if ca in img and cb in img:
-                key = (x.kind, tuple(sorted((ca, cb))))
-                have[key] = have.get(key, 0) + 1
-        return want == have
+            adj[ca][cb, x.kind] = adj[ca].get((cb, x.kind), 0) + 1
+            if ca != cb:
+                adj[cb][ca, x.kind] = adj[cb].get((ca, x.kind), 0) + 1
+        return {c.id: (c.genus, c.cusps, tuple(sorted(kinds[c.id]))) for c in g.components}, adj
 
-    a_ids = sorted(c.id for c in a.components)
-    b_ids = sorted(c.id for c in b.components)
+    (prof_a, adj_a), (prof_b, adj_b) = tables(a), tables(b)
+    if sorted(prof_a.values()) != sorted(prof_b.values()):
+        return False
+    order: list[str] = []
+    parent: dict[str, Optional[str]] = {}  # None: the first of a connected piece
+    k = 0
+    for root in sorted(prof_a):
+        if root not in parent:
+            parent[root] = None
+            order.append(root)
+        while k < len(order):
+            ca = order[k]
+            k += 1
+            for nb in sorted({nb for nb, _ in adj_a[ca]} - parent.keys()):
+                parent[nb] = ca
+                order.append(nb)
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
 
-    def backtrack(i: int, mapping: dict[str, str], used: set[str]) -> bool:
-        if i == len(a_ids):
-            return True
-        ca = a_ids[i]
-        for cb in b_ids:
-            if cb in used or profile(a, ca) != profile(b, cb):
+    def candidates(ca: str) -> Iterator[str]:
+        p = parent[ca]
+        pool = sorted(prof_b) if p is None else sorted({nb for nb, _ in adj_b[mapping[p]]})
+        for cb in pool:
+            if cb in used or prof_b[cb] != prof_a[ca]:
                 continue
-            mapping[ca] = cb
-            used.add(cb)
-            if edge_multiset(mapping) and backtrack(i + 1, mapping, used):
-                return True
-            del mapping[ca]
-            used.remove(cb)
-        return False
+            want = {(cb if nb == ca else mapping[nb], kind): n
+                    for (nb, kind), n in adj_a[ca].items() if nb == ca or nb in mapping}
+            if want == {key: n for key, n in adj_b[cb].items() if key[0] == cb or key[0] in used}:
+                yield cb
 
-    return backtrack(0, {}, set())
+    # depth first without recursion: stack[i] yields the untried candidates
+    # for order[i], which is mapped for every i but perhaps the last
+    stack: list[Iterator[str]] = []
+    while len(mapping) < len(order):
+        if len(stack) == len(mapping):
+            stack.append(candidates(order[len(mapping)]))
+        cb = next(stack[-1], None)
+        if cb is not None:
+            mapping[order[len(stack) - 1]] = cb
+            used.add(cb)
+            continue
+        stack.pop()
+        if not stack:
+            return False
+        used.remove(mapping.pop(order[len(stack) - 1]))
+    return True

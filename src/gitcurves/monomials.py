@@ -2,16 +2,14 @@
 
 Monomials of a fixed degree are compared by weight first (the weight vector
 of a one-parameter subgroup), ties broken lexicographically with
-x_0 > x_1 > ... > x_N unless another variable precedence is supplied.  A
-monomial is a dense exponent vector.
+x_0 > x_1 > ... > x_N.  A monomial is a dense exponent vector.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from . import _Record
 from .families import OneParamSubgroup
@@ -19,20 +17,13 @@ from .families import OneParamSubgroup
 Monomial = tuple[int, ...]
 
 
-class OrderError(ValueError):
-    pass
-
-
 class MonomialOrder(_Record):
-    """Graded order: degree, then rho-weight, then lexicographic precedence."""
+    """Graded order: degree, then rho-weight, then lexicographic."""
 
-    __slots__ = ("weights", "precedence", "__dict__")  # `rank` is cached in the dict
+    __slots__ = ("weights",)
 
-    def __init__(self, weights: OneParamSubgroup,
-                 precedence: Optional[tuple[int, ...]] = None) -> None:
-        self._init(weights, precedence)
-        if precedence is not None and sorted(precedence) != list(range(len(weights))):
-            raise OrderError("precedence must be a permutation of coordinates")
+    def __init__(self, weights: OneParamSubgroup) -> None:
+        self._init(weights)
 
     @property
     def nvars(self) -> int:
@@ -44,21 +35,7 @@ class MonomialOrder(_Record):
 
     def key(self, mono: Monomial) -> tuple:
         """Sort key: ascending key order is ascending monomial order."""
-        if self.precedence is None:
-            lex = mono
-        else:
-            lex = tuple(mono[i] for i in self.precedence)
-        return (sum(mono), self.weight(mono), lex)
-
-    @cached_property
-    def rank(self) -> list[int]:
-        """Position of each coordinate in the precedence (x_0 first by default)."""
-        if self.precedence is None:
-            return list(range(self.nvars))
-        rank = [0] * self.nvars
-        for p, c in enumerate(self.precedence):
-            rank[c] = p
-        return rank
+        return (sum(mono), self.weight(mono), mono)
 
     def sorted_ascending(self, monos: Sequence[Monomial]) -> list[Monomial]:
         return sorted(monos, key=self.key)

@@ -137,16 +137,15 @@ def holders(par):
 
 
 def _key_table(cm, m, order):
-    """A component's terms in ascending precedence rank, and the key table
-    T[p][j] = w_j * S - rank_j * n^(m-1-p) over them: a monomial whose
+    """A component's terms in coordinate order, and the key table
+    T[p][j] = w_j * S - coord_j * n^(m-1-p) over them: a monomial whose
     coordinates are the terms j_0 <= ... <= j_{m-1} has the key
     S - 1 + sum(T[p][j_p] for p)."""
     n = order.nvars
     base = n**m
     w = order.weights.weights
-    rank = order.rank
-    terms = sorted(cm.terms, key=lambda t: rank[t.coord])
-    parts = [(w[t.coord] * base, rank[t.coord]) for t in terms]
+    terms = sorted(cm.terms, key=lambda t: t.coord)
+    parts = [(w[t.coord] * base, t.coord) for t in terms]
     places = [n ** (m - 1 - p) for p in range(m)]
     return terms, [[wt - q * place for wt, q in parts] for place in places]
 
@@ -198,7 +197,7 @@ def candidates(par, m, order, holders):
     and a later edge on the same rows finds both classes full or the rows in
     one class with opposite parity; a dependent element changes nothing.
 
-    For each component a dynamic program over its terms in rank order, from
+    For each component a dynamic program over its terms in coordinate order, from
     the last term and position back, keeps the least partial key (the sum of
     T[p'][j_p'] over p' >= p) per state of the sequences at positions p..
     with indices >= j: `free` maps the row on k to it for the half-edges, and

@@ -76,7 +76,7 @@ def closed_rosary_initial_degree2(r):
     """Hand-expanded degree-two leading monomials of the closed rosary.
 
     Hand tabulations easily overlook x0*x4, the leading term of
-    x0*x4 - x2*x3 (a weight tie broken by the lex precedence); with it the
+    x0*x4 - x2*x3 (a weight tie broken by the lex order); with it the
     cardinality is (9r^2-11r)/2 and the standard weight sum comes out at 28r.
     """
     n = 3 * r
@@ -461,38 +461,59 @@ ORACLE_CONFIGS = (
 )
 
 
+def relabelled(par, weights, precedence):
+    """`par` with coordinate precedence[p] renamed x_p, and the order of
+    `weights` with each weight moved to its coordinate's new name.  Its
+    slices are those of `par` with weight ties broken by x_precedence[0] >
+    x_precedence[1] > ..., relabelled, so the pair covers that tie-break."""
+    position = {c: p for p, c in enumerate(precedence)}
+    maps = tuple(
+        ComponentMap(
+            cm.component,
+            tuple(ParamTerm(position[t.coord], t.s_exp, t.t_exp, t.coeff) for t in cm.terms),
+        )
+        for cm in par.maps
+    )
+    moved = OneParamSubgroup(tuple(weights.weights[c] for c in precedence))
+    return Parametrization(par.num_coordinates, maps), MonomialOrder(moved)
+
+
 def _block_orders(cfg):
-    """A scrambled weight order, the same weights under a scrambled variable
-    precedence, and the canonical order where the family has it."""
-    n = cfg.parametrization.num_coordinates
+    """(configuration, order) pairs: a scrambled weight order, the same
+    weights on coordinates relabelled by a scrambled precedence, and the
+    canonical order where the family has it."""
+    par = cfg.parametrization
+    n = par.num_coordinates
     scrambled = OneParamSubgroup(tuple((5 * i) % 7 - 3 for i in range(n)))
     precedence = tuple(sorted(range(n), key=lambda i: ((3 * i) % 5, -i)))
-    orders = [MonomialOrder(scrambled), MonomialOrder(scrambled, precedence)]
+    moved, order = relabelled(par, scrambled, precedence)
+    cases = [(cfg, MonomialOrder(scrambled)), (with_parametrization(cfg, moved), order)]
     try:
-        orders.append(MonomialOrder(canonical_1ps(cfg).restrict(n)))
+        cases.append((cfg, MonomialOrder(canonical_1ps(cfg).restrict(n))))
     except FamilyError:
         pass  # closed rosaries of odd length have no canonical subgroup
-    return orders
+    return cases
 
 
-def _random_orders(n, seed):
-    """Two seeded random weight vectors in [-4, 6], whose many ties leave the
-    order to the precedence, each under the default and a shuffled
-    precedence."""
+def _random_orders(par, seed):
+    """(parametrization, order) pairs for two seeded random weight vectors in
+    [-4, 6], whose many ties leave the order to the coordinate order: each
+    on `par` and on `par` relabelled by a shuffled precedence."""
     rng = random.Random(seed)
-    orders = []
+    n = par.num_coordinates
+    cases = []
     for _ in range(2):
         weights = OneParamSubgroup(tuple(rng.randint(-4, 6) for _ in range(n)))
-        orders += [MonomialOrder(weights), MonomialOrder(weights, tuple(rng.sample(range(n), n)))]
-    return orders
+        cases += [(par, MonomialOrder(weights)), relabelled(par, weights, rng.sample(range(n), n))]
+    return cases
 
 
 class TestFullEnumerationOracle:
     """The supported-only elimination against the full-enumeration one."""
 
     def _check(self, cfg, m):
-        for order in _block_orders(cfg):
-            self._check_order(cfg, m, order)
+        for case, order in _block_orders(cfg):
+            self._check_order(case, m, order)
 
     def _check_order(self, cfg, m, order):
         monos, standard, _ = full_slice(cfg, m, order)
@@ -522,9 +543,8 @@ class TestFullEnumerationOracle:
     )
     def test_matches_full_enumeration_random_orders(self, spec, m):
         cfg = ORACLE_BUILDERS[spec[0]](*spec[1:])
-        n = cfg.parametrization.num_coordinates
-        for order in _random_orders(n, "-".join(map(str, spec)) + f"/{m}"):
-            self._check_order(cfg, m, order)
+        for par, order in _random_orders(cfg.parametrization, "-".join(map(str, spec)) + f"/{m}"):
+            self._check_order(with_parametrization(cfg, par), m, order)
 
     def test_matches_full_enumeration_degree_5(self):
         self._check(build_broken_bead_config(3), 5)
@@ -577,11 +597,11 @@ class TestFullEnumerationOracle:
         )
         cfg = with_parametrization(build_closed_rosary_config(3), par)
         self._check(cfg, m)
-        orders = _random_orders(n, f"{maps}/{m}")
+        cases = _random_orders(par, f"{maps}/{m}")
         if weights:
-            orders.append(MonomialOrder(OneParamSubgroup(weights)))
-        for order in orders:
-            self._check_order(cfg, m, order)
+            cases.append((par, MonomialOrder(OneParamSubgroup(weights))))
+        for case, order in cases:
+            self._check_order(with_parametrization(cfg, case), m, order)
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize(
@@ -600,6 +620,38 @@ class TestFullEnumerationOracle:
         assert matrix.rank() == sl.standard_count
 
 
+class TestRelabelling:
+    """Relabelling a full-mode family's coordinates and weights together
+    changes only how weight ties are broken, and the standard monomials are
+    a minimum-weight basis of the column matroid, whose weight does not
+    depend on the tie-break (Edmonds 1971): mu_m, the standard count and the
+    weight sum stay, while the standard monomials themselves may move."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "spec",
+        [("closed", r) for r in range(3, 7)] + [("broken", 3), ("broken", 5)],
+        ids=lambda spec: "-".join(map(str, spec)),
+    )
+    def test_index_is_invariant(self, spec, m):
+        cfg = ORACLE_BUILDERS[spec[0]](*spec[1:])
+        par = cfg.parametrization
+        n = par.num_coordinates
+        rng = random.Random(f"relabel/{spec}/{m}")
+        moved_lists = 0
+        for _ in range(15):
+            rho = OneParamSubgroup(tuple(rng.randint(-4, 6) for _ in range(n)))
+            precedence = rng.sample(range(n), n)
+            moved, order = relabelled(par, rho, precedence)
+            a = hilbert_index(cfg, rho, m)
+            b = hilbert_index(with_parametrization(cfg, moved), order.weights, m)
+            assert (a.mu, a.standard_count, a.weight_sum) == (b.mu, b.standard_count, b.weight_sum)
+            position = sorted(range(n), key=precedence.__getitem__)  # x_c is now x_position[c]
+            back = {tuple(mo[p] for p in position) for mo in b.slice.standard_monomials()}
+            moved_lists += back != set(a.slice.standard_monomials())
+        assert moved_lists  # some tie-break moved the standard monomials
+
+
 class TestSliceKeys:
     """Each supported monomial is one int key: weight * n^m, then its rank
     sequence descending."""
@@ -611,8 +663,8 @@ class TestSliceKeys:
         ids=["closed-5", "broken-3", "open-9-5"],
     )
     def test_keys_ascend_and_hold_the_weight(self, cfg, m):
-        for order in _block_orders(cfg):
-            sl = evaluate_slice(cfg, m, order)
+        for case, order in _block_orders(cfg):
+            sl = evaluate_slice(case, m, order)
             base = order.nvars**m
             keys, supported = supported_keys(sl), supported_monomials(sl)
             assert list(keys) == sorted(set(keys))
@@ -623,8 +675,8 @@ class TestSliceKeys:
     @pytest.mark.parametrize("m", [1, 3])
     def test_sparse_decodes_to_supported(self, m):
         cfg = build_broken_bead_config(5)
-        for order in _block_orders(cfg):
-            sl = evaluate_slice(cfg, m, order)
+        for case, order in _block_orders(cfg):
+            sl = evaluate_slice(case, m, order)
             dense = []
             for mono in sparse_monomials(sl):
                 assert [c for c, _ in mono] == sorted({c for c, _ in mono})
@@ -651,11 +703,12 @@ SHAPE_CONFIGS = (
 
 
 def _affine_orders(par, seed):
-    """Three weight vectors that are affine in the s exponent on each
-    component in turn (w = a_k + b_k * e, a later component overwriting the
-    coordinates it shares), each under the default and a shuffled
-    precedence.  Each vector draws (a_k, b_k) from two random pairs, so that
-    components of one shape often carry different weights."""
+    """(parametrization, order) pairs for three weight vectors that are
+    affine in the s exponent on each component in turn (w = a_k + b_k * e, a
+    later component overwriting the coordinates it shares): each on `par` and
+    on `par` relabelled by a shuffled precedence.  Each vector draws
+    (a_k, b_k) from two random pairs, so that components of one shape often
+    carry different weights."""
     rng = random.Random(seed)
     n = par.num_coordinates
     orders = []
@@ -667,7 +720,7 @@ def _affine_orders(par, seed):
             for t in cm.terms:
                 w[t.coord] = a + b * t.s_exp
         weights = OneParamSubgroup(tuple(w))
-        orders += [MonomialOrder(weights), MonomialOrder(weights, tuple(rng.sample(range(n), n)))]
+        orders += [(par, MonomialOrder(weights)), relabelled(par, weights, rng.sample(range(n), n))]
     return orders
 
 
@@ -694,18 +747,17 @@ class TestShapeCandidates:
         cfg = ORACLE_BUILDERS[spec[0]](*spec[1:])
         par = cfg.parametrization
         n = par.num_coordinates
-        held = holders(par)  # the oracle's own
         for m in range(1, 7):
             tag = "-".join(map(str, spec)) + f"/{m}"
-            orders = _random_orders(n, tag) + _affine_orders(par, tag)
+            cases = _random_orders(par, tag) + _affine_orders(par, tag)
             try:
-                orders.append(MonomialOrder(canonical_1ps(cfg).restrict(n)))
+                cases.append((par, MonomialOrder(canonical_1ps(cfg).restrict(n))))
             except FamilyError:
                 pass  # closed rosaries of odd length have no canonical subgroup
-            for order in orders:
+            for case, order in cases:
                 runs.clear()
-                assert sorted(engine._candidates(par, m, order)) == sorted(
-                    candidates(par, m, order, held)
+                assert sorted(engine._candidates(case, m, order)) == sorted(
+                    candidates(case, m, order, holders(case))  # the oracle's own holders
                 )
                 assert 1 <= len(runs) <= len(par.maps)
 

@@ -1,10 +1,12 @@
 """Dual-graph model: genus arithmetic, subcurve searches, classification."""
 
 import pickle
+import random
 
 import pytest
 
-from corpus import attached_open_rosary
+import isomorphism_oracle
+from corpus import attached_open_rosary, corpus
 from gitcurves import graphs
 from gitcurves.graphs import (
     NODE,
@@ -513,6 +515,39 @@ class TestGraphHash:
         assert len(runs) == 2
 
 
+def relabelled(g, rng):
+    """`g` with its components renamed and listed in a shuffled order, its
+    intersections shuffled and each one's two ends swapped at random."""
+    comps = list(g.components)
+    names = [f"v{k}" for k in range(len(comps))]
+    rng.shuffle(names)
+    new = {c.id: name for c, name in zip(comps, names)}
+    rng.shuffle(comps)
+    xs = []
+    for x in g.intersections:
+        ends = [(new[cid], slot) for cid, slot in x.ends]
+        if rng.random() < 0.5:
+            ends.reverse()
+        xs.append(Intersection(x.kind, tuple(ends)))
+    rng.shuffle(xs)
+    return CurveGraph(tuple(Component(new[c.id], c.genus, c.cusps, c.label) for c in comps), tuple(xs))
+
+
+def rewired(g, rng):
+    """`g` with the second ends of two intersections of one kind swapped, if
+    it has two: every component keeps its profile, the graph often changes."""
+    xs = list(g.intersections)
+    pairs = [(i, j) for i in range(len(xs)) for j in range(i) if xs[i].kind == xs[j].kind]
+    if pairs:
+        i, j = rng.choice(pairs)
+        (a, b), (c, d) = xs[i].ends, xs[j].ends
+        xs[i], xs[j] = Intersection(xs[i].kind, (a, d)), Intersection(xs[j].kind, (c, b))
+    return CurveGraph(g.components, tuple(xs))
+
+
+ISO_CORPUS = corpus(seed=4401, size=120)
+
+
 class TestIsomorphism:
     def test_same_shape(self):
         a = closed_rosary_graph(4)
@@ -524,6 +559,45 @@ class TestIsomorphism:
         assert not isomorphic(
             closed_rosary_graph(4), closed_rosary_graph(4, broken=[0])
         )
+
+    def test_empty_graphs(self):
+        empty = CurveGraph((), ())
+        assert isomorphic(empty, empty) and isomorphism_oracle.isomorphic(empty, empty)
+
+    def test_relabelled_corpus_matches_oracle(self):
+        rng = random.Random(4401)
+        for g in ISO_CORPUS:
+            for _ in range(3):
+                h = relabelled(g, rng)
+                assert isomorphic(g, h) and isomorphic(h, g)
+                assert isomorphism_oracle.isomorphic(g, h)
+
+    def test_corpus_pairs_match_oracle(self):
+        """Every ordered pair of the corpus, a relabelled copy of its first 40
+        graphs and a rewired copy of its first 40."""
+        rng = random.Random(4402)
+        pool = ISO_CORPUS + [relabelled(g, rng) for g in ISO_CORPUS[:40]]
+        pool += [relabelled(rewired(g, rng), rng) for g in ISO_CORPUS[:40]]
+        same = 0
+        for a in pool:
+            for b in pool:
+                want = isomorphism_oracle.isomorphic(a, b)
+                assert isomorphic(a, b) == want
+                same += want
+        assert same > len(pool) + 80  # pairs of distinct objects both ways
+
+    @pytest.mark.parametrize("n", [20, 400])
+    def test_long_closed_rosary(self, n):
+        """A closed rosary against a relabelled copy: the oracle's sorted-id
+        backtracking took 33 s at n = 80, where breadth-first order follows
+        the cycle."""
+        g = closed_rosary_graph(n)
+        h = relabelled(g, random.Random(n))
+        assert isomorphic(g, h)
+        assert not isomorphic(g, closed_rosary_graph(n, broken=[0]))
+        assert not isomorphic(h, relabelled(closed_rosary_graph(n, broken=[n // 2]), random.Random(1)))
+        if n <= 20:
+            assert isomorphism_oracle.isomorphic(g, h)
 
 
 class TestChainAmpleness:

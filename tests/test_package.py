@@ -153,8 +153,7 @@ def test_error_base_has_exactly_the_six_input_errors():
         chow.ChowError,
         divisors.DivisorError,
     }
-    assert issubclass(monomials.OrderError, ValueError)
-    assert not issubclass(monomials.OrderError, GitcurvesError)
+    assert not hasattr(monomials, "OrderError")
 
 
 def _float_uses(tree):

@@ -41,8 +41,8 @@ def test_record_is_built_once_per_parametrization(monkeypatch):
         par._data  # empty until the first slice
     first = indices(cfg)
     data = par._data
-    shuffled = MonomialOrder(canonical_1ps(cfg), tuple(reversed(range(par.num_coordinates))))
-    evaluate_slice(cfg, 4, shuffled)
+    reversed_weights = OneParamSubgroup(tuple(reversed(canonical_1ps(cfg).weights)))
+    evaluate_slice(cfg, 4, MonomialOrder(reversed_weights))  # another order, the same record
     assert indices(cfg) == first
     assert par._data is data and engine._slice_data(par) is data
     assert built == [par]
@@ -92,21 +92,26 @@ def test_over_budget_slice_builds_no_record(monkeypatch):
         cfg.parametrization._data
 
 
-def test_index_bounds_its_slice_once(monkeypatch):
+def test_index_bounds_its_slice_before_the_graph_record(monkeypatch):
     # `hilbert_index` checks the budget before the genus builds the graph's
-    # record; its `evaluate_slice` does not bound the same slice again
+    # record, and its `evaluate_slice` checks the same slice again
     checked = []
     check = engine._check_slice_size
     monkeypatch.setattr(engine, "_check_slice_size", lambda size, m: checked.append(m) or check(size, m))
     for cfg in (build_closed_rosary_config(6), build_open_rosary_config(9, 5)):
         checked.clear()
         indices(cfg, (2, 3, 2, 5))
-        assert checked == [2, 3, 2, 5]
+        assert checked == [2, 2, 3, 3, 2, 2, 5, 5]
         evaluate_slice(cfg, 4)  # a direct caller is bounded too
-        assert checked == [2, 3, 2, 5, 4]
+        assert checked[8:] == [4]
     monkeypatch.setattr(engine, "SLICE_BUDGET", 0)
     with pytest.raises(EngineError, match="^degree-4 slice has up to"):
         evaluate_slice(cfg, 4)  # a slice that passed is bounded again under a new budget
+    fresh = build_closed_rosary_config(6)
+    with pytest.raises(EngineError, match="^degree-2 slice has up to"):
+        hilbert_index(fresh, canonical_1ps(fresh), 2)
+    with pytest.raises(AttributeError):
+        fresh.graph._data  # refused before the genus built the graph's record
 
 
 def test_wrong_order_length_builds_no_record(monkeypatch):
