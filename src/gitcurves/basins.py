@@ -43,6 +43,9 @@ from .graphs import (
     open_rosaries,
     _bead_walk,
     _c_closed_rosaries,
+    _c_flags,
+    _chain_hits,
+    _graph_data,
 )
 
 SMOOTHABLE = "smoothable"
@@ -353,7 +356,8 @@ def is_c_closed_orbit(g: CurveGraph) -> bool:
     The rosaries, tacnodes and bridges are compared as masks on the graph's
     record (`graphs._c_closed_rosaries`).
     """
-    return classify(g).c_semistable and _c_closed_rosaries(g)
+    _dm, _pseudo, c_semistable, _c_stable, _h = _c_flags(g)
+    return c_semistable and _c_closed_rosaries(g)
 
 
 def is_h_closed_orbit(g: CurveGraph) -> bool:
@@ -366,19 +370,31 @@ def is_h_closed_orbit(g: CurveGraph) -> bool:
     in one rosary (at its tacnode) or in two sharing an end node, so a weak
     chain lies in such a chain exactly when each of its components is a bead
     of a length-three rosary of the one `_bead_walk`.
+
+    That is tested on the masks of the graph's record, and no chain is
+    listed.  Every block of an open weak chain, and of a closed weak chain
+    of length >= 2, is a table entry with exactly two crossings, so it is in
+    the chain block index (`leaving`); a closed weak chain of length 1 is
+    the whole curve cut at a tacnode, so the curve has genus 1 + 2 = 3.  So
+    off genus 3, when every indexed block lies on the beads, no weak chain
+    leaves them and nothing is walked; otherwise the weak chain search stops
+    at the first chain with a block off the beads.  (The test lives here,
+    not in `graphs`: that module's source sits just under 8,192 tokens, past
+    which CPython's parser doubles its token array, and compiling it, as
+    every process does when no bytecode is cached, peaks 0.6 MB higher.)
     """
-    flags = classify(g)
-    if not flags.h_semistable:
+    if not classify(g).h_semistable:
         return False
     closed, runs = _bead_walk(g)
+    data = _graph_data(g)
     # even genus: the unbroken closed rosary admits no weak chains at all (it
     # is h-stable), so it falls through to the vacuous test
-    if closed is not None and not closed.broken_beads and arithmetic_genus(g) % 2 == 1:
+    if (closed is not None and not closed.broken_beads and data.genus % 2 == 1) or data.genus < 3:
         return True
-    if arithmetic_genus(g) < 3:
+    off = ~sum(1 << data.index[b] for r in runs if r.length == 3 for b in r.beads)
+    if data.genus != 3 and not any(m & off for ms in data.leaving.values() for m in ms):
         return True
-    beads = {b for r in runs if r.length == 3 for b in r.beads}
-    return all(beads.issuperset(itertools.chain(*w.blocks)) for w in find_weak_elliptic_chains(g))
+    return not any(b & off for _c, _w, blocks, _e in _chain_hits(g, True) for b in blocks)
 
 
 def _contract_two_node_rationals(ed: _Editor) -> None:
@@ -422,16 +438,14 @@ def pseudostable_reduction(g: CurveGraph) -> CurveGraph:
     return ed.build()
 
 
-def _link_rows(g: CurveGraph, links: list[frozenset[str]], error: str) -> tuple[dict, list, int]:
+def _link_rows(g: CurveGraph, links: list[frozenset[str]], error: str) -> tuple[dict, list]:
     """One pass over the intersections of `g` for the link surgeries: the
-    owner map (component -> index of its link), each intersection's (kind,
-    end components, their owners or None), and the number of intersections
-    between two links.  BasinError(`error`) unless every link meets the rest
-    of the curve in exactly two points."""
+    owner map (component -> index of its link) and each intersection's
+    (kind, end components, their owners or None).  BasinError(`error`)
+    unless every link meets the rest of the curve in exactly two points."""
     owner = {cid: n for n, link in enumerate(links) for cid in link}
     rows = []
     crossings = [0] * len(links)
-    between = 0
     for x in g.intersections:
         c0, c1 = x.components()
         a, b = owner.get(c0), owner.get(c1)
@@ -440,10 +454,9 @@ def _link_rows(g: CurveGraph, links: list[frozenset[str]], error: str) -> tuple[
             for n in (a, b):
                 if n is not None:
                     crossings[n] += 1
-            between += a is not None and b is not None
     if any(count != 2 for count in crossings):
         raise BasinError(error)
-    return owner, rows, between
+    return owner, rows
 
 
 def c_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
@@ -461,8 +474,8 @@ def c_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
     model is one elliptic component with a self-node) raises BasinError.
     Idempotent.
     """
-    flags = classify(g)
-    if not flags.c_semistable or flags.c_stable:
+    _dm, _pseudo, c_semistable, c_stable, _h = _c_flags(g)
+    if not c_semistable or c_stable:
         raise BasinError("c-stable or unstable input")
     if is_c_closed_orbit(g):
         return g
@@ -476,7 +489,7 @@ def c_closed_orbit_rep(g: CurveGraph) -> CurveGraph:
             "elliptic bridge to replace"
         )
     error = "bridge link must meet the rest in exactly two nodes"
-    owner, info, _between = _link_rows(base, links, error)
+    owner, info = _link_rows(base, links, error)
     used, beads, start = set(base.ids()), [], 0  # R<i> is in use for every i < start
     for link in links:
         fresh = (f"R{i}" for i in itertools.count(start) if f"R{i}" not in used)
@@ -601,16 +614,21 @@ def enumerate_c_replacements(g: CurveGraph) -> list[CurveGraph]:
 
     One configuration per subset of the N bridge links: each chosen link is
     contracted to a tacnode, with a separating rational curve P<i> inserted
-    first at every node between two chosen links.  The input is analysed
-    once by `_link_rows`, as for `c_closed_orbit_rep`; each configuration is
-    then built in one pass over its rows.  Returns exactly 2^N graphs, in
-    the order of their subsets: by size, then lexicographically over the
-    links sorted by their sorted ids, so the first entry is `g` itself.
-    More than `REPLACEMENT_BUDGET` of them raises BasinError before any is
-    built.
+    first at every node between two chosen links.  Returns exactly 2^N
+    graphs, in the order of their subsets: by size, then lexicographically
+    over the links sorted by their sorted ids, so the first entry is `g`
+    itself.  More than `REPLACEMENT_BUDGET` of them raises BasinError before
+    any is built.
+
+    The links are taken apart once (`_link_rows`) into an id-sorted pool of
+    components and separators, each tagged with the bit of its link or
+    separator; rows tagged with the links they touch; each link's two
+    crossings; and the rows between two links.  A configuration, its chosen
+    links a mask, is then a filter of the rows and of the pool plus one
+    tacnode row per chosen link.
     """
-    flags = classify(g)
-    if not flags.pseudostable:
+    _dm, pseudostable, _c_semi, _c_stable, _h = _c_flags(g)
+    if not pseudostable:
         raise BasinError("input must be pseudostable")
     links = bridge_links(g)  # in order of their sorted ids
     if 2 ** len(links) > REPLACEMENT_BUDGET:
@@ -618,38 +636,50 @@ def enumerate_c_replacements(g: CurveGraph) -> list[CurveGraph]:
             f"{len(links)} bridge links give {2 ** len(links)} replacements; "
             f"budget {REPLACEMENT_BUDGET}"
         )
-    owner, info, between = _link_rows(g, links, "link must meet the rest in exactly two nodes")
+    owner, info = _link_rows(g, links, "link must meet the rest in exactly two nodes")
+    nl = len(links)
+    rows = []  # ((kind, c0, c1), bits of the links it touches)
+    crossings: list[list[tuple[str, int, int]]] = [[] for _ in links]
+    pairs = []  # the bits of the two links of each row between two links
+    for kind, c0, c1, a, b in info:
+        bits = (0 if a is None else 1 << a) | (0 if b is None else 1 << b)
+        rows.append(((kind, c0, c1), bits))
+        if a != b:
+            # each crossing is (outer end, bit of the link across or 0, the
+            # row's index in `pairs`, read only when there is a link across)
+            t = len(pairs)
+            if a is not None and b is not None:
+                pairs.append(bits)
+            if a is not None:
+                crossings[a].append((c1, bits ^ 1 << a, t))
+            if b is not None:
+                crossings[b].append((c0, bits ^ 1 << b, t))
     # the s-th separator of a configuration takes the s-th free name P<i>
     taken = set(g.ids())
     fresh = (f"P{i}" for i in itertools.count() if f"P{i}" not in taken)
-    separators = [Component(pid, 0) for pid in itertools.islice(fresh, between)]
+    sep_ids = list(itertools.islice(fresh, len(pairs)))
+    # pool entries: (component, its tag): 1 << n for a component of link n,
+    # 1 << (N + s) for the s-th separator, 0 for the other components
+    pool = [(c, 1 << owner[c.id] if c.id in owner else 0) for c in g.components]
+    pool += [(Component(pid, 0), 1 << nl + s) for s, pid in enumerate(sep_ids)]
+    pool.sort(key=lambda entry: entry[0].id)
+    bit = [1 << n for n in range(nl)]
     shared: dict[tuple, Intersection] = {}
     out = [g]
-    for k in range(1, len(links) + 1):
-        for chosen in itertools.combinations(range(len(links)), k):
-            picked = set(chosen)
-            comps = [c for c in g.components if owner.get(c.id) not in picked]
-            # outer ends of each chosen link: original crossings, then separators
-            outer: dict[int, list[str]] = {n: [] for n in chosen}
-            after: dict[int, list[str]] = {n: [] for n in chosen}
-            kept = []
-            used = 0
-            for kind, c0, c1, a, b in info:
-                ina, inb = a in picked, b in picked
-                if not (ina or inb):
-                    kept.append((kind, c0, c1))
-                elif not inb:
-                    outer[a].append(c1)
-                elif not ina:
-                    outer[b].append(c0)
-                elif a != b:
-                    sep = separators[used]
-                    used += 1
-                    comps.append(sep)
-                    after[a].append(sep.id)
-                    after[b].append(sep.id)
+    for k in range(1, nl + 1):
+        for chosen in itertools.combinations(range(nl), k):
+            mask = sum(map(bit.__getitem__, chosen))
+            sep = dict(zip([t for t, both in enumerate(pairs) if both & mask == both], sep_ids))
+            kept = [row for row, touched in rows if not touched & mask]
             for n in chosen:
-                kept.append((TACNODE, *outer[n], *after[n]))
-            comps.sort(key=lambda c: c.id)
-            out.append(CurveGraph(tuple(comps), _numbered(kept, shared)))
+                (c0, x0, t0), (c1, x1, t1) = crossings[n]
+                # the outer ends in row order, then the separators
+                if x0 & mask:
+                    c0, c1 = (sep[t0], sep[t1]) if x1 & mask else (c1, sep[t0])
+                elif x1 & mask:
+                    c1 = sep[t1]
+                kept.append((TACNODE, c0, c1))
+            drop = mask | -1 << nl + len(sep)  # the chosen links and the unused separators
+            comps = tuple([c for c, tag in pool if not tag & drop])
+            out.append(CurveGraph(comps, _numbered(kept, shared)))
     return out

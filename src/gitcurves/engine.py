@@ -221,12 +221,11 @@ class _SliceData:
 
 
 def _slice_data(par: Parametrization) -> _SliceData:
-    try:
-        return par._data
-    except AttributeError:
+    data = getattr(par, "_data", None)
+    if data is None:
         data = _SliceData(par)
         _set(par, "_data", data)  # not pickled: it is rebuilt on first use
-        return data
+    return data
 
 
 def _candidates(par: Parametrization, m: int, order: MonomialOrder) -> list[tuple[int, int, int]]:

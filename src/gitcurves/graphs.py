@@ -123,9 +123,12 @@ class StabilityFlags(_Record):
 class CurveGraph(_Record):
     """Connected decorated dual graph of an unpointed projective curve.
 
-    Connectivity is not enforced at construction; operations that require it
-    raise `CurveGraphError("disconnected")`.  Marked points are not supported:
-    a non-empty `marks` raises CurveGraphError.
+    Construction refuses duplicate ids, an end on an unknown component and a
+    reused branch slot, checking the ends in bulk; only a refused graph is
+    walked, to name its first faulty end.  Connectivity is not enforced at
+    construction; operations that require it raise
+    `CurveGraphError("disconnected")`.  Marked points are not supported: a
+    non-empty `marks` raises CurveGraphError.
     """
 
     # `marks` stays empty (perfbench/workloads.relabel passes it); `hash` sets
@@ -139,19 +142,20 @@ class CurveGraph(_Record):
         _set(self, "marks", marks)
         if marks:
             raise CurveGraphError("marked points are not supported")
-        ids = [c.id for c in components]
-        if len(set(ids)) != len(ids):
+        known = {c.id for c in components}
+        if len(known) != len(components):
             raise CurveGraphError("duplicate component ids")
-        known = set(ids)
-        used_ends: set[End] = set()
-        for x in intersections:
-            for end in x.ends:
-                cid, _slot = end
-                if cid not in known:
-                    raise CurveGraphError(f"intersection references unknown component {cid!r}")
-                if end in used_ends:
-                    raise CurveGraphError(f"branch slot {end!r} used twice")
-                used_ends.add(end)
+        used = {end for x in intersections for end in x.ends}
+        if len(used) != 2 * len(intersections) or not known.issuperset(dict(used)):
+            used = set()  # in intersection order, an unknown component before a reused slot
+            for x in intersections:
+                for end in x.ends:
+                    cid, _slot = end
+                    if cid not in known:
+                        raise CurveGraphError(f"intersection references unknown component {cid!r}")
+                    if end in used:
+                        raise CurveGraphError(f"branch slot {end!r} used twice")
+                    used.add(end)
 
     def __hash__(self) -> int:
         # computed once, for callers that hash graphs (sets, dict keys, `lru_cache`);
@@ -259,10 +263,11 @@ class _GraphData:
     """The one record of a graph, kept in its `_data` slot by `_graph_data` and
     freed with it: the bitmask tables, built in one plain pass over the
     components and one over the intersections, and the per-graph results
-    `table`, `leaving`, `flags` (of `classify`), `chains` and `beads` (of
-    `_bead_walk`), filled on first use.  Equal graphs that are different
-    objects each build their own.  Only this module reads the record: the
-    bead walk, the bridge links and the c closed-orbit test use its masks.
+    `table`, `leaving`, `c_flags` (of `_c_flags`), `flags` (of `classify`),
+    `chains` and `beads` (of `_bead_walk`), filled on first use.  Equal
+    graphs that are different objects each build their own.  The bead walk,
+    the bridge links and both closed-orbit tests use its masks; only the h
+    test (`basins.is_h_closed_orbit`) reads it from outside this module.
 
     Bit i of an intersection mask is intersection i.  `flips[k]` holds the
     intersections joining component k to another component, `loops[k]` its
@@ -275,7 +280,7 @@ class _GraphData:
     __slots__ = (
         "ids", "index", "n", "contrib", "cusped", "nbr", "end_bits", "deltas", "tacnodes",
         "flips", "loops", "base", "genus", "all_mask", "whole_connected",
-        "_table", "_leaving", "flags", "chains", "beads",
+        "_table", "_leaving", "c_flags", "flags", "chains", "beads",
     )
 
     def __init__(self, g: CurveGraph):
@@ -316,7 +321,7 @@ class _GraphData:
         self.genus = sum(contrib) + sum(deltas) - self.n + 1
         self.all_mask = (1 << self.n) - 1
         self.whole_connected = self.connected(self.all_mask)
-        self._table = self._leaving = self.flags = self.chains = self.beads = None
+        self._table = self._leaving = self.c_flags = self.flags = self.chains = self.beads = None
 
     def mask_of(self, sub: Iterable[str]) -> int:
         mask = 0
@@ -433,12 +438,11 @@ class _GraphData:
 
 
 def _graph_data(g: CurveGraph) -> _GraphData:
-    try:
-        return g._data
-    except AttributeError:
+    data = getattr(g, "_data", None)
+    if data is None:
         data = _GraphData(g)
         _set(g, "_data", data)  # not pickled: it is rebuilt on first use
-        return data
+    return data
 
 
 def _connected_data(g: CurveGraph) -> _GraphData:
@@ -853,20 +857,20 @@ def open_rosaries(g: CurveGraph) -> list[RosaryRecord]:
 # ---------------------------------------------------------------------------
 
 
-def classify(g: CurveGraph) -> StabilityFlags:
-    """Evaluate every stability notion on a connected curve of genus >= 2.
+def _c_flags(g: CurveGraph) -> tuple[bool, bool, bool, bool, bool]:
+    """The c half of `classify`, the `c_flags` of the graph's record:
+    (dm_stable, pseudostable, c_semistable, c_stable, h_candidate), where
+    `h_candidate` is h-semistability short of the chain searches.
 
     One pass over the components reads the genus-0 contact conditions, one
     loop over the subcurve table the genus-1 ones (a tacnode counts twice in
     the multiplicity) and whether an elliptic bridge exists: a table entry
-    with two crossing points, no tacnode among them.  The flags live on the
-    graph's record, so a repeated query on the same graph is free.
+    with two crossing points, no tacnode among them.
     """
     data = _connected_data(g)
-    if data.flags is not None:
-        return data.flags
-    genus = data.genus
-    if genus < 2:
+    if data.c_flags is not None:
+        return data.c_flags
+    if data.genus < 2:
         raise CurveGraphError("stability notions require arithmetic genus >= 2")
 
     tacnodes = data.tacnodes
@@ -887,21 +891,32 @@ def classify(g: CurveGraph) -> StabilityFlags:
         bridge = bridge or (points == 2 and not tac)
 
     has_tacnode = tacnodes != 0
-    dm_stable = (not data.cusped) and (not has_tacnode) and genus0_plain
-    pseudostable = (not has_tacnode) and genus0_plain and genus1_two_points
     c_semistable = genus0_mult and genus1_two_points
-    c_stable = c_semistable and not has_tacnode and not bridge
-
-    # h-semistable adds "no elliptic chain", h-stable "no weak one either";
-    # curves of genus 2 have no chains; each search stops at its first chain
-    h_semistable = h_stable = c_semistable and genus1_three_mult
-    if h_semistable and genus >= 3:
-        h_semistable = not any(_chain_hits(g, False))
-        h_stable = h_semistable and not any(_chain_hits(g, True))
-
-    data.flags = StabilityFlags(
-        dm_stable, pseudostable, c_semistable, c_stable, h_semistable, h_stable
+    data.c_flags = (
+        (not data.cusped) and (not has_tacnode) and genus0_plain,
+        (not has_tacnode) and genus0_plain and genus1_two_points,
+        c_semistable,
+        c_semistable and not has_tacnode and not bridge,
+        c_semistable and genus1_three_mult,
     )
+    return data.c_flags
+
+
+def classify(g: CurveGraph) -> StabilityFlags:
+    """Evaluate every stability notion on a connected curve of genus >= 2.
+
+    `_c_flags` gives the c half; h-semistability adds "no elliptic chain",
+    h-stability "no weak one either".  The flags live on the graph's record.
+    """
+    data = _connected_data(g)
+    if data.flags is None:
+        *c_half, h_semistable = _c_flags(g)
+        h_stable = h_semistable
+        # curves of genus 2 have no chains; each search stops at its first chain
+        if h_semistable and data.genus >= 3:
+            h_semistable = not any(_chain_hits(g, False))
+            h_stable = h_semistable and not any(_chain_hits(g, True))
+        data.flags = StabilityFlags(*c_half, h_semistable, h_stable)
     return data.flags
 
 

@@ -53,7 +53,7 @@ from gitcurves.graphs import (
     open_rosary_graph,
 )
 from paths import ROOT
-from test_basins_oracle import family_graphs
+from test_basins_oracle import family_graphs, weak_chain
 
 
 def cusp_versal_weights(u):
@@ -387,9 +387,8 @@ class TestClosedOrbitReps:
             assert graphs._graph_data(star).chains is None
 
     def test_classifies_each_graph_once(self, monkeypatch):
-        # c_closed_orbit_rep and is_c_closed_orbit both read the input's
-        # flags, and is_c_closed_orbit the representative's: two graphs get
-        # flags, and the input's are read once more from its record
+        # c_closed_orbit_rep and is_c_closed_orbit read only the c half of
+        # the flags (`graphs._c_flags`), so no graph gets flags at all
         built, calls = [], []
         flags_type, original = graphs.StabilityFlags, graphs.classify
 
@@ -405,8 +404,8 @@ class TestClosedOrbitReps:
         for module in (graphs, basins):
             monkeypatch.setattr(module, "classify", counting_classify)
         c_closed_orbit_rep(bridge_chain_graph([1, 1, 1]))
-        assert (len(built), len(calls) - len(built)) == (2, 1)
-        assert len(set(calls)) == 2
+        assert (len(built), len(calls) - len(built)) == (0, 0)
+        assert len(set(calls)) == 0
 
     def test_c_stable_input_rejected(self):
         with pytest.raises(BasinError):
@@ -492,6 +491,45 @@ class TestClosedOrbitReps:
     def test_h_rep_rejects_h_stable(self):
         with pytest.raises(BasinError):
             h_closed_orbit_rep(bridge_chain_graph([2]))
+
+    def test_h_rep_lists_no_chains_of_its_output(self):
+        # the closed-orbit test on the representative reads masks: every
+        # block the chain search could use lies on its length-three rosaries
+        star = h_closed_orbit_rep(weak_chain(48))
+        assert len(star.components) == 3 * 48 + 2
+        assert is_h_closed_orbit(star)
+        assert graphs._graph_data(star).chains is None
+
+    def test_h_closed_orbit_answers_past_the_chain_budget(self):
+        # a cycle of 316 length-three rosaries joined by nodes: its weak
+        # chains (closed ones from every tacnode) explore more than
+        # SUBCURVE_BUDGET block sequences, but every block lies on the beads
+        names = [f"R{i}" for i in range(948)]
+        g = CurveGraph(
+            tuple(Component(n, 0) for n in names),
+            tuple(
+                Intersection(NODE if i % 3 == 2 else TACNODE,
+                             ((names[i], 1), (names[(i + 1) % 948], 0)))
+                for i in range(948)
+            ),
+        )
+        assert classify(g).h_semistable
+        assert is_h_closed_orbit(g)
+        assert graphs._graph_data(g).chains is None
+
+    @pytest.mark.parametrize("genus, cusps", [(0, 1), (1, 0)], ids=["cuspidal", "elliptic"])
+    def test_self_tacnode_is_no_closed_orbit(self, genus, cusps):
+        # genus 3, and its one weak chain is the whole curve cut at the
+        # tacnode: the subcurve table is empty, so no block lies off the
+        # (empty) bead mask, and only the genus-3 walk finds the chain
+        g = CurveGraph(
+            (Component("c0", genus, cusps),), (Intersection(TACNODE, (("c0", 0), ("c0", 1))),)
+        )
+        flags = classify(g)
+        assert (arithmetic_genus(g), flags.h_semistable, flags.h_stable) == (3, True, False)
+        assert graphs._graph_data(g).leaving == {}
+        assert not is_h_closed_orbit(g)
+        assert is_h_closed_orbit(g) == oracle.is_h_closed_orbit(g)
 
 
 class TestAutTorusRank:

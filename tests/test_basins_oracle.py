@@ -137,6 +137,16 @@ def test_corpus_matches_oracle(seed):
     assert_matches_oracle(corpus(seed, 400))
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_h_closed_orbit_of_weak_chain_reps_matches_oracle(k):
+    # on the representatives every block lies on the bead mask, so the test
+    # answers from masks alone; the input itself walks its chains
+    rep = basins.h_closed_orbit_rep(weak_chain(k))
+    for g in (weak_chain(k), *variants(rep)):
+        assert basins.is_h_closed_orbit(g) == oracle.is_h_closed_orbit(g), g.to_json()
+    assert basins.is_h_closed_orbit(rep) and not basins.is_h_closed_orbit(weak_chain(k))
+
+
 def disconnected_unions():
     """Pairs of curves side by side: bead cycles that are not the whole curve,
     and a rational curve whose two branches meet in one node."""

@@ -62,6 +62,35 @@ class TestClassify:
             f"error: subcurve search on 20 components visits more than {SUBCURVE_BUDGET} subsets\n"
         )
 
+    @pytest.mark.parametrize(
+        "ends, message",
+        [
+            ([[["A", 0], ["B", 0]], [["A", 0], ["B", 1]]], "branch slot ('A', 0) used twice"),
+            ([[["A", 0], ["B", 0]], [["B", 1], ["C", 0]]],
+             "intersection references unknown component 'C'"),
+            ([[["C", 0], ["A", 0]], [["B", 0], ["C", 0]]],
+             "intersection references unknown component 'C'"),
+            ([[["A", 0], ["B", 0]], [["A", 0], ["C", 0]]], "branch slot ('A', 0) used twice"),
+        ],
+        ids=["reused-slot", "unknown", "unknown-and-reused", "reused-then-unknown"],
+    )
+    def test_constructor_refusals(self, capsys, tmp_path, ends, message):
+        doc = {
+            "components": [{"id": "A", "genus": 1}, {"id": "B", "genus": 1}],
+            "intersections": [{"kind": "node", "ends": pair} for pair in ends],
+        }
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        for fmt in ((), ("--json",)):
+            code, out, err = run(capsys, "classify", "--in", str(path), *fmt)
+            assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+    def test_duplicate_ids_reported(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"components": [{"id": "A", "genus": 1}] * 2}))
+        code, out, err = run(capsys, "classify", "--in", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: duplicate component ids\n")
+
     def test_parse_error_reported(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -26,6 +26,12 @@ GOLDEN = ROOT / "tests" / "golden_cli.json"
 
 FIXTURES = sorted(p.stem for p in (ROOT / "fixtures").glob("*.json"))
 
+# the heavy basins inputs, kept out of `fixtures/`, whose every document
+# perfbench/workloads.py classifies by its name
+INPUTS = "tests/golden_inputs"
+BRIDGE_CHAINS = range(3, 11)  # bridge_chain_graph([1] * k)
+WEAK_CHAINS = range(1, 9)  # W_k of test_basins_oracle.weak_chain
+
 # the `index` workload's inputs in perfbench/workloads.py
 INDEX_INPUTS = (
     ("closed-rosary", "--r", "6"),
@@ -58,6 +64,12 @@ def commands() -> list[list[str]]:
         cmds.append(["closed-orbit", "--mode", "c", "--in", path, "--json"])
         cmds.append(["closed-orbit", "--mode", "h", "--in", path, "--json"])
         cmds.append(["replacements", "--in", path, "--json"])
+    for k in BRIDGE_CHAINS:
+        cmds.append(["replacements", "--in", f"{INPUTS}/bridge-chain-{k}.json", "--json"])
+    for k in WEAK_CHAINS:
+        for mode in ("c", "h"):
+            cmds.append(["closed-orbit", "--mode", mode, "--in", f"{INPUTS}/weak-chain-{k}.json",
+                         "--json"])
     for e in ("-1", "1"):
         cmds.append(["basin", "--family", "open-rosary", "--g", "6", "--r", "3",
                      "--exponents", e, "--json"])

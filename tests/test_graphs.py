@@ -439,6 +439,63 @@ class TestSerialization:
             )
 
 
+def _node(a, b):
+    return Intersection(NODE, (a, b))
+
+
+class TestConstructorChecks:
+    """Each refusal of `CurveGraph(...)` and which fault it names."""
+
+    AB = (Component("A", 1), Component("B", 1))
+
+    def refusal(self, comps, xs):
+        with pytest.raises(CurveGraphError) as exc:
+            CurveGraph(comps, xs)
+        return str(exc.value)
+
+    def test_duplicate_ids(self):
+        assert self.refusal((Component("A", 1), Component("A", 2)), ()) == "duplicate component ids"
+        # before any end is read
+        comps = (Component("A", 1), Component("A", 2))
+        assert self.refusal(comps, (_node(("Z", 0), ("A", 0)),)) == "duplicate component ids"
+
+    def test_unknown_component(self):
+        xs = (_node(("A", 0), ("B", 0)), _node(("B", 1), ("C", 0)))
+        assert self.refusal(self.AB, xs) == "intersection references unknown component 'C'"
+
+    def test_reused_slot(self):
+        xs = (_node(("A", 0), ("B", 0)), _node(("A", 1), ("B", 0)))
+        assert self.refusal(self.AB, xs) == "branch slot ('B', 0) used twice"
+
+    def test_reused_slot_within_one_intersection(self):
+        assert self.refusal(self.AB, (_node(("A", 0), ("A", 0)),)) == (
+            "branch slot ('A', 0) used twice"
+        )
+
+    def test_first_faulty_end_in_intersection_order(self):
+        # a reused slot at the second intersection's first end comes before
+        # an unknown component at its second end and at the third intersection
+        xs = (
+            _node(("A", 0), ("B", 0)),
+            _node(("A", 0), ("C", 0)),
+            _node(("D", 0), ("B", 1)),
+        )
+        assert self.refusal(self.AB, xs) == "branch slot ('A', 0) used twice"
+        # an unknown component at the first end comes before a reused slot at the second
+        xs = (_node(("A", 0), ("B", 0)), _node(("C", 0), ("B", 0)))
+        assert self.refusal(self.AB, xs) == "intersection references unknown component 'C'"
+
+    def test_unknown_component_before_reused_slot_at_one_end(self):
+        # ('C', 0) is both on an unknown component and used twice
+        xs = (_node(("C", 0), ("A", 0)), _node(("B", 0), ("C", 0)))
+        assert self.refusal(self.AB, xs) == "intersection references unknown component 'C'"
+
+    def test_valid_graph_keeps_its_parts(self):
+        xs = (_node(("A", 0), ("B", 0)), _node(("A", 1), ("A", 2)))
+        g = CurveGraph(self.AB, xs)
+        assert (g.components, g.intersections) == (self.AB, xs)
+
+
 class TestGraphHash:
     def test_equal_graphs_hash_equal_and_build_equal_graph_data(self):
         a = attached_open_rosary(3)
